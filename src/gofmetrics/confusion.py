@@ -4,9 +4,9 @@ Rows index the true class, columns the predicted class, in the order given
 by `labels`.  Counts are stored as a read-only float64 array so smoothed
 (fractional) tables and raw integer tallies share one representation.
 
-`normalized_matrix` builds the per-cell average of the two conditional
-rates P(true i | predicted j) and P(predicted j | true i); with the
-geometric average its entries are
+`normalized_matrix` averages, cell by cell, the two conditional rates
+P(true i | predicted j) and P(predicted j | true i), each built as one
+whole-array division; with the geometric average its entries are
 
     N[i][j] = C[i][j] / sqrt(row_sum(i) * col_sum(j))
 
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .means import GEOMETRIC, AveragingSpec, apply_average
+from .means import ARITHMETIC, GEOMETRIC, HARMONIC, AverageKind, AveragingSpec
 
 __all__ = [
     "ConfusionMatrix",
@@ -185,24 +185,57 @@ def _check_index(cm: ConfusionMatrix, idx: int) -> None:
         raise IndexError(f"class index {idx} out of range for {cm.n} classes")
 
 
+def _rates(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """counts / sums, broadcast, with 0 wherever the sum is 0."""
+    return np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+
+
 def row_conditional(cm: ConfusionMatrix, i: int, j: int) -> float:
     """P(predicted j | true i); 0.0 when class i has no samples."""
     _check_index(cm, i)
     _check_index(cm, j)
-    denom = cm.row_sums[i]
-    if denom == 0:
-        return 0.0
-    return float(cm.counts[i, j] / denom)
+    return float(_rates(cm.counts[i, j], cm.row_sums[i]))
 
 
 def col_conditional(cm: ConfusionMatrix, i: int, j: int) -> float:
     """P(true i | predicted j); 0.0 when class j is never predicted."""
     _check_index(cm, i)
     _check_index(cm, j)
-    denom = cm.col_sums[j]
-    if denom == 0:
-        return 0.0
-    return float(cm.counts[i, j] / denom)
+    return float(_rates(cm.counts[i, j], cm.col_sums[j]))
+
+
+def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`apply_average(spec, (a, b))` element-wise, in place into `a`; `b` is clobbered.
+
+    Bit for bit the scalar two-element mean (`float_power`, like `**`, is C's `pow`).
+    """
+    # the exact collapses power_mean makes at p = -1, 0, 1
+    kind = {-1.0: HARMONIC, 0.0: GEOMETRIC, 1.0: ARITHMETIC}.get(spec.p, spec).kind
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is AverageKind.GEOMETRIC:
+            a *= b
+            np.sqrt(a, out=a)
+        elif kind is AverageKind.ARITHMETIC:
+            a += b
+            a /= 2
+        elif kind is AverageKind.HARMONIC:  # a zero rate gives 2/inf = 0, as in the scalar
+            np.divide(1.0, a, out=a)
+            a += np.divide(1.0, b, out=b)
+            np.divide(2.0, a, out=a)
+        elif kind in (AverageKind.MIN, AverageKind.MAX):
+            (np.minimum if kind is AverageKind.MIN else np.maximum)(a, b, out=a)
+        else:
+            anchor = np.maximum(a, b) if spec.p > 0 else np.minimum(a, b)
+            a /= anchor
+            b /= anchor
+            np.float_power(a, spec.p, out=a)
+            np.float_power(b, spec.p, out=b)
+            a += b
+            a /= 2
+            np.float_power(a, 1.0 / spec.p, out=a)
+            a *= anchor
+            a[anchor == 0] = 0.0  # the scalar mean's early return
+    return a
 
 
 def normalized_matrix(
@@ -210,17 +243,16 @@ def normalized_matrix(
 ) -> NormalizedConfusionMatrix:
     """Average the column- and row-conditional rate in every cell.
 
+    Two whole-array divisions, C / col_sums[None, :] and C / row_sums[:, None]
+    (0 where the sum is 0), averaged in place, give cell (i, j) as exactly
+    `apply_average(averaging, (col_conditional(cm, i, j), row_conditional(cm, i, j)))`.
     Entries lie in [0, 1].  The construction is symmetric in the two rates,
     so transposing the counts transposes the result exactly, and scaling
     every count by a common positive factor leaves it unchanged.
     """
-    n = cm.n
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            values[i, j] = apply_average(
-                averaging, (col_conditional(cm, i, j), row_conditional(cm, i, j))
-            )
+    by_col = _rates(cm.counts, cm.col_sums[None, :])
+    by_row = _rates(cm.counts, cm.row_sums[:, None])
+    values = _pair_average(averaging, by_col, by_row)
     values.setflags(write=False)
     return NormalizedConfusionMatrix(values, averaging)
 

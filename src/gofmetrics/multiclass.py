@@ -22,20 +22,15 @@ from typing import Callable
 import numpy as np
 
 from . import binary as _binary
-from .confusion import (
-    ConfusionMatrix,
-    col_conditional,
-    normalized_matrix,
-    restrict_to_pair,
-    row_conditional,
-)
+from .confusion import ConfusionMatrix, normalized_matrix, restrict_to_pair
+from .confusion import _pair_average, _rates  # the whole-array rate kernel
 from .means import (
     ARITHMETIC,
+    GEOMETRIC,
+    HARMONIC,
     AverageKind,
     AveragingSpec,
     apply_average,
-    geometric_mean,
-    harmonic_mean,
     power_mean,
 )
 
@@ -78,30 +73,6 @@ class PermutationWitness:
     parity: str  # "even" | "odd"
 
 
-def _det_pivoted(matrix: np.ndarray) -> float:
-    """Determinant by Gaussian elimination with partial pivoting.
-
-    Returns exact 0.0 on a structurally singular matrix (a pivot column
-    with no nonzero entry), which matters for the zero-column bias case.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    sign = 1.0
-    det = 1.0
-    for k in range(n):
-        pivot = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[pivot, k] == 0.0:
-            return 0.0
-        if pivot != k:
-            a[[k, pivot]] = a[[pivot, k]]
-            sign = -sign
-        det *= a[k, k]
-        if k + 1 < n:
-            factors = a[k + 1 :, k] / a[k, k]
-            a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-    return sign * det
-
-
 def generalized_mcc(cm: ConfusionMatrix) -> float:
     """Determinant of the geometric normalized confusion matrix, in [-1, 1].
 
@@ -109,18 +80,25 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     relabeling, 0 means some class is never predicted (or the rows are
     otherwise linearly dependent).  At n = 2 this equals the classic
     two-class Matthews correlation coefficient.
+
+    A class never present or never predicted (a zero row or column sum) gives
+    exactly 0.0 by that structural test.  Otherwise the score is sign * exp(log|det|)
+    from `np.linalg.slogdet`: subnormal below log|det| ~ -708, 0.0 below ~ -745.
     """
-    norm = normalized_matrix(cm)
-    det = _det_pivoted(norm.values)
+    if not (cm.row_sums.all() and cm.col_sums.all()):
+        return 0.0
+    sign, logdet = np.linalg.slogdet(normalized_matrix(cm).values)
+    det = float(sign) * math.exp(logdet)
     # the mathematical bound is exact; anything past rounding slack is a bug
-    assert abs(det) <= 1.0 + _DET_SLACK, f"determinant {det} outside [-1, 1]"
+    if abs(det) > 1.0 + _DET_SLACK:
+        raise ArithmeticError(f"determinant {det} outside [-1, 1]")
     return min(1.0, max(-1.0, det))
 
 
-def _diagonal_pairs(cm: ConfusionMatrix) -> list[tuple[float, float]]:
-    return [
-        (row_conditional(cm, i, i), col_conditional(cm, i, i)) for i in range(cm.n)
-    ]
+def _diagonal_rates(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class precision C[i,i] / col_sum(i) and recall C[i,i] / row_sum(i)."""
+    diag = cm.counts.diagonal()
+    return _rates(diag, cm.col_sums), _rates(diag, cm.row_sums)
 
 
 def _check_outer(outer: AveragingSpec) -> None:
@@ -142,8 +120,8 @@ def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     of predicted-i that is truly i and the share of true-i predicted as i.
     """
     _check_outer(outer)
-    per_class = tuple(harmonic_mean(pair) for pair in _diagonal_pairs(cm))
-    return apply_average(outer, per_class)
+    per_class = _pair_average(HARMONIC, *_diagonal_rates(cm))
+    return apply_average(outer, tuple(per_class.tolist()))
 
 
 def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -155,8 +133,8 @@ def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     outer because G >= H entrywise.
     """
     _check_outer(outer)
-    per_class = tuple(geometric_mean(pair) for pair in _diagonal_pairs(cm))
-    return apply_average(outer, per_class)
+    per_class = _pair_average(GEOMETRIC, *_diagonal_rates(cm))
+    return apply_average(outer, tuple(per_class.tolist()))
 
 
 def cramers_phi(cm: ConfusionMatrix) -> float:
@@ -167,14 +145,13 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     Cells with zero expected count contribute zero to chi2 (their observed
     count is necessarily zero too).  At n = 2 this equals |mcc_binary|.
     """
-    counts = cm.counts
-    total = counts.sum()
-    expected = np.outer(cm.row_sums, cm.col_sums) / total
-    mask = expected > 0
-    chi2 = float(
-        (((counts - expected) ** 2)[mask] / expected[mask]).sum()
-    )
-    phi = math.sqrt((chi2 / total) / (cm.n - 1))
+    total = cm.counts.sum()
+    expected = np.outer(cm.row_sums, cm.col_sums)
+    expected /= total
+    terms = cm.counts - expected
+    terms *= terms
+    np.divide(terms, expected, out=terms, where=expected > 0)
+    phi = math.sqrt((float(terms.sum()) / total) / (cm.n - 1))
     return min(1.0, phi)
 
 
@@ -288,10 +265,8 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
         raise ValueError("NaN exponent")
     if p > 1:
         raise ValueError(f"p must be <= 1, got {p}")
-    rates = tuple(col_conditional(cm, i, i) for i in range(cm.n)) + tuple(
-        row_conditional(cm, j, j) for j in range(cm.n)
-    )
-    return power_mean(rates, p)
+    rates = np.concatenate(_diagonal_rates(cm))
+    return power_mean(tuple(rates.tolist()), p)
 
 
 def _parity(mapping: tuple[int, ...]) -> str:
@@ -317,15 +292,8 @@ def perfect_fit_permutation(cm: ConfusionMatrix) -> PermutationWitness | None:
     cell (so the normalized matrix is exactly a permutation matrix), else
     None.  Whenever |generalized_mcc| is exactly 1, a witness exists.
     """
-    counts = cm.counts
-    n = cm.n
-    mapping = []
-    for j in range(n):
-        nonzero = np.flatnonzero(counts[:, j] > 0)
-        if len(nonzero) != 1:
-            return None
-        mapping.append(int(nonzero[0]))
-    if sorted(mapping) != list(range(n)):
+    positive = cm.counts > 0
+    if (positive.sum(axis=0) != 1).any() or (positive.sum(axis=1) != 1).any():
         return None
-    mapping = tuple(mapping)
+    mapping = tuple(positive.argmax(axis=0).tolist())
     return PermutationWitness(mapping, _parity(mapping))

@@ -25,6 +25,23 @@ def random_positive_marginal_counts(rng, n, high=50):
             return grid.astype(float)
 
 
+def random_counts_with_empty_classes(rng, n, high=50):
+    """Random integer grid in which some rows and columns may be all zero."""
+    while True:
+        grid = rng.integers(0, high, size=(n, n)).astype(float)
+        grid[rng.random(n) < 0.2, :] = 0.0
+        grid[:, rng.random(n) < 0.2] = 0.0
+        if grid.sum() > 0:
+            return grid
+
+
+def strongly_diagonal_counts(rng, n):
+    """A good classifier's table: 20 on the diagonal, 0-4 elsewhere."""
+    counts = rng.integers(0, 5, size=(n, n)).astype(float)
+    np.fill_diagonal(counts, 20.0)
+    return counts
+
+
 def random_permutation_counts(rng, n, high=50):
     """Counts concentrated on one random permutation: a perfect fit up to relabeling."""
     grid = np.zeros((n, n))

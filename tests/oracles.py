@@ -5,11 +5,17 @@ package under test: determinants by cofactor expansion instead of elimination,
 normalized matrices by the closed-form count/sqrt(marginal product) ratio
 instead of conditional-probability averaging, correlation by expanding the
 confusion matrix back into label vectors.
+
+The exceptions are the scalar loops (`normalized_loop`, `diagonal_rates_loop`):
+they keep the package's original one-cell-at-a-time construction, with its
+scalar `apply_average`, as the reference its whole-array code must reproduce.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from gofmetrics.means import apply_average
 
 
 def det_cofactor(m):
@@ -38,6 +44,32 @@ def ratio_matrix(counts):
             if rows[i] > 0 and cols[j] > 0:
                 out[i, j] = c[i, j] / np.sqrt(rows[i] * cols[j])
     return out
+
+
+def normalized_loop(counts, averaging):
+    """Normalized matrix cell by cell: apply_average of (col rate, row rate)."""
+    c = np.asarray(counts, dtype=float)
+    rows = c.sum(axis=1)
+    cols = c.sum(axis=0)
+    n = c.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            by_col = float(c[i, j] / cols[j]) if cols[j] != 0 else 0.0
+            by_row = float(c[i, j] / rows[i]) if rows[i] != 0 else 0.0
+            out[i, j] = apply_average(averaging, (by_col, by_row))
+    return out
+
+
+def diagonal_rates_loop(counts):
+    """Per-class precision and recall lists, one class at a time."""
+    c = np.asarray(counts, dtype=float)
+    rows = c.sum(axis=1)
+    cols = c.sum(axis=0)
+    n = c.shape[0]
+    precision = [float(c[i, i] / cols[i]) if cols[i] != 0 else 0.0 for i in range(n)]
+    recall = [float(c[i, i] / rows[i]) if rows[i] != 0 else 0.0 for i in range(n)]
+    return precision, recall
 
 
 def mcc_closed_form(tp, fn, fp, tn):

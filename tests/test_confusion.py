@@ -17,8 +17,8 @@ from gofmetrics.confusion import (
     smooth,
     transpose,
 )
-from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC
-from helpers import random_counts
+from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, MAX, MIN, AveragingSpec
+from helpers import random_counts, random_counts_with_empty_classes
 
 GRID3 = [[20, 6, 0], [2, 20, 0], [12, 12, 8]]
 
@@ -231,6 +231,35 @@ class TestNormalizedMatrix:
         norm = normalized_matrix(cm)
         with pytest.raises(ValueError):
             norm.values[0, 0] = 2.0
+
+    @staticmethod
+    def _tables(seed):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4, 7, 12, 25, 40):
+            for _ in range(3):
+                yield ConfusionMatrix.from_counts(random_counts_with_empty_classes(rng, n))
+
+    def test_named_kinds_equal_scalar_loop_bitwise(self):
+        # the power exponents -1, 0 and 1 collapse to the named means exactly
+        specs = (HARMONIC, GEOMETRIC, ARITHMETIC, MIN, MAX) + tuple(
+            AveragingSpec.power(p) for p in (-1.0, 0.0, 1.0)
+        )
+        for cm in self._tables(10):
+            for spec in specs:
+                ref = oracles.normalized_loop(cm.counts, spec)
+                assert np.array_equal(normalized_matrix(cm, spec).values, ref), spec
+
+    def test_power_kind_within_four_ulp_of_scalar_loop(self):
+        # float_power and Python's ** both call C's pow, so they agree bit for
+        # bit where both use one libm; a numpy whose power loop differs in the
+        # last bit is allowed 4 ulp of the larger value.  Zeros are exact.
+        for cm in self._tables(11):
+            for p in (-3.0, -0.5, 0.25, 0.5, 0.9, 2.0):
+                got = normalized_matrix(cm, AveragingSpec.power(p)).values
+                ref = oracles.normalized_loop(cm.counts, AveragingSpec.power(p))
+                assert np.array_equal(got == 0, ref == 0), p
+                ulp = np.spacing(np.maximum(got, ref))
+                assert (np.abs(got - ref) <= 4 * ulp).all(), p
 
 
 class TestTranspose:

@@ -21,6 +21,9 @@ from gofmetrics.means import (
     MIN,
     AveragingSpec,
     apply_average,
+    geometric_mean,
+    harmonic_mean,
+    power_mean,
 )
 from gofmetrics.multiclass import (
     cramers_phi,
@@ -33,9 +36,11 @@ from gofmetrics.multiclass import (
 )
 from helpers import (
     random_counts,
+    random_counts_with_empty_classes,
     random_matrix,
     random_permutation_counts,
     random_positive_marginal_counts,
+    strongly_diagonal_counts,
 )
 
 GRID3 = [[20, 6, 0], [2, 20, 0], [12, 12, 8]]
@@ -104,6 +109,31 @@ class TestGeneralizedMcc:
             wide[:3, :3] = grid
             wide[3, 0] = float(rng.integers(1, 10))  # class 3 exists, never predicted
             assert generalized_mcc(cm_of(wide)) == 0.0
+
+    def test_bound_violation_raises(self, monkeypatch):
+        # an explicit check, not an assert, so it also holds under python -O
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m: (1.0, 0.5))
+        with pytest.raises(ArithmeticError, match="outside"):
+            generalized_mcc(cm_of(GRID3))
+
+    @pytest.mark.parametrize("n", [200, 500, 1000])
+    def test_large_n_missing_class_is_exact_zero(self, n):
+        rng = np.random.default_rng(n)
+        counts = strongly_diagonal_counts(rng, n)
+        never_predicted = counts.copy()
+        never_predicted[:, n // 2] = 0.0
+        never_present = counts.copy()
+        never_present[n // 3, :] = 0.0
+        assert generalized_mcc(cm_of(never_predicted)) == 0.0
+        assert generalized_mcc(cm_of(never_present)) == 0.0
+
+    def test_large_n_strongly_diagonal_matches_slogdet(self):
+        # log|det| is about -627 (6e-273): tiny, but a normal double
+        counts = strongly_diagonal_counts(np.random.default_rng(200), 200)
+        sign, logdet = np.linalg.slogdet(oracles.ratio_matrix(counts))
+        expected = float(sign) * math.exp(logdet)
+        assert expected != 0.0
+        assert generalized_mcc(cm_of(counts)) == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_row_product_bound(self):
         # |det M| cannot exceed the product of M's row sums
@@ -362,6 +392,22 @@ class TestOneVsOne:
         assert 0.0 <= score.value <= 1.0
 
 
+class TestDiagonalRateScores:
+    def test_equal_scalar_formulas_bitwise(self):
+        rng = np.random.default_rng(38)
+        outers = (ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec.power(0.5))
+        for _ in range(100):
+            cm = cm_of(random_counts_with_empty_classes(rng, int(rng.integers(2, 30))))
+            precision, recall = oracles.diagonal_rates_loop(cm.counts)
+            f1 = tuple(harmonic_mean((r, s)) for r, s in zip(recall, precision))
+            fm = tuple(geometric_mean((r, s)) for r, s in zip(recall, precision))
+            for outer in outers:
+                assert generalized_f1(cm, outer) == apply_average(outer, f1)
+                assert generalized_fm(cm, outer) == apply_average(outer, fm)
+            for p in (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0):
+                assert lp_multiclass(cm, p) == power_mean(tuple(precision + recall), p)
+
+
 class TestLpMulticlass:
     def test_perfect_diagonal_any_p(self):
         cm = cm_of([[4, 0, 0], [0, 9, 0], [0, 0, 2]])
@@ -425,6 +471,10 @@ class TestPerfectFitPermutation:
 
     def test_zero_column_returns_none(self):
         assert perfect_fit_permutation(cm_of([[1, 0, 0], [1, 0, 0], [0, 0, 1]])) is None
+
+    def test_one_true_class_behind_two_columns_returns_none(self):
+        # every column has one positive cell, but both point at class 0
+        assert perfect_fit_permutation(cm_of([[3, 2], [0, 0]])) is None
 
     def test_random_permutation_counts_round_trip(self):
         rng = np.random.default_rng(35)
