@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .confusion import ConfusionMatrix
-from .means import harmonic_mean, power_mean
+from .means import _check_exponent, harmonic_mean, power_mean
 
 __all__ = [
     "BinaryView",
@@ -133,13 +133,8 @@ def mcc_binary(view: BinaryView) -> float:
 def lp_four_rate_score(view: BinaryView, p: float) -> float:
     """Power mean of (sensitivity, specificity, precision, npv).
 
-    p must be <= 1 (-inf allowed): at p = 1 this is already the plain
-    arithmetic mean of the four rates, and larger exponents would reward
-    imbalance between them instead of penalizing it.
+    p must be <= 1 (-inf allowed), as `means._check_exponent` explains.
     """
-    if math.isnan(p):
-        raise ValueError("NaN exponent")
-    if p > 1:
-        raise ValueError(f"p must be <= 1, got {p}")
+    _check_exponent(p)
     rates = (sensitivity(view), specificity(view), precision(view), npv(view))
     return power_mean(rates, p)

@@ -4,13 +4,9 @@ Reads one confusion matrix (matrix CSV, label-pairs CSV, or JSON), then
 evaluates any number of requested metrics on it and prints a report.
 
 Metric request syntax: "name[:outer=<avg>][:p=<float>]" where <avg> is
-harmonic | geometric | arithmetic | min | max | power:<float>.  Examples:
-
-    gofmetrics --input cm.csv --metric generalized_mcc
-    gofmetrics --input cm.csv --metric generalized_f1:outer=harmonic \
-               --metric one_vs_one_mcc:outer=min --output json
-    gofmetrics --input pairs.csv --format pairs_csv \
-               --metric lp_multiclass:p=-1 --smooth 0.5
+harmonic | geometric | arithmetic | min | max | power:<float>.  The names,
+and which of the two options each one takes, are the rows of
+`gofmetrics.multiclass.METRICS`; README.md has examples.
 
 Exit codes: 0 success, 2 unreadable/invalid input, 3 bad metric parameters.
 """
@@ -26,17 +22,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .confusion import ConfusionMatrix, SmoothingSpec, smooth
-from .means import ARITHMETIC, AveragingSpec
-from .multiclass import (
-    BINARY_METRIC_NAMES,
-    MetricScore,
-    cramers_phi,
-    generalized_f1,
-    generalized_fm,
-    generalized_mcc,
-    lp_multiclass,
-    one_vs_one_average,
-)
+from .means import AveragingSpec
+from .multiclass import MetricScore, evaluate_metric
 
 __all__ = [
     "RunConfig",
@@ -201,8 +188,18 @@ def parse_json_input(path: str) -> ConfusionMatrix:
     if not isinstance(payload, dict) or "counts" not in payload:
         raise InputError(f'{path}: expected an object with a "counts" field')
     labels = payload.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError(f"{path}: labels must be a list of names, got {json.dumps(labels)}")
+    counts = payload["counts"]
+    for i, row in enumerate(counts if isinstance(counts, list) else ()):
+        for j, cell in enumerate(row if isinstance(row, list) else ()):
+            # only JSON numbers count; bool is an int subclass in Python
+            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+                raise InputError(
+                    f"{path}: counts[{i}][{j}] is {json.dumps(cell)}, not a number"
+                )
     try:
-        return ConfusionMatrix.from_counts(payload["counts"], labels)
+        return ConfusionMatrix.from_counts(counts, labels)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -264,60 +261,6 @@ def parse_metric_request(text: str) -> MetricRequest:
     return MetricRequest(name, outer, p)
 
 
-def _reject_outer(req: MetricRequest) -> None:
-    if req.outer is not None:
-        raise ParameterError(f"{req.name} takes no outer average")
-
-
-def _reject_p(req: MetricRequest) -> None:
-    if req.p is not None:
-        raise ParameterError(
-            f"{req.name} takes no p option (use outer=power:<float> for a power outer)"
-        )
-
-
-def _evaluate(cm: ConfusionMatrix, req: MetricRequest) -> MetricScore:
-    name = req.name
-    try:
-        if name == "generalized_mcc":
-            _reject_outer(req)
-            _reject_p(req)
-            return MetricScore(name, generalized_mcc(cm), {}, cm.n)
-        if name == "cramers_phi":
-            _reject_outer(req)
-            _reject_p(req)
-            return MetricScore(name, cramers_phi(cm), {}, cm.n)
-        if name in ("generalized_f1", "generalized_fm"):
-            _reject_p(req)
-            outer = req.outer or ARITHMETIC
-            func = generalized_f1 if name == "generalized_f1" else generalized_fm
-            return MetricScore(
-                name, func(cm, outer), {"outer": outer.to_string()}, cm.n
-            )
-        if name == "lp_multiclass":
-            _reject_outer(req)
-            if req.p is None:
-                raise ParameterError(f"{name} needs p (e.g. {name}:p=-1)")
-            return MetricScore(
-                name, lp_multiclass(cm, req.p), {"p": repr(float(req.p))}, cm.n
-            )
-        if name.startswith("one_vs_one_"):
-            binary_name = name[len("one_vs_one_"):]
-            if binary_name not in BINARY_METRIC_NAMES:
-                raise ParameterError(f"unknown metric {name!r}")
-            if binary_name != "lp_four_rate" and req.p is not None:
-                raise ParameterError(f"{name} takes no p option")
-            if binary_name == "lp_four_rate" and req.p is None:
-                raise ParameterError(f"{name} needs p (e.g. {name}:p=-1)")
-            outer = req.outer or ARITHMETIC
-            return one_vs_one_average(cm, binary_name, outer, req.p)
-    except ParameterError:
-        raise
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from None
-    raise ParameterError(f"unknown metric {name!r}")
-
-
 def run(config: RunConfig) -> tuple[ConfusionMatrix, list[MetricScore]]:
     """Ingest per config, smooth when requested, evaluate every metric.
 
@@ -337,7 +280,10 @@ def run(config: RunConfig) -> tuple[ConfusionMatrix, list[MetricScore]]:
         cm = smooth(cm, spec)
     scores = []
     for req in config.metrics:
-        score = _evaluate(cm, req)
+        try:
+            score = evaluate_metric(cm, req.name, req.outer, req.p)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
         if config.smoothing is not None:
             score = dataclasses.replace(
                 score,

@@ -109,6 +109,8 @@ class ConfusionMatrix:
             raise ValueError(f"n < 2: need at least two classes, got {side}")
         if labels is None:
             labels = tuple(f"class_{i}" for i in range(side))
+        elif isinstance(labels, str):
+            raise ValueError(f"labels must be a list of names, not the string {labels!r}")
         else:
             labels = tuple(str(lab) for lab in labels)
         if len(labels) != side:
@@ -143,9 +145,12 @@ class ConfusionMatrix:
 
         The class set is the sorted union of the labels seen on either side,
         so a class that is never predicted still gets a column and vice versa.
+        Classes are named by `str(label)`.  Labels of different types with the
+        same name, such as 1 and "1", are rejected rather than merged; labels
+        that compare equal, such as 1 and 1.0, are one class.
         """
-        truths = [str(x) for x in true_labels]
-        preds = [str(x) for x in predicted_labels]
+        truths = list(true_labels)
+        preds = list(predicted_labels)
         if len(truths) != len(preds):
             raise ValueError(
                 f"length mismatch: {len(truths)} true labels "
@@ -153,8 +158,18 @@ class ConfusionMatrix:
             )
         if not truths:
             raise ValueError("empty label sequences")
-        labels = tuple(sorted(set(truths) | set(preds)))
-        index = {lab: i for i, lab in enumerate(labels)}
+        # one str() per distinct label, not per row
+        distinct = set(truths) | set(preds)
+        names: dict[str, object] = {}
+        for label in distinct:
+            first = names.setdefault(str(label), label)
+            if type(first) is not type(label):
+                raise ValueError(
+                    f"labels {first!r} and {label!r} both read {str(label)!r}"
+                )
+        labels = tuple(sorted(names))
+        position = {name: i for i, name in enumerate(labels)}
+        index = {label: position[str(label)] for label in distinct}
         counts = np.zeros((len(labels), len(labels)))
         for t, p in zip(truths, preds):
             counts[index[t], index[p]] += 1.0

@@ -186,6 +186,16 @@ def power_mean(values: Sequence[float], p: float) -> float:
     return anchor * (total / k) ** (1.0 / p)
 
 
+def _check_exponent(p: float) -> None:
+    """The rate scores' exponent rule: p <= 1 (-inf allowed), never NaN.
+
+    Past p = 1 a power mean of rates rewards imbalance between them."""
+    if math.isnan(p):
+        raise ValueError("NaN exponent")
+    if p > 1:
+        raise ValueError(f"p must be <= 1, got {p}")
+
+
 def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
     """Evaluate the average selected by `spec` on `values`."""
     if spec.kind is AverageKind.HARMONIC:

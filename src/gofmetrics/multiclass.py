@@ -10,7 +10,8 @@ classifier is perfect up to a relabeling of its outputs
 The rest of the family: per-class F1 / Fowlkes-Mallows rolled up by a
 caller-chosen average, the chi-square association score `cramers_phi`,
 pairwise one-vs-one averages of any two-class score, and a power mean of
-the 2n diagonal rates.
+the 2n diagonal rates.  `METRICS` names every score with the options it
+takes, and `evaluate_metric` scores a matrix by name.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .means import (
     HARMONIC,
     AverageKind,
     AveragingSpec,
+    _check_exponent,
     apply_average,
     power_mean,
 )
@@ -44,7 +46,10 @@ __all__ = [
     "one_vs_one_average",
     "lp_multiclass",
     "perfect_fit_permutation",
+    "MetricInfo",
+    "METRICS",
     "BINARY_METRIC_NAMES",
+    "evaluate_metric",
 ]
 
 # rounding slack allowed on the |det| <= 1 bound before clamping
@@ -104,13 +109,22 @@ def _diagonal_rates(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _check_outer(outer: AveragingSpec) -> None:
     # outer aggregation must be a strictly monotone mean: the named trio or
     # a power mean with p <= 1
-    if outer.kind in (AverageKind.HARMONIC, AverageKind.GEOMETRIC, AverageKind.ARITHMETIC):
-        return
+    if outer.kind in (AverageKind.MIN, AverageKind.MAX):
+        raise ValueError(f"invalid outer spec: {outer.to_string()}")
     if outer.kind is AverageKind.POWER:
-        if outer.p <= 1:
-            return
-        raise ValueError(f"invalid outer spec: p must be <= 1, got {outer.p}")
-    raise ValueError(f"invalid outer spec: {outer.to_string()}")
+        try:
+            _check_exponent(outer.p)
+        except ValueError as exc:
+            raise ValueError(f"invalid outer spec: {exc}") from None
+
+
+def _per_class_average(
+    cm: ConfusionMatrix, inner: AveragingSpec, outer: AveragingSpec
+) -> float:
+    # the inner mean pairs each class's precision with its recall
+    _check_outer(outer)
+    per_class = _pair_average(inner, *_diagonal_rates(cm))
+    return apply_average(outer, tuple(per_class.tolist()))
 
 
 def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -119,9 +133,7 @@ def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     Class i's F1 is the harmonic mean of its two diagonal rates, the share
     of predicted-i that is truly i and the share of true-i predicted as i.
     """
-    _check_outer(outer)
-    per_class = _pair_average(HARMONIC, *_diagonal_rates(cm))
-    return apply_average(outer, tuple(per_class.tolist()))
+    return _per_class_average(cm, HARMONIC, outer)
 
 
 def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -132,9 +144,7 @@ def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     geometric normalized matrix.  Dominates generalized_f1 for a matching
     outer because G >= H entrywise.
     """
-    _check_outer(outer)
-    per_class = _pair_average(GEOMETRIC, *_diagonal_rates(cm))
-    return apply_average(outer, tuple(per_class.tolist()))
+    return _per_class_average(cm, GEOMETRIC, outer)
 
 
 def cramers_phi(cm: ConfusionMatrix) -> float:
@@ -155,27 +165,65 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     return min(1.0, phi)
 
 
+def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
+    """Power mean of the 2n diagonal rates (per-class precision and recall).
+
+    p <= 1 (with -inf meaning the worst rate): exponents past 1 would
+    reward lopsided class performance instead of penalizing it.
+    """
+    _check_exponent(p)
+    rates = np.concatenate(_diagonal_rates(cm))
+    return power_mean(tuple(rates.tolist()), p)
+
+
 @dataclass(frozen=True)
-class _BinaryMetricInfo:
+class MetricInfo:
+    """One row of `METRICS`: a metric's function and the options it takes.
+
+    A one-vs-one row holds the two-class score that `one_vs_one_average`
+    applies to every class pair."""
+
     func: Callable
-    signed: bool  # range includes negatives (correlation-style)
-    swap_invariant: bool  # unchanged when positive/negative roles swap
-    needs_p: bool = False
+    takes_outer: bool = False  # an outer average, arithmetic by default
+    needs_p: bool = False  # an exponent p <= 1
+    signed: bool = False  # range [-1, 1] rather than [0, 1]
+    swap_invariant: bool = False  # one-vs-one: unchanged when the pair's positive class swaps
 
 
-_BINARY_METRICS: dict[str, _BinaryMetricInfo] = {
-    "precision": _BinaryMetricInfo(_binary.precision, False, False),
-    "sensitivity": _BinaryMetricInfo(_binary.sensitivity, False, False),
-    "specificity": _BinaryMetricInfo(_binary.specificity, False, False),
-    "npv": _BinaryMetricInfo(_binary.npv, False, False),
-    "f1": _BinaryMetricInfo(_binary.f1_binary, False, False),
-    "f1_zero": _BinaryMetricInfo(_binary.f1_zero_binary, False, False),
-    "fowlkes_mallows": _BinaryMetricInfo(_binary.fowlkes_mallows_binary, False, False),
-    "mcc": _BinaryMetricInfo(_binary.mcc_binary, True, True),
-    "lp_four_rate": _BinaryMetricInfo(_binary.lp_four_rate_score, False, True, needs_p=True),
+_OVO = "one_vs_one_"
+
+# The one list of metric names: the library's by-name entry point, the CLI
+# and the test sweeps all read it.
+METRICS: dict[str, MetricInfo] = {
+    "generalized_mcc": MetricInfo(generalized_mcc, signed=True),
+    "generalized_f1": MetricInfo(generalized_f1, takes_outer=True),
+    "generalized_fm": MetricInfo(generalized_fm, takes_outer=True),
+    "cramers_phi": MetricInfo(cramers_phi),
+    "lp_multiclass": MetricInfo(lp_multiclass, needs_p=True),
+    _OVO + "precision": MetricInfo(_binary.precision, takes_outer=True),
+    _OVO + "sensitivity": MetricInfo(_binary.sensitivity, takes_outer=True),
+    _OVO + "specificity": MetricInfo(_binary.specificity, takes_outer=True),
+    _OVO + "npv": MetricInfo(_binary.npv, takes_outer=True),
+    _OVO + "f1": MetricInfo(_binary.f1_binary, takes_outer=True),
+    _OVO + "f1_zero": MetricInfo(_binary.f1_zero_binary, takes_outer=True),
+    _OVO + "fowlkes_mallows": MetricInfo(_binary.fowlkes_mallows_binary, takes_outer=True),
+    _OVO + "mcc": MetricInfo(
+        _binary.mcc_binary, takes_outer=True, signed=True, swap_invariant=True
+    ),
+    _OVO + "lp_four_rate": MetricInfo(
+        _binary.lp_four_rate_score, takes_outer=True, needs_p=True, swap_invariant=True
+    ),
 }
 
-BINARY_METRIC_NAMES = tuple(_BINARY_METRICS)
+BINARY_METRIC_NAMES = tuple(name[len(_OVO):] for name in METRICS if name.startswith(_OVO))
+
+
+def _parameters(outer: AveragingSpec | None, p: float | None) -> dict[str, str]:
+    # MetricScore.parameters: the options that shaped a score
+    parameters = {} if outer is None else {"outer": outer.to_string()}
+    if p is not None:
+        parameters["p"] = repr(float(p))
+    return parameters
 
 
 def _signed_outer(outer: AveragingSpec, values: list[float]) -> float:
@@ -207,19 +255,15 @@ def one_vs_one_average(
     cross-pair aggregation, so the composite never depends on class order.
     Signed metrics (mcc) admit only arithmetic / min / max outers.
     """
-    try:
-        info = _BINARY_METRICS[metric]
-    except KeyError:
+    info = METRICS.get(_OVO + metric)
+    if info is None:
         raise ValueError(
             f"unknown binary metric {metric!r}; choose from {', '.join(BINARY_METRIC_NAMES)}"
-        ) from None
+        )
     if info.needs_p:
         if p is None:
             raise ValueError(f"{metric} needs an exponent p")
-        if math.isnan(p):
-            raise ValueError("NaN exponent")
-        if p > 1:
-            raise ValueError(f"p must be <= 1, got {p}")
+        _check_exponent(p)
     elif p is not None:
         raise ValueError(f"{metric} takes no exponent")
 
@@ -249,24 +293,38 @@ def one_vs_one_average(
                 )
 
     value = _signed_outer(outer, values) if info.signed else apply_average(outer, values)
-    parameters = {"outer": outer.to_string()}
-    if info.needs_p:
-        parameters["p"] = repr(float(p))
-    return MetricScore(f"one_vs_one_{metric}", value, parameters, cm.n)
+    return MetricScore(_OVO + metric, value, _parameters(outer, p), cm.n)
 
 
-def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
-    """Power mean of the 2n diagonal rates (per-class precision and recall).
+def evaluate_metric(
+    cm: ConfusionMatrix,
+    name: str,
+    outer: AveragingSpec | None = None,
+    p: float | None = None,
+) -> MetricScore:
+    """Score `cm` with the metric called `name` in `METRICS`.
 
-    p <= 1 (with -inf meaning the worst rate): exponents past 1 would
-    reward lopsided class performance instead of penalizing it.
+    `outer` and `p` must be given exactly where the metric's row says it
+    takes them; `outer` defaults to arithmetic.  Raises ValueError for an
+    unknown name, a missing or unexpected option, or an invalid value.
     """
-    if math.isnan(p):
-        raise ValueError("NaN exponent")
-    if p > 1:
-        raise ValueError(f"p must be <= 1, got {p}")
-    rates = np.concatenate(_diagonal_rates(cm))
-    return power_mean(tuple(rates.tolist()), p)
+    info = METRICS.get(name)
+    if info is None:
+        raise ValueError(f"unknown metric {name!r}")
+    if outer is not None and not info.takes_outer:
+        raise ValueError(f"{name} takes no outer average")
+    if info.needs_p and p is None:
+        raise ValueError(f"{name} needs p (e.g. {name}:p=-1)")
+    if p is not None and not info.needs_p:
+        hint = " (use outer=power:<float> for a power outer)" if info.takes_outer else ""
+        raise ValueError(f"{name} takes no p option{hint}")
+    if info.takes_outer:
+        outer = outer or ARITHMETIC
+    if name.startswith(_OVO):
+        return one_vs_one_average(cm, name[len(_OVO):], outer, p)
+    # past the checks, exactly the options this metric takes are set
+    value = info.func(cm, *(option for option in (outer, p) if option is not None))
+    return MetricScore(name, value, _parameters(outer, p), cm.n)
 
 
 def _parity(mapping: tuple[int, ...]) -> str:

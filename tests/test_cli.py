@@ -191,6 +191,28 @@ class TestParseJsonInput:
         with pytest.raises(InputError, match="non-square"):
             parse_json_input(path)
 
+    def exits_2(self, tmp_path, capsys, text):
+        path = write(tmp_path, "m.json", text)
+        code = main(["--input", path, "--format", "json", "--metric", "generalized_mcc"])
+        assert code == EXIT_INPUT
+        return capsys.readouterr().err
+
+    def test_string_labels_exit_2(self, tmp_path, capsys):
+        err = self.exits_2(tmp_path, capsys, '{"labels": "ab", "counts": [[1, 0], [0, 1]]}')
+        assert "labels must be a list of names" in err
+
+    def test_non_list_labels_exit_2(self, tmp_path, capsys):
+        err = self.exits_2(tmp_path, capsys, '{"labels": 5, "counts": [[1, 0], [0, 1]]}')
+        assert "labels must be a list of names, got 5" in err
+
+    def test_boolean_counts_exit_2(self, tmp_path, capsys):
+        err = self.exits_2(tmp_path, capsys, '{"counts": [[true, false], [false, true]]}')
+        assert "counts[0][0] is true, not a number" in err
+
+    def test_string_counts_exit_2(self, tmp_path, capsys):
+        err = self.exits_2(tmp_path, capsys, '{"counts": [[3, "1"], ["1", "3"]]}')
+        assert 'counts[0][1] is "1", not a number' in err
+
 
 class TestParseMetricRequest:
     def test_bare_name(self):

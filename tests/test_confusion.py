@@ -91,6 +91,11 @@ class TestFromCounts:
         with pytest.raises(ValueError, match="label count"):
             ConfusionMatrix.from_counts([[1, 0], [0, 1]], ["a", "b", "c"])
 
+    def test_string_labels_rejected(self):
+        # "ab" would otherwise be split into the labels "a" and "b"
+        with pytest.raises(ValueError, match="labels must be a list of names"):
+            ConfusionMatrix.from_counts([[1, 0], [0, 1]], "ab")
+
     @given(small_grids())
     @settings(max_examples=100)
     def test_marginals_match_manual_sums(self, grid):
@@ -132,6 +137,12 @@ class TestFromLabelPairs:
     def test_non_string_labels_coerced(self):
         cm = ConfusionMatrix.from_label_pairs([1, 2, 1], [1, 2, 2])
         assert cm.labels == ("1", "2")
+
+    def test_labels_reading_alike_rejected(self):
+        # 1 and "1" would both become class "1"
+        with pytest.raises(ValueError, match="labels .* both read '1'") as info:
+            ConfusionMatrix.from_label_pairs([1, "1", 2], [1, 1, 2])
+        assert "1 and '1'" in str(info.value) or "'1' and 1" in str(info.value)
 
 
 class TestSmoothing:
