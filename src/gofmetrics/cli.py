@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .confusion import ConfusionMatrix, SmoothingSpec, smooth
@@ -74,12 +75,35 @@ class RunConfig:
 
 # ---------------------------------------------------------------- ingestion
 
-def _read_text(path: str) -> str:
+def _read(path: str, consume, newline: str | None = None):
+    """Return consume(file) for path opened as UTF-8 text.
+
+    Read and decode errors become InputError.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return consume(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(path, exc) from None
+
+
+def _utf8_error(path: str, exc: UnicodeDecodeError) -> InputError:
+    # a text file decodes in chunks, so exc.start counts from a chunk's
+    # start; a binary rescan gives the offset in the file
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                return InputError(
+                    f"{path}: invalid UTF-8 at line {lineno}, "
+                    f"byte {offset + err.start}: {err.reason}"
+                )
+            offset += len(line)
+    return InputError(f"{path}: invalid UTF-8: {exc.reason}")
 
 
 def _is_number(cell: str) -> bool:
@@ -98,9 +122,14 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
         1,0                   a,b                   ,a,b
         0,1                   1,0                   a,1,0
                               0,1                   b,0,1
+
+    A header row with a blank corner over rows one cell wider than the
+    grid marks a label column even when the labels read as numbers.
     """
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, cells)
-    reader = csv.reader(io.StringIO(_read_text(path)))
+    # newline="": the csv module sees line ends as written, so a quoted
+    # "\r" in a label survives
+    reader = _read(path, lambda fh: list(csv.reader(fh)), newline="")
     for lineno, row in enumerate(reader, start=1):
         cells = [c.strip() for c in row]
         if not cells or all(c == "" for c in cells):
@@ -119,8 +148,10 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
         if not data_rows:
             raise InputError(f"{path}: header but no data rows")
 
-    has_label_col = has_header and not _is_number(data_rows[0][1][0])
     width = len(data_rows[0][1])
+    has_label_col = has_header and (
+        not _is_number(data_rows[0][1][0]) or (first[0] == "" and width == len(first))
+    )
     grid: list[list[float]] = []
     row_labels: list[str] = []
     for lineno, cells in data_rows:
@@ -148,33 +179,53 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
         raise InputError(f"{path}: {exc}") from None
 
 
+def _first_line(path: str, line: str) -> int:
+    """1-based number of the first line of path that reads `line`."""
+    return _read(path, lambda fh: next(n for n, text in enumerate(fh, 1) if text == line))
+
+
+def _spanning(path: str, line: str) -> InputError:
+    return InputError(f"{path}: quoted label spans lines at line {_first_line(path, line)}")
+
+
 def parse_pairs_csv(path: str) -> ConfusionMatrix:
     """Read (true, predicted) label pairs, one pair per line.
 
     A first line reading exactly "true,predicted" is treated as a header.
+    Identical lines are counted as the file streams by and each distinct
+    line is parsed once, so memory grows with the distinct lines, not the
+    rows.  A quoted label may not span lines.
     """
-    truths: list[str] = []
-    preds: list[str] = []
-    reader = csv.reader(io.StringIO(_read_text(path)))
+    lines = _read(path, Counter)  # keys in order of first occurrence
+    tally: dict[tuple[str, ...], int] = {}
     first_row = True
-    for lineno, row in enumerate(reader, start=1):
-        cells = [c.strip() for c in row]
-        if not cells or all(c == "" for c in cells):
+    reader = csv.reader(lines)
+    row: list[str] = []
+    # zip draws the row first, so each row meets the line it began on
+    for key_no, (row, (line, count)) in enumerate(zip(reader, lines.items()), start=1):
+        if reader.line_num != key_no:  # its quote ran on into other lines
+            raise _spanning(path, line)
+        # interned, so the tally holds one string per label, not per line
+        cells = tuple(map(sys.intern, map(str.strip, row)))
+        if not any(cells):
             continue
         if len(cells) != 2:
             raise InputError(
-                f"{path}: expected 2 columns at line {lineno}, got {len(cells)}"
+                f"{path}: expected 2 columns at line {_first_line(path, line)}, "
+                f"got {len(cells)}"
             )
-        is_header = first_row and [c.lower() for c in cells] == ["true", "predicted"]
-        first_row = False
-        if is_header:
-            continue
-        truths.append(cells[0])
-        preds.append(cells[1])
-    if not truths:
+        if first_row:
+            first_row = False
+            if (cells[0].lower(), cells[1].lower()) == ("true", "predicted"):
+                count -= 1  # the header; the same line further on is data
+        if count:
+            tally[cells] = tally.get(cells, 0) + count
+    if row and row[-1].endswith("\n"):  # the last distinct line ends inside a quote
+        raise _spanning(path, line)
+    if not tally:
         raise InputError(f"{path}: empty file")
     try:
-        return ConfusionMatrix.from_label_pairs(truths, preds)
+        return ConfusionMatrix.from_pair_counts(tally)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -182,7 +233,7 @@ def parse_pairs_csv(path: str) -> ConfusionMatrix:
 def parse_json_input(path: str) -> ConfusionMatrix:
     """Read a JSON object {"labels": [...], "counts": [[...]]}; labels optional."""
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(_read(path, lambda fh: fh.read()))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "counts" not in payload:
@@ -205,12 +256,19 @@ def parse_json_input(path: str) -> ConfusionMatrix:
 
 
 def matrix_to_csv(cm: ConfusionMatrix) -> str:
-    """Serialize with a label header row; parse_matrix_csv inverts this exactly."""
+    """Serialize with a blank-corner header row and a label column.
+
+    Labels are quoted and counts written with repr, so parse_matrix_csv
+    inverts this exactly for labels without surrounding whitespace,
+    numeric-looking labels included.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(cm.labels)
-    for row in cm.counts:
-        writer.writerow([repr(float(v)) for v in row])
+    # QUOTE_NONNUMERIC also quotes a "\r" in a label, which QUOTE_MINIMAL
+    # leaves bare under a "\n" line terminator
+    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+    writer.writerow(["", *cm.labels])
+    for label, row in zip(cm.labels, cm.counts):
+        writer.writerow([label, *map(float, row)])
     return out.getvalue()
 
 

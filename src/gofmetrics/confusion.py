@@ -16,9 +16,10 @@ correlation-style score.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -143,11 +144,8 @@ class ConfusionMatrix:
     ) -> "ConfusionMatrix":
         """Tally paired (true, predicted) label sequences.
 
-        The class set is the sorted union of the labels seen on either side,
-        so a class that is never predicted still gets a column and vice versa.
-        Classes are named by `str(label)`.  Labels of different types with the
-        same name, such as 1 and "1", are rejected rather than merged; labels
-        that compare equal, such as 1 and 1.0, are one class.
+        The pairs are counted with `Counter` and the counts go through
+        `from_pair_counts`, whose label rules apply.
         """
         truths = list(true_labels)
         preds = list(predicted_labels)
@@ -158,8 +156,22 @@ class ConfusionMatrix:
             )
         if not truths:
             raise ValueError("empty label sequences")
-        # one str() per distinct label, not per row
-        distinct = set(truths) | set(preds)
+        return cls.from_pair_counts(Counter(zip(truths, preds)))
+
+    @classmethod
+    def from_pair_counts(
+        cls, pair_counts: Mapping[tuple[object, object], float]
+    ) -> "ConfusionMatrix":
+        """Build the matrix from a tally {(true label, predicted label): count}.
+
+        The class set is the sorted union of the labels seen on either side,
+        so a class that is never predicted still gets a column and vice versa.
+        Classes are named by `str(label)`.  Labels of different types with the
+        same name, such as 1 and "1", are rejected rather than merged; labels
+        that compare equal, such as 1 and 1.0, are one class.
+        """
+        distinct = {t for t, _ in pair_counts} | {p for _, p in pair_counts}
+        # one str() per distinct label, not per pair
         names: dict[str, object] = {}
         for label in distinct:
             first = names.setdefault(str(label), label)
@@ -170,9 +182,11 @@ class ConfusionMatrix:
         labels = tuple(sorted(names))
         position = {name: i for i, name in enumerate(labels)}
         index = {label: position[str(label)] for label in distinct}
-        counts = np.zeros((len(labels), len(labels)))
-        for t, p in zip(truths, preds):
-            counts[index[t], index[p]] += 1.0
+        n = len(labels)
+        cells = [index[t] * n + index[p] for t, p in pair_counts]
+        counts = np.bincount(
+            cells, weights=list(pair_counts.values()), minlength=n * n
+        ).reshape(n, n)
         return cls.from_counts(counts, labels)
 
 

@@ -9,12 +9,18 @@ confusion matrix back into label vectors.
 The exceptions are the scalar loops (`normalized_loop`, `diagonal_rates_loop`):
 they keep the package's original one-cell-at-a-time construction, with its
 scalar `apply_average`, as the reference its whole-array code must reproduce.
+Likewise `pairs_csv_loop` keeps the original row-at-a-time label-pairs reader
+as the reference for the streaming one.
 """
 
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
 
+from gofmetrics.cli import InputError
+from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.means import apply_average
 
 
@@ -70,6 +76,43 @@ def diagonal_rates_loop(counts):
     precision = [float(c[i, i] / cols[i]) if cols[i] != 0 else 0.0 for i in range(n)]
     recall = [float(c[i, i] / rows[i]) if rows[i] != 0 else 0.0 for i in range(n)]
     return precision, recall
+
+
+def pairs_csv_loop(path):
+    """Label-pairs CSV as two label lists: csv.reader over the whole text.
+
+    Same cell rules and messages as `gofmetrics.cli.parse_pairs_csv`; the
+    tally is one dict lookup per row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    truths, preds = [], []
+    first_row = True
+    for lineno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        cells = [c.strip() for c in row]
+        if not cells or all(c == "" for c in cells):
+            continue
+        if len(cells) != 2:
+            raise InputError(
+                f"{path}: expected 2 columns at line {lineno}, got {len(cells)}"
+            )
+        is_header = first_row and [c.lower() for c in cells] == ["true", "predicted"]
+        first_row = False
+        if is_header:
+            continue
+        truths.append(cells[0])
+        preds.append(cells[1])
+    if not truths:
+        raise InputError(f"{path}: empty file")
+    labels = sorted(set(truths) | set(preds))
+    index = {label: i for i, label in enumerate(labels)}
+    counts = np.zeros((len(labels), len(labels)))
+    for t, p in zip(truths, preds):
+        counts[index[t], index[p]] += 1.0
+    try:
+        return ConfusionMatrix.from_counts(counts, labels)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def mcc_closed_form(tp, fn, fp, tn):

@@ -7,6 +7,9 @@ terminal (bypassing capture) so the whole gate is visible in any run.
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from gofmetrics.multiclass import (
     one_vs_one_average,
     perfect_fit_permutation,
 )
+import gofmetrics
 from gofmetrics.cli import main
 from helpers import (
     random_counts,
@@ -372,3 +376,18 @@ def test_10_cli_golden_files(capsys, monkeypatch):
             json.loads(outputs[0])  # still valid JSON
             checked += 1
         info["detail"] = f" ({checked} invocations, each run twice)"
+
+
+def test_cli_goldens_under_python_optimize():
+    # -O strips asserts, so the CLI's checks must not be asserts; the
+    # child imports the same gofmetrics package this test run imports
+    package_root = str(Path(gofmetrics.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for golden_name, argv in CLI_GOLDENS:
+        child = subprocess.run(
+            [sys.executable, "-O", "-m", "gofmetrics.cli", *argv],
+            cwd=HERE, env=env, capture_output=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        assert child.stdout == (HERE / "goldens" / golden_name).read_bytes(), golden_name

@@ -1,10 +1,14 @@
 """Unit tests for the command-line layer: parsers, dispatch, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gofmetrics.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -119,6 +123,44 @@ class TestMatrixRoundTrip:
         path = write(tmp_path, "rt.csv", matrix_to_csv(cm))
         assert parse_matrix_csv(path).labels == ("x,y", "z")
 
+    @pytest.mark.parametrize("labels", [("1", "2"), ("nan", "inf"), ("2", "b")])
+    def test_numeric_looking_labels(self, tmp_path, labels):
+        cm = ConfusionMatrix.from_counts([[3, 1], [0, 2]], labels)
+        path = write(tmp_path, "rt.csv", matrix_to_csv(cm))
+        back = parse_matrix_csv(path)
+        assert back.labels == labels
+        assert np.array_equal(back.counts, cm.counts)
+
+    def test_blank_corner_marks_label_column(self, tmp_path):
+        path = write(tmp_path, "m.csv", ",1,2\n1,3,0\n2,0,4\n")
+        cm = parse_matrix_csv(path)
+        assert cm.labels == ("1", "2")
+        assert cm.counts.tolist() == [[3, 0], [0, 4]]
+
+    def test_blank_corner_without_label_column(self, tmp_path):
+        path = write(tmp_path, "m.csv", ",a,b\n1,0\n0,1\n")
+        cm = parse_matrix_csv(path)
+        assert cm.labels == ("a", "b")
+        assert cm.counts.tolist() == [[1, 0], [0, 1]]
+
+    @given(
+        st.lists(st.text().filter(lambda s: s == s.strip()), min_size=2, max_size=5, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_labels_round_trip(self, tmp_path_factory, labels, data):
+        n = len(labels)
+        cells = st.floats(min_value=0, max_value=1e12, allow_nan=False, allow_infinity=False)
+        grid = data.draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+        grid[0][0] += 1.0  # never all zero
+        cm = ConfusionMatrix.from_counts(grid, labels)
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(matrix_to_csv(cm))
+        back = parse_matrix_csv(str(path))
+        assert back.labels == cm.labels
+        assert np.array_equal(back.counts, cm.counts)
+
 
 class TestParsePairsCsv:
     def test_hand_tally(self, tmp_path):
@@ -163,6 +205,88 @@ class TestParsePairsCsv:
         path = write(tmp_path, "p.csv", "a,a\n")
         with pytest.raises(InputError, match="n < 2"):
             parse_pairs_csv(path)
+
+    def test_quoted_label_spanning_lines_rejected(self, tmp_path):
+        # csv would read the first two lines as one row with the label "a\nb"
+        path = write(tmp_path, "p.csv", 'c,c\n"a\nb",a\nb,b\n')
+        with pytest.raises(InputError, match="quoted label spans lines at line 2"):
+            parse_pairs_csv(path)
+
+    def test_quote_open_at_end_of_last_distinct_line_rejected(self, tmp_path):
+        path = write(tmp_path, "p.csv", 'a,a\nb,"b\na,a\n')
+        with pytest.raises(InputError, match="quoted label spans lines at line 2"):
+            parse_pairs_csv(path)
+
+    def test_quote_open_at_end_of_file_without_newline(self, tmp_path):
+        # no line follows, so the quote spans nothing; csv closes it
+        path = write(tmp_path, "p.csv", 'a,a\nb,"b')
+        assert parse_pairs_csv(path).counts.tolist() == [[1, 0], [0, 1]]
+
+    def test_error_names_first_bad_line_in_file_order(self, tmp_path):
+        path = write(tmp_path, "p.csv", "a,a\nx,y,z\nb,b\nb,b,b\nx,y,z\n")
+        with pytest.raises(InputError, match="expected 2 columns at line 2, got 3"):
+            parse_pairs_csv(path)
+
+
+# Hand-written edge files for the streaming reader against the row-at-a-time
+# oracle: equal labels and counts, or the same error message.
+PAIRS_EDGE_FILES = {
+    "mixed_case_header": "True,PREDICTED\na,b\nb,a\nb,b\n",
+    "header_repeated_as_data": "true,predicted\na,a\ntrue,predicted\nb,b\ntrue,predicted\n",
+    "header_after_blank_lines": "\n,\n true , predicted \na,b\nb,b\n",
+    "header_not_first_is_data": "a,b\ntrue,predicted\n",
+    "blank_and_comma_only_lines": "\n,\na,b\n , \n\nb,a\n,,\n\n",
+    "padded_cells": " a , b \na,b\n\tb\t,a\nb ,b\n",
+    "quoted_labels_with_commas": '"x,y",z\nz,"x,y"\n"x,y","x,y"\nz,z\n',
+    "crlf_line_ends": "true,predicted\r\na,b\r\nb,a\r\na,b\nb,b\r\n",
+    "three_columns_after_duplicates": "a,a\n" * 500 + "a,b\n" * 500 + "b,b,b\na,a\n",
+    "one_column_first": "a\na,b\n",
+    "empty_label": "a,\n,b\nb,a\n",
+    "header_only": "true,predicted\n\n",
+    "blank_only": "\n , \n,,,\n",
+    "single_class": "a,a\na,a\n",
+    "no_final_newline": "a,b\nb,a\nb,b",
+}
+
+
+def pairs_outcome(parse, path):
+    try:
+        cm = parse(path)
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("ok", cm.labels, cm.counts.tolist())
+
+
+class TestPairsCsvAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(PAIRS_EDGE_FILES))
+    def test_edge_file(self, tmp_path, name):
+        path = tmp_path / "p.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(PAIRS_EDGE_FILES[name])
+        assert pairs_outcome(parse_pairs_csv, str(path)) == pairs_outcome(
+            oracles.pairs_csv_loop, str(path)
+        )
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(alphabet='ab,"  \r\n', max_size=12),
+                st.sampled_from(["true,predicted", "TRUE, Predicted", "a,b", '"a,b",a', "b,a"]),
+            ),
+            max_size=12,
+        ).map("\n".join)
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fuzz(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "p.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        new = pairs_outcome(parse_pairs_csv, str(path))
+        old = pairs_outcome(oracles.pairs_csv_loop, str(path))
+        if new[0] == "error" and new != old:
+            assert re.search(r"at line \d+", new[1]), new
+        else:
+            assert new == old
 
 
 class TestParseJsonInput:
@@ -368,6 +492,21 @@ class TestMainExitCodes:
         )
         assert code == EXIT_INPUT
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["matrix_csv", "pairs_csv", "json"])
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys, fmt):
+        # the bad byte sits past the first chunk a text read decodes
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b" " * 10000 + b"\na,a\nb,\xff\n")
+        code = main(["--input", str(path), "--format", fmt, "--metric", "generalized_mcc"])
+        assert code == EXIT_INPUT
+        assert f"{path}: invalid UTF-8 at line 3, byte 10007" in capsys.readouterr().err
+
+    def test_quoted_label_spanning_lines_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "p.csv", '"a\nb",a\nb,b\n')
+        code = main(["--input", path, "--format", "pairs_csv", "--metric", "generalized_mcc"])
+        assert code == EXIT_INPUT
+        assert "quoted label spans lines at line 1" in capsys.readouterr().err
 
     def test_single_class_pairs_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "p.csv", "a,a\n")

@@ -144,6 +144,14 @@ class TestFromLabelPairs:
             ConfusionMatrix.from_label_pairs([1, "1", 2], [1, 1, 2])
         assert "1 and '1'" in str(info.value) or "'1' and 1" in str(info.value)
 
+    def test_pair_counts_tally(self):
+        # the tally both from_label_pairs and the pairs CSV reader build
+        direct = ConfusionMatrix.from_pair_counts({("b", "b"): 2, ("a", "b"): 1, ("c", "a"): 1})
+        via_pairs = ConfusionMatrix.from_label_pairs(["b", "a", "b", "c"], ["b", "b", "b", "a"])
+        assert direct.labels == via_pairs.labels == ("a", "b", "c")
+        assert direct.counts.tolist() == via_pairs.counts.tolist()
+        assert direct.counts.tolist() == [[0, 1, 0], [0, 2, 0], [1, 0, 0]]
+
 
 class TestSmoothing:
     def test_zero_alpha_is_identity(self):
