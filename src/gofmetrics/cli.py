@@ -129,8 +129,8 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, cells)
     # newline="": the csv module sees line ends as written, so a quoted
     # "\r" in a label survives
-    reader = _read(path, lambda fh: list(csv.reader(fh)), newline="")
-    for lineno, row in enumerate(reader, start=1):
+    table = _read(path, lambda fh: list(csv.reader(fh)), newline="")
+    for lineno, row in enumerate(table, start=1):
         cells = [c.strip() for c in row]
         if not cells or all(c == "" for c in cells):
             continue
