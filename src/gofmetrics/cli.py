@@ -106,6 +106,18 @@ def _utf8_error(path: str, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: invalid UTF-8: {exc.reason}")
 
 
+def _csv_rows(path: str, reader, lineno=lambda n: n):
+    """The rows of a csv.reader.
+
+    A csv.Error, such as a cell past csv.field_size_limit(), becomes an
+    InputError naming line lineno(n), n being the reader's line_num.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc} at line {lineno(reader.line_num)}") from None
+
+
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -129,7 +141,7 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, cells)
     # newline="": the csv module sees line ends as written, so a quoted
     # "\r" in a label survives
-    table = _read(path, lambda fh: list(csv.reader(fh)), newline="")
+    table = _read(path, lambda fh: list(_csv_rows(path, csv.reader(fh))), newline="")
     for lineno, row in enumerate(table, start=1):
         cells = [c.strip() for c in row]
         if not cells or all(c == "" for c in cells):
@@ -201,8 +213,10 @@ def parse_pairs_csv(path: str) -> ConfusionMatrix:
     first_row = True
     reader = csv.reader(lines)
     row: list[str] = []
+    # an error in the k-th distinct line is reported at its first occurrence
+    rows = _csv_rows(path, reader, lambda k: _first_line(path, list(lines)[k - 1]))
     # zip draws the row first, so each row meets the line it began on
-    for key_no, (row, (line, count)) in enumerate(zip(reader, lines.items()), start=1):
+    for key_no, (row, (line, count)) in enumerate(zip(rows, lines.items()), start=1):
         if reader.line_num != key_no:  # its quote ran on into other lines
             raise _spanning(path, line)
         # interned, so the tally holds one string per label, not per line

@@ -100,7 +100,7 @@ class ConfusionMatrix:
         and not all zero.
         """
         try:
-            counts = np.asarray(grid, dtype=float)
+            counts = np.array(grid, dtype=float)  # the one copy
         except (ValueError, TypeError):
             raise ValueError("non-square grid: rows have unequal lengths") from None
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
@@ -120,19 +120,23 @@ class ConfusionMatrix:
             )
         if len(set(labels)) != side:
             raise ValueError("duplicate labels")
-        bad = ~np.isfinite(counts)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise ValueError(f"non-finite cell at row {i}, column {j}")
-        neg = counts < 0
-        if neg.any():
-            i, j = map(int, np.argwhere(neg)[0])
-            raise ValueError(
-                f"negative cell at row {i}, column {j}: {counts[i, j]}"
-            )
-        if counts.sum() == 0:
+        # NaN fails the min test, +inf the sum test; finite cells whose sum
+        # overflows pass the scans below and are accepted
+        with np.errstate(over="ignore"):
+            total = counts.sum()
+        if not (counts.min() >= 0 and np.isfinite(total)):
+            bad = ~np.isfinite(counts)
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                raise ValueError(f"non-finite cell at row {i}, column {j}")
+            neg = counts < 0
+            if neg.any():
+                i, j = map(int, np.argwhere(neg)[0])
+                raise ValueError(
+                    f"negative cell at row {i}, column {j}: {counts[i, j]}"
+                )
+        if total == 0:
             raise ValueError("all cells are zero")
-        counts = counts.copy()
         counts.setflags(write=False)
         return cls(labels, counts)
 

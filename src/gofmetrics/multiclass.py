@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import binary as _binary
-from .confusion import ConfusionMatrix, normalized_matrix, restrict_to_pair
+from .confusion import ConfusionMatrix, restrict_to_pair
 from .confusion import _pair_average, _rates  # the whole-array rate kernel
 from .means import (
     ARITHMETIC,
@@ -54,6 +54,11 @@ __all__ = [
 
 # rounding slack allowed on the |det| <= 1 bound before clamping
 _DET_SLACK = 1e-10
+_EPS = 2.0**-52  # the double-precision machine epsilon
+# without a permutation witness the score stays strictly inside (-1, 1)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+# cells per row block of cramers_phi's temporaries, small enough for cache
+_PHI_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -87,17 +92,36 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     two-class Matthews correlation coefficient.
 
     A class never present or never predicted (a zero row or column sum) gives
-    exactly 0.0 by that structural test.  Otherwise the score is sign * exp(log|det|)
-    from `np.linalg.slogdet`: subnormal below log|det| ~ -708, 0.0 below ~ -745.
+    exactly 0.0 by that structural test.  Otherwise N = diag(r)^-1/2 C diag(c)^-1/2
+    for counts C with row sums r and column sums c, so
+
+        log|det N| = log|det C| - (sum log r + sum log c) / 2
+
+    with log|det C| from `np.linalg.slogdet` of the counts, and the score is
+    sign * exp(log|det N|): subnormal below log|det N| ~ -708, +0.0 below
+    ~ -745 whatever the sign.  It is exactly +-1 only with a permutation
+    witness (`perfect_fit_permutation`), signed by its parity.
     """
-    if not (cm.row_sums.all() and cm.col_sums.all()):
+    rows, cols = cm.row_sums, cm.col_sums
+    if not (rows.all() and cols.all()):
         return 0.0
-    sign, logdet = np.linalg.slogdet(normalized_matrix(cm).values)
+    sign, logdet = np.linalg.slogdet(cm.counts)
+    logs = np.log(np.concatenate((rows, cols)))
+    logdet -= 0.5 * float(logs.sum())
+    # the two sums of logs round apart by up to ~ n * eps * sum |log|; a
+    # perfect fit lands within that of 0, and only its witness makes it +-1
+    rounding = cm.n * _EPS * float(np.abs(logs).sum())
+    if abs(logdet) <= rounding:
+        witness = perfect_fit_permutation(cm)
+        if witness is not None:
+            return 1.0 if witness.parity == "even" else -1.0
     det = float(sign) * math.exp(logdet)
-    # the mathematical bound is exact; anything past rounding slack is a bug
-    if abs(det) > 1.0 + _DET_SLACK:
+    # the mathematical bound is exact; anything past that rounding and a
+    # slack is a bug
+    if abs(det) > (1.0 + _DET_SLACK) * math.exp(rounding):
         raise ArithmeticError(f"determinant {det} outside [-1, 1]")
-    return min(1.0, max(-1.0, det))
+    # + 0.0 turns an underflowed -0.0 into 0.0
+    return min(_BELOW_ONE, max(-_BELOW_ONE, det)) + 0.0
 
 
 def _diagonal_rates(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -156,12 +180,18 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     count is necessarily zero too).  At n = 2 this equals |mcc_binary|.
     """
     total = cm.counts.sum()
-    expected = np.outer(cm.row_sums, cm.col_sums)
-    expected /= total
-    terms = cm.counts - expected
-    terms *= terms
-    np.divide(terms, expected, out=terms, where=expected > 0)
-    phi = math.sqrt((float(terms.sum()) / total) / (cm.n - 1))
+    # chi2 over blocks of rows, so the temporaries stay in cache; a table
+    # smaller than one block is a single block
+    step = max(1, _PHI_BLOCK_CELLS // cm.n)
+    chi2 = 0.0
+    for lo in range(0, cm.n, step):
+        expected = np.outer(cm.row_sums[lo:lo + step], cm.col_sums)
+        expected /= total
+        terms = cm.counts[lo:lo + step] - expected
+        terms *= terms
+        np.divide(terms, expected, out=terms, where=expected > 0)
+        chi2 += float(terms.sum())
+    phi = math.sqrt((chi2 / total) / (cm.n - 1))
     return min(1.0, phi)
 
 

@@ -502,6 +502,21 @@ class TestMainExitCodes:
         assert code == EXIT_INPUT
         assert f"{path}: invalid UTF-8 at line 3, byte 10007" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fmt, text, line",
+        [
+            ("matrix_csv", ",a,b\na,1,0\nb,0,{}\n", 3),
+            # reported at the first line that holds the oversized cell
+            ("pairs_csv", "true,predicted\na,a\na,a\n{},a\nb,b\n{},a\n", 4),
+        ],
+    )
+    def test_oversized_cell_exits_2(self, tmp_path, capsys, fmt, text, line):
+        path = write(tmp_path, "big.csv", text.format("1" * 200_000, "1" * 200_000))
+        code = main(["--input", path, "--format", fmt, "--metric", "generalized_mcc"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}: field larger than field limit (131072) at line {line}" in err
+
     def test_quoted_label_spanning_lines_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "p.csv", '"a\nb",a\nb,b\n')
         code = main(["--input", path, "--format", "pairs_csv", "--metric", "generalized_mcc"])

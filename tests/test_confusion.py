@@ -87,6 +87,42 @@ class TestFromCounts:
         with pytest.raises(ValueError, match="non-finite cell"):
             ConfusionMatrix.from_counts([[1, np.nan], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([[1, np.nan], [0, 1]], "non-finite cell at row 0, column 1"),
+            ([[1, 0], [np.inf, 1]], "non-finite cell at row 1, column 0"),
+            ([[1, 0], [0, -np.inf]], "non-finite cell at row 1, column 1"),
+            # non-finite is reported before negative, wherever the cells sit
+            ([[-1, 0], [0, np.nan]], "non-finite cell at row 1, column 1"),
+            ([[1, 2], [3, -1]], "negative cell at row 1, column 1: -1.0"),
+            ([[1, -2.5], [-3, 1]], "negative cell at row 0, column 1: -2.5"),
+            ([[0, 0], [0, 0]], "all cells are zero"),
+            ([[-0.0, 0], [0, -0.0]], "all cells are zero"),
+        ],
+    )
+    def test_cell_messages(self, grid, message):
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_counts(grid)
+        assert str(info.value) == message
+
+    def test_negative_zero_cell_accepted(self):
+        cm = ConfusionMatrix.from_counts([[1, -0.0], [0, 1]])
+        assert cm.counts[0, 1] == 0.0
+
+    def test_finite_cells_whose_sum_overflows_accepted(self):
+        cm = ConfusionMatrix.from_counts([[1e308, 1e308], [0, 1]])
+        assert cm.counts[0, 0] == 1e308
+
+    @pytest.mark.parametrize("as_list", [True, False])
+    def test_counts_are_a_copy(self, as_list):
+        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
+        source = grid.tolist() if as_list else grid
+        cm = ConfusionMatrix.from_counts(source)
+        source[0][0] = 99.0
+        assert cm.counts[0, 0] == 1.0
+        assert not cm.counts.flags.writeable
+
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="label count"):
             ConfusionMatrix.from_counts([[1, 0], [0, 1]], ["a", "b", "c"])

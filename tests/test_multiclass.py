@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from gofmetrics import multiclass
 from gofmetrics.binary import BinaryView, f1_binary, lp_four_rate_score, mcc_binary
 from gofmetrics.confusion import (
     ConfusionMatrix,
@@ -49,6 +52,13 @@ GRID3B = [[5, 6, 2], [2, 8, 11], [8, 2, 10]]
 
 def cm_of(grid, labels=None):
     return ConfusionMatrix.from_counts(grid, labels)
+
+
+def witness_parity(mapping):
+    # parity by counting inversions, apart from the cycle count the package uses
+    mapping = np.asarray(mapping)
+    inversions = np.triu(mapping[:, None] > mapping[None, :]).sum()
+    return "even" if inversions % 2 == 0 else "odd"
 
 
 def harmonic_list(values):
@@ -112,9 +122,12 @@ class TestGeneralizedMcc:
 
     def test_bound_violation_raises(self, monkeypatch):
         # an explicit check, not an assert, so it also holds under python -O
-        monkeypatch.setattr(np.linalg, "slogdet", lambda m: (1.0, 0.5))
+        cm = cm_of(GRID3)
+        # log|det C| such that log|det N| = 0.5 once the marginals are taken off
+        marginals = 0.5 * (np.log(cm.row_sums).sum() + np.log(cm.col_sums).sum())
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m: (1.0, marginals + 0.5))
         with pytest.raises(ArithmeticError, match="outside"):
-            generalized_mcc(cm_of(GRID3))
+            generalized_mcc(cm)
 
     @pytest.mark.parametrize("n", [200, 500, 1000])
     def test_large_n_missing_class_is_exact_zero(self, n):
@@ -134,6 +147,89 @@ class TestGeneralizedMcc:
         expected = float(sign) * math.exp(logdet)
         assert expected != 0.0
         assert generalized_mcc(cm_of(counts)) == pytest.approx(expected, rel=1e-6, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        diagonal=st.sampled_from([0, 5, 50]),
+        empty_classes=st.booleans(),
+    )
+    def test_matches_slogdet_of_ratio_matrix(self, n, seed, diagonal, empty_classes):
+        rng = np.random.default_rng(seed)
+        make = random_counts_with_empty_classes if empty_classes else random_counts
+        counts = make(rng, n, high=5)
+        counts[np.diag_indices(n)] += diagonal * (counts.sum(axis=1) > 0)
+        sign, logdet = np.linalg.slogdet(oracles.ratio_matrix(counts))
+        expected = float(sign) * math.exp(logdet)
+        value = generalized_mcc(cm_of(counts))
+        if abs(expected) >= 1e-8:
+            assert value == pytest.approx(expected, rel=1e-9, abs=0.0)
+        else:
+            assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 300])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_permutation_tables_are_exactly_one(self, n, parity):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            perm = rng.permutation(n)
+            if (witness_parity(perm) == "even") != (parity == "even"):
+                perm[[0, 1]] = perm[[1, 0]]
+            counts = np.zeros((n, n))
+            # counts from 0.01 to 1e9: the two sums of logs round apart
+            counts[np.arange(n), perm] = 10.0 ** rng.uniform(-2, 9, n)
+            cm = cm_of(counts)
+            assert perfect_fit_permutation(cm).parity == parity
+            assert generalized_mcc(cm) == (1.0 if parity == "even" else -1.0)
+
+    @pytest.mark.parametrize("scale", [100, 1e15])
+    def test_one_stray_count_is_below_one(self, scale):
+        # the stray count leaves det C alone and raises one row and one column
+        # sum, so |det N| = 1 / sqrt((1 + 1/d_i)(1 + 1/d_j)) exactly
+        n = 300
+        rng = np.random.default_rng(300)
+        perm = rng.permutation(n)
+        counts = np.zeros((n, n))
+        counts[np.arange(n), perm] = np.floor(rng.uniform(1, scale, n))
+        i, j = 7, int(perm[8])
+        d_i, d_j = counts[i, perm[i]], counts[8, j]
+        counts[i, j] += 1.0
+        cm = cm_of(counts)
+        assert perfect_fit_permutation(cm) is None
+        value = abs(generalized_mcc(cm))
+        assert value < 1.0
+        expected = 1.0 / math.sqrt((1.0 + 1.0 / d_i) * (1.0 + 1.0 / d_j))
+        assert value == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_huge_counts_near_one_stay_inside_the_bound(self, seed):
+        # counts up to 1e300 round log|det N| by ~1e-9, far past the 1e-10
+        # slack; the true score is 1 - ~1e-200, with no witness
+        n = 1000
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(n)
+        counts = np.zeros((n, n))
+        counts[np.arange(n), perm] = 10.0 ** rng.uniform(0, 300, n)
+        counts[5, perm[6]] += 1.0
+        value = abs(generalized_mcc(cm_of(counts)))
+        assert value < 1.0
+        assert value == pytest.approx(1.0, abs=1e-8)
+
+    def test_underflow_reads_positive_zero_for_either_sign(self):
+        # log|det N| is about -3300: exp underflows whatever the sign
+        counts = strongly_diagonal_counts(np.random.default_rng(1000), 1000)
+        swapped = counts[[1, 0, *range(2, 1000)]]  # one row swap flips the sign
+        signs = []
+        for table in (counts, swapped):
+            cm = cm_of(table)
+            sign, logdet = np.linalg.slogdet(normalized_matrix(cm).values)
+            assert -math.inf < logdet < -746
+            signs.append(sign)
+            value = generalized_mcc(cm)
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0
+        assert sorted(signs) == [-1.0, 1.0]
 
     def test_row_product_bound(self):
         # |det M| cannot exceed the product of M's row sums
@@ -273,6 +369,35 @@ class TestCramersPhi:
             assert cramers_phi(cm) == pytest.approx(
                 abs(mcc_binary(BinaryView(cm))), abs=1e-10
             )
+
+    def test_matches_reference_at_200(self):
+        counts = strongly_diagonal_counts(np.random.default_rng(201), 200)
+        assert cramers_phi(cm_of(counts)) == pytest.approx(
+            oracles.cramers_phi_ref(counts), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [2, 7, 20, 180])
+    def test_one_block_is_the_whole_table_expression(self, n):
+        # 180 * 180 cells still fit in one block
+        counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
+        total = counts.sum()
+        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
+        whole = min(1.0, math.sqrt((float(terms.sum()) / total) / (n - 1)))
+        assert cramers_phi(cm_of(counts)) == whole
+
+    def test_many_blocks_at_1000(self, monkeypatch):
+        counts = random_counts_with_empty_classes(np.random.default_rng(1001), 1000, 5)
+        cm = cm_of(counts)
+        assert 1000 * 1000 > multiclass._PHI_BLOCK_CELLS
+        value = cramers_phi(cm)
+        assert value == pytest.approx(oracles.cramers_phi_ref(counts), rel=1e-12)
+        # the block sums round apart only in the order they are added
+        monkeypatch.setattr(multiclass, "_PHI_BLOCK_CELLS", 3000)
+        assert cramers_phi(cm) == pytest.approx(value, rel=1e-13)
+        monkeypatch.setattr(multiclass, "_PHI_BLOCK_CELLS", 1)
+        assert cramers_phi(cm) == pytest.approx(value, rel=1e-13)
 
     def test_zero_marginal_cells_contribute_nothing(self):
         # column 1 never predicted: expected counts there are zero
