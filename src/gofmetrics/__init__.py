@@ -14,101 +14,13 @@ other scores (generalized F1 / Fowlkes-Mallows, Cramer's phi, one-vs-one
 averages, power-mean rates) share the same matrix plumbing.
 """
 
-from .binary import (
-    BinaryView,
-    f1_binary,
-    f1_zero_binary,
-    fowlkes_mallows_binary,
-    lp_four_rate_score,
-    mcc_binary,
-    npv,
-    precision,
-    sensitivity,
-    specificity,
-)
-from .confusion import (
-    ConfusionMatrix,
-    NormalizedConfusionMatrix,
-    SmoothingSpec,
-    col_conditional,
-    normalized_matrix,
-    relabel,
-    restrict_to_pair,
-    row_conditional,
-    smooth,
-    transpose,
-)
-from .means import (
-    ARITHMETIC,
-    GEOMETRIC,
-    HARMONIC,
-    MAX,
-    MIN,
-    AverageKind,
-    AveragingSpec,
-    apply_average,
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    power_mean,
-)
-from .multiclass import (
-    BINARY_METRIC_NAMES,
-    MetricScore,
-    PermutationWitness,
-    cramers_phi,
-    generalized_f1,
-    generalized_fm,
-    generalized_mcc,
-    lp_multiclass,
-    one_vs_one_average,
-    perfect_fit_permutation,
-)
+from . import binary, confusion, means, multiclass
+from .binary import *  # noqa: F401,F403
+from .confusion import *  # noqa: F401,F403
+from .means import *  # noqa: F401,F403
+from .multiclass import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AverageKind",
-    "AveragingSpec",
-    "HARMONIC",
-    "GEOMETRIC",
-    "ARITHMETIC",
-    "MIN",
-    "MAX",
-    "harmonic_mean",
-    "geometric_mean",
-    "arithmetic_mean",
-    "power_mean",
-    "apply_average",
-    "ConfusionMatrix",
-    "NormalizedConfusionMatrix",
-    "SmoothingSpec",
-    "smooth",
-    "row_conditional",
-    "col_conditional",
-    "normalized_matrix",
-    "transpose",
-    "relabel",
-    "restrict_to_pair",
-    "BinaryView",
-    "precision",
-    "sensitivity",
-    "specificity",
-    "npv",
-    "f1_binary",
-    "f1_zero_binary",
-    "fowlkes_mallows_binary",
-    "mcc_binary",
-    "lp_four_rate_score",
-    "MetricScore",
-    "PermutationWitness",
-    "generalized_mcc",
-    "generalized_f1",
-    "generalized_fm",
-    "cramers_phi",
-    "one_vs_one_average",
-    "lp_multiclass",
-    "perfect_fit_permutation",
-    "BINARY_METRIC_NAMES",
-    "__version__",
-]
+# the public names are each module's own list; none is repeated here
+__all__ = [*means.__all__, *confusion.__all__, *binary.__all__, *multiclass.__all__, "__version__"]

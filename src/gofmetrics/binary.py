@@ -124,6 +124,12 @@ def mcc_binary(view: BinaryView) -> float:
     correlation).  Range [-1, 1].
     """
     tp, fn, fp, tn = view.tp, view.fn, view.fp, view.tn
+    # an exact power-of-two rescale to a largest count in [0.5, 1) keeps the
+    # fourfold product in range at any scale and leaves every rounding as is
+    shift = -math.frexp(max(tp, fn, fp, tn))[1]
+    tp, fn, fp, tn = (
+        math.ldexp(tp, shift), math.ldexp(fn, shift), math.ldexp(fp, shift), math.ldexp(tn, shift)
+    )
     denom = (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
     if denom == 0:
         return 0.0

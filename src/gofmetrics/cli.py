@@ -345,11 +345,11 @@ def run(config: RunConfig) -> tuple[ConfusionMatrix, list[MetricScore]]:
         raise ParameterError(f"unknown input format {config.input_format!r}")
     cm = _PARSERS[config.input_format](config.input_path)
     if config.smoothing is not None:
+        # a bad alpha, or one that makes the table overflow, is a bad parameter
         try:
-            spec = SmoothingSpec(config.smoothing)
+            cm = smooth(cm, SmoothingSpec(config.smoothing))
         except ValueError as exc:
-            raise ParameterError(str(exc)) from None
-        cm = smooth(cm, spec)
+            raise ParameterError(f"cannot smooth by {config.smoothing!r}: {exc}") from None
     scores = []
     for req in config.metrics:
         try:

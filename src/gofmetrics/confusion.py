@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .means import ARITHMETIC, GEOMETRIC, HARMONIC, AverageKind, AveragingSpec
+from .means import GEOMETRIC, AveragingSpec, _pair_average
 
 __all__ = [
     "ConfusionMatrix",
@@ -97,7 +97,7 @@ class ConfusionMatrix:
 
         Labels default to class_0 ... class_{n-1}.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
-        and not all zero.
+        and not all zero, and their sum must be finite too.
         """
         try:
             counts = np.array(grid, dtype=float)  # the one copy
@@ -120,8 +120,8 @@ class ConfusionMatrix:
             )
         if len(set(labels)) != side:
             raise ValueError("duplicate labels")
-        # NaN fails the min test, +inf the sum test; finite cells whose sum
-        # overflows pass the scans below and are accepted
+        # NaN fails the min test, +inf and finite cells whose sum overflows
+        # the sum test; the scans below tell these apart
         with np.errstate(over="ignore"):
             total = counts.sum()
         if not (counts.min() >= 0 and np.isfinite(total)):
@@ -135,6 +135,7 @@ class ConfusionMatrix:
                 raise ValueError(
                     f"negative cell at row {i}, column {j}: {counts[i, j]}"
                 )
+            raise ValueError(_overflow_message(counts))
         if total == 0:
             raise ValueError("all cells are zero")
         counts.setflags(write=False)
@@ -194,6 +195,17 @@ class ConfusionMatrix:
         return cls.from_counts(counts, labels)
 
 
+def _overflow_message(counts: np.ndarray) -> str:
+    # finite cells whose sum overflows: name the first row, else the first
+    # column, whose own sum does
+    with np.errstate(over="ignore"):
+        for axis, what in ((1, "row"), (0, "column")):
+            over = ~np.isfinite(counts.sum(axis=axis))
+            if over.any():
+                return f"sum of {what} {int(over.argmax())} overflows"
+    return "sum of all cells overflows"
+
+
 @dataclass(frozen=True)
 class NormalizedConfusionMatrix:
     """Per-cell average of the two conditional rates of a ConfusionMatrix."""
@@ -235,40 +247,6 @@ def col_conditional(cm: ConfusionMatrix, i: int, j: int) -> float:
     _check_index(cm, i)
     _check_index(cm, j)
     return float(_rates(cm.counts[i, j], cm.col_sums[j]))
-
-
-def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`apply_average(spec, (a, b))` element-wise, in place into `a`; `b` is clobbered.
-
-    Bit for bit the scalar two-element mean (`float_power`, like `**`, is C's `pow`).
-    """
-    # the exact collapses power_mean makes at p = -1, 0, 1
-    kind = {-1.0: HARMONIC, 0.0: GEOMETRIC, 1.0: ARITHMETIC}.get(spec.p, spec).kind
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is AverageKind.GEOMETRIC:
-            a *= b
-            np.sqrt(a, out=a)
-        elif kind is AverageKind.ARITHMETIC:
-            a += b
-            a /= 2
-        elif kind is AverageKind.HARMONIC:  # a zero rate gives 2/inf = 0, as in the scalar
-            np.divide(1.0, a, out=a)
-            a += np.divide(1.0, b, out=b)
-            np.divide(2.0, a, out=a)
-        elif kind in (AverageKind.MIN, AverageKind.MAX):
-            (np.minimum if kind is AverageKind.MIN else np.maximum)(a, b, out=a)
-        else:
-            anchor = np.maximum(a, b) if spec.p > 0 else np.minimum(a, b)
-            a /= anchor
-            b /= anchor
-            np.float_power(a, spec.p, out=a)
-            np.float_power(b, spec.p, out=b)
-            a += b
-            a /= 2
-            np.float_power(a, 1.0 / spec.p, out=a)
-            a *= anchor
-            a[anchor == 0] = 0.0  # the scalar mean's early return
-    return a
 
 
 def normalized_matrix(

@@ -7,16 +7,20 @@ The workhorse is the power-mean family
 which collapses to the arithmetic mean at p = 1, the geometric mean as
 p -> 0, the harmonic mean at p = -1, and the max / min in the limits
 p -> +inf / -inf.  The named cases get dedicated implementations so the
-collapse is exact rather than approximate; `AveragingSpec` is the small
-value object the rest of the package uses to pick one.
+collapse is exact rather than approximate.  `AveragingSpec` is the small
+value object the rest of the package uses to pick one; its `exponent` is
+the one place a named average is mapped to its p, and `_pair_average` is
+the element-wise two-value form over arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "AverageKind",
@@ -54,6 +58,10 @@ class AveragingSpec:
 
     kind: AverageKind
     p: float | None = None
+    # the power-mean exponent this average stands for: -1, 0 or 1 for
+    # harmonic, geometric and arithmetic, -inf or +inf for min and max, and
+    # p for a power average; derived once, here, from kind and p
+    exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is AverageKind.POWER:
@@ -63,8 +71,12 @@ class AveragingSpec:
                 raise ValueError(
                     "power exponent must be finite; use min or max for the limits"
                 )
+            exponent = self.p
         elif self.p is not None:
             raise ValueError(f"{self.kind.value} average takes no exponent")
+        else:
+            exponent = _EXPONENTS[self.kind]
+        object.__setattr__(self, "exponent", exponent)  # the dataclass is frozen
 
     @classmethod
     def power(cls, p: float) -> "AveragingSpec":
@@ -81,13 +93,7 @@ class AveragingSpec:
             except ValueError:
                 raise ValueError(f"bad power exponent {raw!r}") from None
             return cls.power(p)
-        for kind in (
-            AverageKind.HARMONIC,
-            AverageKind.GEOMETRIC,
-            AverageKind.ARITHMETIC,
-            AverageKind.MIN,
-            AverageKind.MAX,
-        ):
+        for kind in _EXPONENTS:  # the named averages
             if text == kind.value:
                 return cls(kind)
         raise ValueError(f"unknown averaging spec {text!r}")
@@ -96,6 +102,15 @@ class AveragingSpec:
         if self.kind is AverageKind.POWER:
             return f"power:{self.p!r}"
         return self.kind.value
+
+
+_EXPONENTS = {
+    AverageKind.HARMONIC: -1.0,
+    AverageKind.GEOMETRIC: 0.0,
+    AverageKind.ARITHMETIC: 1.0,
+    AverageKind.MIN: -math.inf,
+    AverageKind.MAX: math.inf,
+}
 
 
 HARMONIC = AveragingSpec(AverageKind.HARMONIC)
@@ -159,6 +174,12 @@ def power_mean(values: Sequence[float], p: float) -> float:
     the formula).  The generic branch rescales by the largest (p > 0) or
     smallest (p < 0) entry so intermediate powers stay tame for large |p|.
     """
+    if p == 0:
+        return geometric_mean(values)
+    if p == 1:
+        return arithmetic_mean(values)
+    if p == -1:
+        return harmonic_mean(values)
     _validate(values)
     if math.isnan(p):
         raise ValueError("NaN exponent")
@@ -166,12 +187,6 @@ def power_mean(values: Sequence[float], p: float) -> float:
         return float(max(values))
     if p == -math.inf:
         return float(min(values))
-    if p == 0:
-        return geometric_mean(values)
-    if p == 1:
-        return arithmetic_mean(values)
-    if p == -1:
-        return harmonic_mean(values)
     k = len(values)
     if p > 0:
         anchor = float(max(values))
@@ -198,18 +213,37 @@ def _check_exponent(p: float) -> None:
 
 def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
     """Evaluate the average selected by `spec` on `values`."""
-    if spec.kind is AverageKind.HARMONIC:
-        return harmonic_mean(values)
-    if spec.kind is AverageKind.GEOMETRIC:
-        return geometric_mean(values)
-    if spec.kind is AverageKind.ARITHMETIC:
-        return arithmetic_mean(values)
-    if spec.kind is AverageKind.POWER:
-        return power_mean(values, spec.p)
-    if spec.kind is AverageKind.MIN:
-        _validate(values)
-        return float(min(values))
-    if spec.kind is AverageKind.MAX:
-        _validate(values)
-        return float(max(values))
-    raise ValueError(f"unknown averaging kind {spec.kind!r}")
+    return power_mean(values, spec.exponent)
+
+
+def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`apply_average(spec, (a, b))` element-wise, in place into `a`; `b` is clobbered.
+
+    Bit for bit the scalar two-element mean (`float_power`, like `**`, is C's `pow`).
+    """
+    p = spec.exponent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if p == 0:
+            a *= b
+            np.sqrt(a, out=a)
+        elif p == 1:
+            a += b
+            a /= 2
+        elif p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
+            np.divide(1.0, a, out=a)
+            a += np.divide(1.0, b, out=b)
+            np.divide(2.0, a, out=a)
+        elif math.isinf(p):
+            (np.minimum if p < 0 else np.maximum)(a, b, out=a)
+        else:
+            anchor = np.maximum(a, b) if p > 0 else np.minimum(a, b)
+            a /= anchor
+            b /= anchor
+            np.float_power(a, p, out=a)
+            np.float_power(b, p, out=b)
+            a += b
+            a /= 2
+            np.float_power(a, 1.0 / p, out=a)
+            a *= anchor
+            a[anchor == 0] = 0.0  # the scalar mean's early return
+    return a

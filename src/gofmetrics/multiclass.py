@@ -18,20 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import binary as _binary
-from .confusion import ConfusionMatrix, restrict_to_pair
-from .confusion import _pair_average, _rates  # the whole-array rate kernel
+from .confusion import ConfusionMatrix, _rates, restrict_to_pair
 from .means import (
     ARITHMETIC,
     GEOMETRIC,
     HARMONIC,
-    AverageKind,
     AveragingSpec,
     _check_exponent,
+    _pair_average,
     apply_average,
     power_mean,
 )
@@ -59,6 +58,9 @@ _EPS = 2.0**-52  # the double-precision machine epsilon
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # cells per row block of cramers_phi's temporaries, small enough for cache
 _PHI_BLOCK_CELLS = 1 << 15
+# totals that cramers_phi takes unscaled: r * c <= total^2 stays finite, and
+# above the smallest normal double unless a sum is 2^255 times below the total
+_PHI_LOW, _PHI_HIGH = 2.0**-256, 2.0**256
 
 
 @dataclass(frozen=True)
@@ -130,14 +132,24 @@ def _diagonal_rates(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _rates(diag, cm.col_sums), _rates(diag, cm.row_sums)
 
 
-def _check_outer(outer: AveragingSpec) -> None:
-    # outer aggregation must be a strictly monotone mean: the named trio or
-    # a power mean with p <= 1
-    if outer.kind in (AverageKind.MIN, AverageKind.MAX):
+def _check_outer(outer: AveragingSpec, signed: bool) -> None:
+    """The outer rules, as ranges of the outer average's exponent.
+
+    A signed metric takes only the means defined on negative values:
+    arithmetic (1), min (-inf) and max (+inf).  Any other takes a strictly
+    monotone mean, -inf < exponent <= 1."""
+    exponent = outer.exponent
+    if signed:
+        if exponent != 1 and not math.isinf(exponent):
+            raise ValueError(
+                "average undefined on negative values: "
+                f"{outer.to_string()} outer cannot aggregate a signed metric"
+            )
+    elif math.isinf(exponent):
         raise ValueError(f"invalid outer spec: {outer.to_string()}")
-    if outer.kind is AverageKind.POWER:
+    else:
         try:
-            _check_exponent(outer.p)
+            _check_exponent(exponent)
         except ValueError as exc:
             raise ValueError(f"invalid outer spec: {exc}") from None
 
@@ -146,7 +158,7 @@ def _per_class_average(
     cm: ConfusionMatrix, inner: AveragingSpec, outer: AveragingSpec
 ) -> float:
     # the inner mean pairs each class's precision with its recall
-    _check_outer(outer)
+    _check_outer(outer, False)
     per_class = _pair_average(inner, *_diagonal_rates(cm))
     return apply_average(outer, tuple(per_class.tolist()))
 
@@ -179,15 +191,23 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     Cells with zero expected count contribute zero to chi2 (their observed
     count is necessarily zero too).  At n = 2 this equals |mcc_binary|.
     """
-    total = cm.counts.sum()
+    counts, rows, cols = cm.counts, cm.row_sums, cm.col_sums
+    total = float(counts.sum())
+    # each (O - E)^2 is at most r * c, which is at most total^2; a total
+    # far from 1 is brought into [0.5, 1) by an exact power-of-two rescale,
+    # which leaves phi as it is, so no r * c leaves the double range
+    if not _PHI_LOW <= total <= _PHI_HIGH:
+        shift = -math.frexp(total)[1]
+        counts, rows, cols = (np.ldexp(x, shift) for x in (counts, rows, cols))
+        total = math.ldexp(total, shift)
     # chi2 over blocks of rows, so the temporaries stay in cache; a table
     # smaller than one block is a single block
     step = max(1, _PHI_BLOCK_CELLS // cm.n)
     chi2 = 0.0
     for lo in range(0, cm.n, step):
-        expected = np.outer(cm.row_sums[lo:lo + step], cm.col_sums)
+        expected = np.outer(rows[lo:lo + step], cols)
         expected /= total
-        terms = cm.counts[lo:lo + step] - expected
+        terms = counts[lo:lo + step] - expected
         terms *= terms
         np.divide(terms, expected, out=terms, where=expected > 0)
         chi2 += float(terms.sum())
@@ -256,19 +276,35 @@ def _parameters(outer: AveragingSpec | None, p: float | None) -> dict[str, str]:
     return parameters
 
 
-def _signed_outer(outer: AveragingSpec, values: list[float]) -> float:
-    # means from the power family reject negative inputs, so a signed
-    # metric only admits these three aggregations
-    if outer.kind is AverageKind.ARITHMETIC:
+def _signed_outer(outer: AveragingSpec, values: Sequence[float]) -> float:
+    # the arithmetic, min or max outer that `_check_outer` admits for a
+    # signed metric, on values that may be negative
+    if outer.exponent == 1:
         return sum(values) / len(values)
-    if outer.kind is AverageKind.MIN:
-        return float(min(values))
-    if outer.kind is AverageKind.MAX:
-        return float(max(values))
-    raise ValueError(
-        "average undefined on negative values: "
-        f"{outer.to_string()} outer cannot aggregate a signed metric"
-    )
+    return float(min(values) if outer.exponent < 0 else max(values))
+
+
+def _one_vs_one(
+    cm: ConfusionMatrix, info: MetricInfo, outer: AveragingSpec, p: float | None
+) -> float:
+    # the per-pair loop behind `one_vs_one_average`, for a METRICS row whose
+    # options `evaluate_metric` has checked
+    _check_outer(outer, info.signed)
+    if info.needs_p:
+        evaluate = lambda view: info.func(view, p)
+    else:
+        evaluate = info.func
+    average = _signed_outer if info.signed else apply_average
+
+    values = []
+    for i in range(cm.n):
+        for j in range(i + 1, cm.n):
+            view = _binary.BinaryView(restrict_to_pair(cm, i, j))
+            if info.swap_invariant:
+                values.append(evaluate(view))
+            else:
+                values.append(average(outer, (evaluate(view), evaluate(view.swapped()))))
+    return average(outer, values)
 
 
 def one_vs_one_average(
@@ -283,47 +319,15 @@ def one_vs_one_average(
     Metrics that depend on which class is called positive are evaluated in
     both orientations and combined with the same outer average before the
     cross-pair aggregation, so the composite never depends on class order.
-    Signed metrics (mcc) admit only arithmetic / min / max outers.
+    Signed metrics (mcc) admit only arithmetic / min / max outers.  The
+    options follow the `one_vs_one_<metric>` row of `METRICS`, as in
+    `evaluate_metric`.
     """
-    info = METRICS.get(_OVO + metric)
-    if info is None:
+    if _OVO + metric not in METRICS:
         raise ValueError(
             f"unknown binary metric {metric!r}; choose from {', '.join(BINARY_METRIC_NAMES)}"
         )
-    if info.needs_p:
-        if p is None:
-            raise ValueError(f"{metric} needs an exponent p")
-        _check_exponent(p)
-    elif p is not None:
-        raise ValueError(f"{metric} takes no exponent")
-
-    if info.signed:
-        # validate eagerly so a bad outer fails before any computation
-        _signed_outer(outer, [0.0])
-    else:
-        _check_outer(outer)
-
-    if info.needs_p:
-        evaluate = lambda view: info.func(view, p)
-    else:
-        evaluate = info.func
-
-    values = []
-    for i in range(cm.n):
-        for j in range(i + 1, cm.n):
-            view = _binary.BinaryView(restrict_to_pair(cm, i, j))
-            if info.swap_invariant:
-                values.append(evaluate(view))
-            else:
-                both = (evaluate(view), evaluate(view.swapped()))
-                values.append(
-                    _signed_outer(outer, list(both))
-                    if info.signed
-                    else apply_average(outer, both)
-                )
-
-    value = _signed_outer(outer, values) if info.signed else apply_average(outer, values)
-    return MetricScore(_OVO + metric, value, _parameters(outer, p), cm.n)
+    return evaluate_metric(cm, _OVO + metric, outer, p)
 
 
 def evaluate_metric(
@@ -344,16 +348,17 @@ def evaluate_metric(
     if outer is not None and not info.takes_outer:
         raise ValueError(f"{name} takes no outer average")
     if info.needs_p and p is None:
-        raise ValueError(f"{name} needs p (e.g. {name}:p=-1)")
+        raise ValueError(f"{name} needs p: it needs an exponent <= 1 (e.g. {name}:p=-1)")
     if p is not None and not info.needs_p:
         hint = " (use outer=power:<float> for a power outer)" if info.takes_outer else ""
-        raise ValueError(f"{name} takes no p option{hint}")
+        raise ValueError(f"{name} takes no p option: it takes no exponent{hint}")
     if info.takes_outer:
         outer = outer or ARITHMETIC
     if name.startswith(_OVO):
-        return one_vs_one_average(cm, name[len(_OVO):], outer, p)
-    # past the checks, exactly the options this metric takes are set
-    value = info.func(cm, *(option for option in (outer, p) if option is not None))
+        value = _one_vs_one(cm, info, outer, p)
+    else:
+        # past the checks, exactly the options this metric takes are set
+        value = info.func(cm, *(option for option in (outer, p) if option is not None))
     return MetricScore(name, value, _parameters(outer, p), cm.n)
 
 

@@ -517,6 +517,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: field larger than field limit (131072) at line {line}" in err
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("matrix_csv", "1e308,1e308\n0,1\n"), ("json", '{"counts": [[1e308, 1e308], [0, 1]]}')],
+    )
+    def test_overflowing_sum_exits_2(self, tmp_path, capsys, fmt, text):
+        path = write(tmp_path, "m.txt", text)
+        code = main(["--input", path, "--format", fmt, "--metric", "generalized_mcc"])
+        assert code == EXIT_INPUT
+        assert f"{path}: sum of row 0 overflows" in capsys.readouterr().err
+
     def test_quoted_label_spanning_lines_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "p.csv", '"a\nb",a\nb,b\n')
         code = main(["--input", path, "--format", "pairs_csv", "--metric", "generalized_mcc"])
@@ -550,6 +560,14 @@ class TestMainExitCodes:
         )
         assert code == EXIT_PARAMS
         capsys.readouterr()
+
+    def test_overflowing_smoothing_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "1,0\n0,1\n")
+        code = main(
+            ["--input", path, "--metric", "generalized_mcc", "--smooth", "1e308"]
+        )
+        assert code == EXIT_PARAMS
+        assert "cannot smooth by 1e+308: sum of row 0 overflows" in capsys.readouterr().err
 
 
 class TestReports:

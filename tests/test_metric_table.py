@@ -1,12 +1,14 @@
 """Sweeps driven by the metric table: every row is scored through the same
 by-name entry point the CLI uses, so a new row is tested without new code."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gofmetrics.cli import EXIT_OK, EXIT_PARAMS, main
 from gofmetrics.confusion import ConfusionMatrix, relabel
-from gofmetrics.multiclass import METRICS, evaluate_metric
+from gofmetrics.multiclass import BINARY_METRIC_NAMES, METRICS, evaluate_metric
 from helpers import random_counts
 
 TOL = 1e-12
@@ -30,8 +32,20 @@ def test_declared_range_and_invariance(name):
             perm = rng.permutation(n)
             assert abs(score(relabel(cm, perm), name) - base) <= TOL, (n, "relabel")
             k = float(rng.integers(2, 8))
-            scaled = ConfusionMatrix.from_counts(grid * k)
-            assert abs(score(scaled, name) - base) <= TOL, (n, "rescale", k)
+            for factor in (k, 2.0**600, 2.0**-600):
+                scaled = ConfusionMatrix.from_counts(grid * factor)
+                assert abs(score(scaled, name) - base) <= TOL, (n, "rescale", factor)
+
+
+def test_readme_lists_every_metric():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Available metrics:", 1)[1].split("\n## ", 1)[0]
+    for name in METRICS:
+        # the one-vs-one rows are documented as one_vs_one_NAME, NAME below
+        listed = "`one_vs_one_NAME`" if name.startswith("one_vs_one_") else f"`{name}"
+        assert listed in section, name
+    for name in BINARY_METRIC_NAMES:
+        assert f"`{name}`" in section, name
 
 
 def test_generalized_mcc_is_declared_signed():

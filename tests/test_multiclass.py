@@ -450,6 +450,13 @@ class TestOneVsOne:
             with pytest.raises(ValueError, match="average undefined on negative values"):
                 one_vs_one_average(cm, "mcc", outer)
 
+    def test_signed_metric_takes_power_one_as_arithmetic(self):
+        # the signed rule is on the exponent: power:1 is the arithmetic mean
+        cm = cm_of(GRID3)
+        power_one = one_vs_one_average(cm, "mcc", AveragingSpec.power(1.0))
+        assert power_one.value == one_vs_one_average(cm, "mcc").value
+        assert power_one.parameters == {"outer": "power:1.0"}
+
     def test_orientation_independence_of_plain_f1(self):
         # plain F1 depends on which class is positive; the composite
         # averages both orientations, so relabeling must not move it
