@@ -127,13 +127,20 @@ def mcc_binary(view: BinaryView) -> float:
     # an exact power-of-two rescale to a largest count in [0.5, 1) keeps the
     # fourfold product in range at any scale and leaves every rounding as is
     shift = -math.frexp(max(tp, fn, fp, tn))[1]
-    tp, fn, fp, tn = (
+    stp, sfn, sfp, stn = (
         math.ldexp(tp, shift), math.ldexp(fn, shift), math.ldexp(fp, shift), math.ldexp(tn, shift)
     )
-    denom = (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
-    if denom == 0:
+    denom = (stp + sfp) * (stp + sfn) * (stn + sfn) * (stn + sfp)
+    if denom != 0:
+        return (stp * stn - sfp * sfn) / math.sqrt(denom)
+    if 0 in (tp + fp, tp + fn, tn + fn, tn + fp):
         return 0.0
-    return (tp * tn - fp * fn) / math.sqrt(denom)
+    # counts of so different size that the product of the marginals
+    # underflows: the same score is sqrt(PPV TPR TNR NPV) - sqrt(FDR FNR FPR FOR)
+    # on the unscaled counts, whose sums are at most the finite total
+    agree = precision(view) * sensitivity(view) * specificity(view) * npv(view)
+    disagree = _rate(fp, tp + fp) * _rate(fn, tp + fn) * _rate(fp, tn + fp) * _rate(fn, tn + fn)
+    return math.sqrt(agree) - math.sqrt(disagree)
 
 
 def lp_four_rate_score(view: BinaryView, p: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import binary as _binary
-from .confusion import ConfusionMatrix, _rates, restrict_to_pair
+from .confusion import ConfusionMatrix, _rates
 from .means import (
     ARITHMETIC,
     GEOMETRIC,
@@ -189,7 +189,9 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
         phi_c = sqrt( (chi2 / N) / (n - 1) )
 
     Cells with zero expected count contribute zero to chi2 (their observed
-    count is necessarily zero too).  At n = 2 this equals |mcc_binary|.
+    count is necessarily zero too), except a positive count whose expected
+    count underflows to 0: it adds its O^2 / E as total * (O / r) * (O / c).
+    At n = 2 this equals |mcc_binary|.
     """
     counts, rows, cols = cm.counts, cm.row_sums, cm.col_sums
     total = float(counts.sum())
@@ -200,16 +202,23 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
         shift = -math.frexp(total)[1]
         counts, rows, cols = (np.ldexp(x, shift) for x in (counts, rows, cols))
         total = math.ldexp(total, shift)
+    # the smallest positive r * c / total tells, in O(n), whether any
+    # expected count of a positive row and column underflows to 0
+    underflows = rows[rows > 0].min() * cols[cols > 0].min() / total == 0
     # chi2 over blocks of rows, so the temporaries stay in cache; a table
     # smaller than one block is a single block
     step = max(1, _PHI_BLOCK_CELLS // cm.n)
     chi2 = 0.0
     for lo in range(0, cm.n, step):
-        expected = np.outer(rows[lo:lo + step], cols)
+        block, block_rows = counts[lo:lo + step], rows[lo:lo + step]
+        expected = np.outer(block_rows, cols)
         expected /= total
-        terms = counts[lo:lo + step] - expected
+        terms = block - expected
         terms *= terms
         np.divide(terms, expected, out=terms, where=expected > 0)
+        if underflows:
+            i, j = np.nonzero((expected == 0) & (block > 0))
+            terms[i, j] = total * (block[i, j] / block_rows[i]) * (block[i, j] / cols[j])
         chi2 += float(terms.sum())
     phi = math.sqrt((chi2 / total) / (cm.n - 1))
     return min(1.0, phi)
@@ -284,6 +293,20 @@ def _signed_outer(outer: AveragingSpec, values: Sequence[float]) -> float:
     return float(min(values) if outer.exponent < 0 else max(values))
 
 
+class _PairCells:
+    """The four cells of class pair (i, j) with i positive, as a `BinaryView`
+    of its 2x2 restriction gives them, read straight from the table."""
+
+    __slots__ = ("tp", "fn", "fp", "tn")
+
+    def __init__(self, tp: float, fn: float, fp: float, tn: float) -> None:
+        self.tp, self.fn, self.fp, self.tn = tp, fn, fp, tn
+
+    def swapped(self) -> "_PairCells":
+        """The same pair with j positive."""
+        return _PairCells(self.tn, self.fp, self.fn, self.tp)
+
+
 def _one_vs_one(
     cm: ConfusionMatrix, info: MetricInfo, outer: AveragingSpec, p: float | None
 ) -> float:
@@ -296,10 +319,11 @@ def _one_vs_one(
         evaluate = info.func
     average = _signed_outer if info.signed else apply_average
 
+    counts = cm.counts.tolist()
     values = []
     for i in range(cm.n):
         for j in range(i + 1, cm.n):
-            view = _binary.BinaryView(restrict_to_pair(cm, i, j))
+            view = _PairCells(counts[i][i], counts[i][j], counts[j][i], counts[j][j])
             if info.swap_invariant:
                 values.append(evaluate(view))
             else:

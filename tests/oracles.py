@@ -10,18 +10,23 @@ The exceptions are the scalar loops (`normalized_loop`, `diagonal_rates_loop`):
 they keep the package's original one-cell-at-a-time construction, with its
 scalar `apply_average`, as the reference its whole-array code must reproduce.
 Likewise `pairs_csv_loop` keeps the original row-at-a-time label-pairs reader
-as the reference for the streaming one.
+as the reference for the streaming one, and `one_vs_one_loop` the original
+pair-at-a-time one-vs-one loop, with a 2x2 sub-table and a `BinaryView` per
+pair, as the reference for the one that reads the table's cells directly.
 """
 
 import csv
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from gofmetrics.binary import BinaryView
 from gofmetrics.cli import InputError
-from gofmetrics.confusion import ConfusionMatrix
+from gofmetrics.confusion import ConfusionMatrix, restrict_to_pair
 from gofmetrics.means import apply_average
+from gofmetrics.multiclass import METRICS
 
 
 def det_cofactor(m):
@@ -115,12 +120,58 @@ def pairs_csv_loop(path):
         raise InputError(f"{path}: {exc}") from None
 
 
+def one_vs_one_loop(cm, metric, outer, p=None):
+    """`one_vs_one_average(cm, metric, outer, p).value`, one pair at a time.
+
+    Each pair i < j is restricted to its 2x2 sub-table and scored through a
+    `BinaryView` by the package's own two-class score; a score that depends
+    on the positive class is averaged over both orientations, and the pair
+    values then go through the outer average.  A signed score takes the
+    arithmetic, min or max outer on values that may be negative.
+    """
+    info = METRICS["one_vs_one_" + metric]
+
+    def evaluate(view):
+        return info.func(view) if p is None else info.func(view, p)
+
+    def average(values):
+        if not info.signed:
+            return apply_average(outer, values)
+        if outer.exponent == 1:
+            return sum(values) / len(values)
+        return float(min(values) if outer.exponent < 0 else max(values))
+
+    values = []
+    for i in range(cm.n):
+        for j in range(i + 1, cm.n):
+            view = BinaryView(restrict_to_pair(cm, i, j))
+            if info.swap_invariant:
+                values.append(evaluate(view))
+            else:
+                values.append(average((evaluate(view), evaluate(view.swapped()))))
+    return average(values)
+
+
 def mcc_closed_form(tp, fn, fp, tn):
     """Eq.-6 style binary MCC straight from the four cells."""
     denom = (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
     if denom == 0:
         return 0.0
     return (tp * tn - fp * fn) / np.sqrt(denom)
+
+
+def mcc_exact(tp, fn, fp, tn):
+    """Binary MCC from the four cells in exact rational arithmetic.
+
+    Only the conversion of score^2 to a float and its square root round, so
+    cells of any size, subnormal ones included, give the score to an ulp or two.
+    """
+    tp, fn, fp, tn = (Fraction(x) for x in (tp, fn, fp, tn))
+    denom = (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
+    if denom == 0:
+        return 0.0
+    num = tp * tn - fp * fn
+    return math.copysign(math.sqrt(num * num / denom), num)
 
 
 def expand_labels(counts):
@@ -159,6 +210,22 @@ def chi_square(counts):
             if expected > 0:
                 chi2 += (c[i, j] - expected) ** 2 / expected
     return chi2
+
+
+def cramers_phi_exact(counts):
+    """Cramer's phi with chi2 in exact rational arithmetic, for any cell sizes."""
+    c = [[Fraction(float(x)) for x in row] for row in counts]
+    n = len(c)
+    rows = [sum(row) for row in c]
+    cols = [sum(c[i][j] for i in range(n)) for j in range(n)]
+    total = sum(rows)
+    chi2 = Fraction(0)
+    for i in range(n):
+        for j in range(n):
+            expected = rows[i] * cols[j] / total
+            if expected > 0:
+                chi2 += (c[i][j] - expected) ** 2 / expected
+    return math.sqrt(chi2 / total / (n - 1))
 
 
 def cramers_phi_ref(counts):

@@ -158,6 +158,22 @@ class TestMcc:
         assert mcc_binary(view_from(7, 0, 0, 3)) == 1.0
         assert mcc_binary(view_from(0, 7, 3, 0)) == -1.0
 
+    @pytest.mark.parametrize(
+        "tp, fn, fp, tn",
+        [
+            (1e-320, 0, 0, 3),
+            (5e-324, 0, 0, 3),
+            (0, 1e-320, 3, 0),
+            (1e-320, 2e-320, 1e-320, 3),
+            (1e-200, 0, 1e-200, 1e300),
+        ],
+    )
+    def test_counts_of_very_different_size(self, tp, fn, fp, tn):
+        # the product of the four marginals underflows, the score does not
+        value = mcc_binary(view_from(tp, fn, fp, tn))
+        assert value == pytest.approx(oracles.mcc_exact(tp, fn, fp, tn), abs=1e-12)
+        assert value != 0.0
+
     @given(cells, cells, cells, cells)
     @settings(max_examples=300)
     def test_bounded(self, tp, fn, fp, tn):

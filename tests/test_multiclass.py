@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gofmetrics import multiclass
+from gofmetrics import confusion, multiclass
 from gofmetrics.binary import BinaryView, f1_binary, lp_four_rate_score, mcc_binary
 from gofmetrics.confusion import (
     ConfusionMatrix,
@@ -29,6 +29,8 @@ from gofmetrics.means import (
     power_mean,
 )
 from gofmetrics.multiclass import (
+    BINARY_METRIC_NAMES,
+    METRICS,
     cramers_phi,
     generalized_f1,
     generalized_fm,
@@ -399,10 +401,79 @@ class TestCramersPhi:
         monkeypatch.setattr(multiclass, "_PHI_BLOCK_CELLS", 1)
         assert cramers_phi(cm) == pytest.approx(value, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "grid", [[[1e-320, 0], [0, 3]], [[1e-320, 0, 0], [0, 3, 1], [0, 1, 2]]]
+    )
+    def test_subnormal_count_with_underflowing_expected_count(self, grid):
+        # r * c / total underflows to 0 at the subnormal cell; its O^2 / E stays
+        assert cramers_phi(cm_of(grid)) == pytest.approx(
+            oracles.cramers_phi_exact(grid), abs=1e-12
+        )
+
     def test_zero_marginal_cells_contribute_nothing(self):
         # column 1 never predicted: expected counts there are zero
         cm = cm_of([[3, 0, 1], [2, 0, 2], [1, 0, 5]])
         assert 0.0 <= cramers_phi(cm) <= 1.0
+
+
+def _one_vs_one_tables():
+    # seeded tables at n = 2..30: empty rows and columns, smoothed fractional
+    # counts, permutation tables, and counts scaled far out of the unit range
+    rng = np.random.default_rng(808)
+    kinds = {
+        "empty classes": lambda n: random_counts_with_empty_classes(rng, n),
+        "smoothed": lambda n: random_counts(rng, n, 5) + rng.uniform(0.01, 1.0),
+        "permutation": lambda n: random_permutation_counts(rng, n),
+        "scaled by 2^600": lambda n: random_counts(rng, n) * 2.0**600,
+        "scaled by 2^-600": lambda n: random_counts(rng, n) * 2.0**-600,
+    }
+    for kind, make in kinds.items():
+        for n in (2, 30, *rng.integers(3, 30, size=2).tolist()):
+            yield f"{kind}, n={n}", cm_of(make(n))
+
+
+ONE_VS_ONE_TABLES = list(_one_vs_one_tables())
+SIGNED_OUTERS = (ARITHMETIC, MIN, MAX)
+UNSIGNED_OUTERS = (
+    ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec.power(0.5), AveragingSpec.power(-2.0)
+)
+
+
+class TestOneVsOneLoop:
+    @pytest.mark.parametrize("metric", BINARY_METRIC_NAMES)
+    def test_bit_for_bit_with_pair_loop(self, metric):
+        info = METRICS["one_vs_one_" + metric]
+        outers = SIGNED_OUTERS if info.signed else UNSIGNED_OUTERS
+        exponents = (-1.0, 0.0, 0.5, -math.inf) if info.needs_p else (None,)
+        for name, cm in ONE_VS_ONE_TABLES:
+            for outer in outers:
+                for p in exponents:
+                    value = one_vs_one_average(cm, metric, outer, p).value
+                    expected = oracles.one_vs_one_loop(cm, metric, outer, p)
+                    assert value == expected, (name, outer.to_string(), p)
+
+    def test_no_matrix_per_pair(self, monkeypatch):
+        # the loop reads the table's own cells: no 2x2 sub-table per pair
+        cm = cm_of(random_counts(np.random.default_rng(12), 12))
+        built = []
+        init, restrict = ConfusionMatrix.__init__, confusion.restrict_to_pair
+
+        def counted_init(self, *args, **kwargs):
+            built.append("ConfusionMatrix")
+            init(self, *args, **kwargs)
+
+        def counted_restrict(*args):
+            built.append("restrict_to_pair")
+            return restrict(*args)
+
+        monkeypatch.setattr(ConfusionMatrix, "__init__", counted_init)
+        # the module's own name and any name `multiclass` imports it under
+        monkeypatch.setattr(confusion, "restrict_to_pair", counted_restrict)
+        monkeypatch.setattr(multiclass, "restrict_to_pair", counted_restrict, raising=False)
+        for metric in BINARY_METRIC_NAMES:
+            p = -1.0 if METRICS["one_vs_one_" + metric].needs_p else None
+            one_vs_one_average(cm, metric, p=p)
+        assert built == []
 
 
 class TestOneVsOne:
@@ -515,6 +586,15 @@ class TestOneVsOne:
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown binary metric"):
             one_vs_one_average(cm_of(GRID3), "accuracy")
+
+    def test_subnormal_count_in_a_pair(self):
+        # the pair's product of marginals underflows; its mcc is still 1
+        two = cm_of([[1e-320, 0], [0, 3]])
+        assert one_vs_one_average(two, "mcc").value == pytest.approx(1.0, abs=1e-12)
+        three = cm_of([[1e-320, 0, 0], [0, 3, 1], [0, 1, 2]])
+        assert one_vs_one_average(three, "mcc", MIN).value == pytest.approx(
+            5 / 12, abs=1e-12
+        )
 
     def test_all_zero_pair_handled(self):
         # classes 0 and 1 never interact: their restriction is all zero and
