@@ -122,24 +122,14 @@ def mcc_binary(view: BinaryView) -> float:
     Equals the Pearson correlation of the two 0/1 indicator vectors.
     Returns 0.0 when any marginal is zero (a constant indicator has no
     correlation).  Range [-1, 1].
+
+    Computed from rates in [0, 1] alone, as sqrt((PPV NPV)(TPR TNR)) -
+    sqrt((FDR FOR)(FNR FPR)): exact under power-of-two scaling, bounded by
+    construction, and the same bits with either class positive.
     """
     tp, fn, fp, tn = view.tp, view.fn, view.fp, view.tn
-    # an exact power-of-two rescale to a largest count in [0.5, 1) keeps the
-    # fourfold product in range at any scale and leaves every rounding as is
-    shift = -math.frexp(max(tp, fn, fp, tn))[1]
-    stp, sfn, sfp, stn = (
-        math.ldexp(tp, shift), math.ldexp(fn, shift), math.ldexp(fp, shift), math.ldexp(tn, shift)
-    )
-    denom = (stp + sfp) * (stp + sfn) * (stn + sfn) * (stn + sfp)
-    if denom != 0:
-        return (stp * stn - sfp * sfn) / math.sqrt(denom)
-    if 0 in (tp + fp, tp + fn, tn + fn, tn + fp):
-        return 0.0
-    # counts of so different size that the product of the marginals
-    # underflows: the same score is sqrt(PPV TPR TNR NPV) - sqrt(FDR FNR FPR FOR)
-    # on the unscaled counts, whose sums are at most the finite total
-    agree = precision(view) * sensitivity(view) * specificity(view) * npv(view)
-    disagree = _rate(fp, tp + fp) * _rate(fn, tp + fn) * _rate(fp, tn + fp) * _rate(fn, tn + fn)
+    agree = (_rate(tp, tp + fp) * _rate(tn, tn + fn)) * (_rate(tp, tp + fn) * _rate(tn, tn + fp))
+    disagree = (_rate(fp, tp + fp) * _rate(fn, tn + fn)) * (_rate(fn, tp + fn) * _rate(fp, tn + fp))
     return math.sqrt(agree) - math.sqrt(disagree)
 
 

@@ -138,11 +138,16 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
     A header row with a blank corner over rows one cell wider than the
     grid marks a label column even when the labels read as numbers.
     """
+    def numbered(fh) -> list[tuple[int, list[str]]]:
+        # the reader's line_num, the line a row ends on, counts the lines of
+        # a quoted label that spans them
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in _csv_rows(path, reader)]
+
     rows: list[tuple[int, list[str]]] = []  # (1-based line number, cells)
     # newline="": the csv module sees line ends as written, so a quoted
     # "\r" in a label survives
-    table = _read(path, lambda fh: list(_csv_rows(path, csv.reader(fh))), newline="")
-    for lineno, row in enumerate(table, start=1):
+    for lineno, row in _read(path, numbered, newline=""):
         cells = [c.strip() for c in row]
         if not cells or all(c == "" for c in cells):
             continue

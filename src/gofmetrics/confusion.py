@@ -97,8 +97,12 @@ class ConfusionMatrix:
 
         Labels default to class_0 ... class_{n-1}.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
-        and not all zero, and their sum must be finite too.
+        and not all zero, and their sum must be finite too.  A str, bytes,
+        bool, complex or None cell is refused, not read as a number.
         """
+        # a float or int array is numbers by its dtype alone
+        if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
+            _check_cells(grid)
         try:
             counts = np.array(grid, dtype=float)  # the one copy
         except (ValueError, TypeError):
@@ -193,6 +197,18 @@ class ConfusionMatrix:
             cells, weights=list(pair_counts.values()), minlength=n * n
         ).reshape(n, n)
         return cls.from_counts(counts, labels)
+
+
+def _check_cells(grid: object) -> None:
+    # cell types that numpy would read as a number, or fail on under another
+    # name; a grid or row that is no sequence is left to the shape checks
+    refused = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
+    for i, row in enumerate(grid if isinstance(grid, Iterable) else ()):
+        kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
+        if any(issubclass(kind, refused) for kind in kinds):
+            # only a refused type takes a second pass, to name its cell
+            j, cell = next((j, c) for j, c in enumerate(row) if isinstance(c, refused))
+            raise ValueError(f"non-number cell at row {i}, column {j}: {cell!r}")
 
 
 def _overflow_message(counts: np.ndarray) -> str:

@@ -190,11 +190,13 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
 
     Cells with zero expected count contribute zero to chi2 (their observed
     count is necessarily zero too), except a positive count whose expected
-    count underflows to 0: it adds its O^2 / E as total * (O / r) * (O / c).
+    count underflows to 0, or which the rescale below flushes to 0: it adds
+    its O^2 / E as total * (O / r) * (O / c).
     At n = 2 this equals |mcc_binary|.
     """
-    counts, rows, cols = cm.counts, cm.row_sums, cm.col_sums
-    total = float(counts.sum())
+    raw, raw_rows, raw_cols = cm.counts, cm.row_sums, cm.col_sums
+    counts, rows, cols, total = raw, raw_rows, raw_cols, float(raw.sum())
+    flushed = False
     # each (O - E)^2 is at most r * c, which is at most total^2; a total
     # far from 1 is brought into [0.5, 1) by an exact power-of-two rescale,
     # which leaves phi as it is, so no r * c leaves the double range
@@ -202,9 +204,11 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
         shift = -math.frexp(total)[1]
         counts, rows, cols = (np.ldexp(x, shift) for x in (counts, rows, cols))
         total = math.ldexp(total, shift)
+        # a count some 2^1074 times below the total flushes to 0 here
+        flushed = np.count_nonzero(counts) < np.count_nonzero(raw)
     # the smallest positive r * c / total tells, in O(n), whether any
     # expected count of a positive row and column underflows to 0
-    underflows = rows[rows > 0].min() * cols[cols > 0].min() / total == 0
+    underflows = flushed or rows[rows > 0].min() * cols[cols > 0].min() / total == 0
     # chi2 over blocks of rows, so the temporaries stay in cache; a table
     # smaller than one block is a single block
     step = max(1, _PHI_BLOCK_CELLS // cm.n)
@@ -217,8 +221,10 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
         terms *= terms
         np.divide(terms, expected, out=terms, where=expected > 0)
         if underflows:
-            i, j = np.nonzero((expected == 0) & (block > 0))
-            terms[i, j] = total * (block[i, j] / block_rows[i]) * (block[i, j] / cols[j])
+            # O, r and c from the unscaled counts, where no count has flushed
+            obs, obs_rows = raw[lo:lo + step], raw_rows[lo:lo + step]
+            i, j = np.nonzero((expected == 0) & (obs > 0))
+            terms[i, j] = total * (obs[i, j] / obs_rows[i]) * (obs[i, j] / raw_cols[j])
         chi2 += float(terms.sum())
     phi = math.sqrt((chi2 / total) / (cm.n - 1))
     return min(1.0, phi)

@@ -146,13 +146,17 @@ class TestMcc:
         assert mcc_binary(view_from(0, 3, 0, 5)) == 0.0
 
     def test_swap_invariance(self):
+        # bit for bit, also on large scaled counts
         rng = np.random.default_rng(14)
-        for _ in range(200):
-            tp, fn, fp, tn = (int(x) for x in rng.integers(0, 100, size=4))
+        draws = [rng.integers(0, 100, size=4) for _ in range(200)]
+        draws += [rng.integers(0, 1000, size=4) * 1e7 for _ in range(200)]
+        draws += [(7.29e9, 6.32e9, 5.43e9, 5.59e9)]
+        for cells in draws:
+            tp, fn, fp, tn = (float(x) for x in cells)
             if tp + fn + fp + tn == 0:
                 continue
             v = view_from(tp, fn, fp, tn)
-            assert mcc_binary(v) == pytest.approx(mcc_binary(v.swapped()), abs=1e-12)
+            assert mcc_binary(v) == mcc_binary(v.swapped())
 
     def test_extremes(self):
         assert mcc_binary(view_from(7, 0, 0, 3)) == 1.0
@@ -179,7 +183,7 @@ class TestMcc:
     def test_bounded(self, tp, fn, fp, tn):
         if tp + fn + fp + tn == 0:
             return
-        assert abs(mcc_binary(view_from(tp, fn, fp, tn))) <= 1 + 1e-12
+        assert abs(mcc_binary(view_from(tp, fn, fp, tn))) <= 1.0
 
 
 class TestLpFourRate:
@@ -209,6 +213,10 @@ class TestLpFourRate:
         v = view_from(1, 1, 1, 1)
         with pytest.raises(ValueError, match="p must be <= 1"):
             lp_four_rate_score(v, 1.5)
+
+    def test_p_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN exponent"):
+            lp_four_rate_score(view_from(1, 1, 1, 1), math.nan)
 
     def test_perfect_fit(self):
         assert lp_four_rate_score(view_from(5, 0, 0, 9), -1.0) == 1.0

@@ -77,6 +77,17 @@ class TestParseMatrixCsv:
         with pytest.raises(InputError, match="non-numeric cell at line 2, column 2"):
             parse_matrix_csv(path)
 
+    def test_error_after_spanning_label_names_its_line(self, tmp_path):
+        # the quoted labels "a\nb" take two lines each, so the bad cell is on line 5
+        path = write(tmp_path, "m.csv", ',"a\nb",c\n"a\nb",1,0\nc,0,1x\n')
+        with pytest.raises(InputError, match="non-numeric cell at line 5, column 2"):
+            parse_matrix_csv(path)
+
+    def test_header_without_data_rows(self, tmp_path):
+        path = write(tmp_path, "m.csv", "a,b\n\n")
+        with pytest.raises(InputError, match="header but no data rows"):
+            parse_matrix_csv(path)
+
     def test_single_class_rejected(self, tmp_path):
         path = write(tmp_path, "m.csv", "5\n")
         with pytest.raises(InputError, match="n < 2"):
@@ -434,6 +445,17 @@ class TestRun:
         with pytest.raises(ParameterError, match="p must be <= 1"):
             run(self.config(path, "lp_multiclass:p=2"))
 
+    @pytest.mark.parametrize("metric", ["lp_multiclass", "one_vs_one_lp_four_rate"])
+    def test_nan_p_is_parameter_error(self, tmp_path, metric):
+        path = write(tmp_path, "m.csv", "1,0\n0,1\n")
+        with pytest.raises(ParameterError, match="NaN exponent"):
+            run(self.config(path, f"{metric}:p=nan"))
+
+    def test_unknown_input_format(self, tmp_path):
+        path = write(tmp_path, "m.csv", "1,0\n0,1\n")
+        with pytest.raises(ParameterError, match="unknown input format 'xml'"):
+            run(self.config(path, "generalized_mcc", fmt="xml"))
+
     def test_signed_outer_error_is_parameter_error(self, tmp_path):
         path = write(tmp_path, "m.csv", "1,0\n0,1\n")
         with pytest.raises(ParameterError, match="average undefined on negative"):
@@ -546,6 +568,13 @@ class TestMainExitCodes:
         code = main(["--input", path, "--metric", "lp_multiclass:p=2"])
         assert code == EXIT_PARAMS
         assert "p must be <= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["lp_multiclass", "one_vs_one_lp_four_rate"])
+    def test_nan_p_exits_3(self, tmp_path, capsys, metric):
+        path = write(tmp_path, "m.csv", "1,0\n0,1\n")
+        code = main(["--input", path, "--metric", f"{metric}:p=nan"])
+        assert code == EXIT_PARAMS
+        assert "NaN exponent" in capsys.readouterr().err
 
     def test_unknown_metric_exits_3(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "1,0\n0,1\n")

@@ -1,11 +1,15 @@
 """Unit tests for confusion-matrix construction and transforms."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gofmetrics import confusion
 from gofmetrics.confusion import (
     ConfusionMatrix,
     SmoothingSpec,
@@ -111,6 +115,44 @@ class TestFromCounts:
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_counts(grid)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([["1", "0"], ["0", "1"]], "non-number cell at row 0, column 0: '1'"),
+            ([[1, 0], [0, b"1"]], "non-number cell at row 1, column 1: b'1'"),
+            ([[True, False], [False, True]], "non-number cell at row 0, column 0: True"),
+            (np.eye(2, dtype=bool), f"non-number cell at row 0, column 0: {np.True_!r}"),
+            ([[2, True], [0, 1]], "non-number cell at row 0, column 1: True"),
+            ([[1, 0], [None, 1]], "non-number cell at row 1, column 0: None"),
+            ([[1, 2j], [0, 1]], "non-number cell at row 0, column 1: 2j"),
+            (
+                np.eye(2, dtype=complex),
+                f"non-number cell at row 0, column 0: {np.complex128(1)!r}",
+            ),
+        ],
+    )
+    def test_non_number_cells_rejected(self, grid, message):
+        # numpy would read each of these as a count, or fail under another name
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_counts(grid)
+        assert str(info.value) == message
+
+    def test_number_cells_accepted(self):
+        grid = [[np.int64(3), np.float32(0.5)], [Fraction(1, 4), Decimal("2.5")]]
+        assert ConfusionMatrix.from_counts(grid).counts.tolist() == [[3, 0.5], [0.25, 2.5]]
+        objects = np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object)
+        assert ConfusionMatrix.from_counts(objects).counts.tolist() == [[0.5, 0], [0, 1]]
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, int, np.uint8])
+    def test_numeric_array_is_not_scanned(self, monkeypatch, dtype):
+        # a float or int array is numbers by its dtype alone
+        def scan(grid):
+            raise AssertionError("scanned cell by cell")
+
+        monkeypatch.setattr(confusion, "_check_cells", scan)
+        cm = ConfusionMatrix.from_counts(np.eye(3, dtype=dtype))
+        assert cm.counts.tolist() == np.eye(3).tolist()
 
     def test_negative_zero_cell_accepted(self):
         cm = ConfusionMatrix.from_counts([[1, -0.0], [0, 1]])
@@ -282,6 +324,9 @@ class TestNormalizedMatrix:
         # H <= G <= A cell by cell
         assert (harm.values <= geo.values + 1e-15).all()
         assert (geo.values <= arith.values + 1e-15).all()
+
+    def test_n(self):
+        assert normalized_matrix(ConfusionMatrix.from_counts(GRID3)).n == 3
 
     def test_values_read_only(self):
         cm = ConfusionMatrix.from_counts(GRID3)

@@ -264,6 +264,13 @@ class TestApplyAverage:
         with pytest.raises(ValueError, match="negative input"):
             apply_average(MIN, (-0.1, 0.5))
 
+    @pytest.mark.parametrize(
+        "spec", [ARITHMETIC, GEOMETRIC, HARMONIC, MIN, MAX, AveragingSpec.power(0.5)]
+    )
+    def test_nan_input_rejected(self, spec):
+        with pytest.raises(ValueError, match="NaN input"):
+            apply_average(spec, (0.5, math.nan))
+
     def test_numpy_scalars_accepted(self):
         values = tuple(np.float64(v) for v in (0.25, 1.0))
         assert apply_average(GEOMETRIC, values) == 0.5

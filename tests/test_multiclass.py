@@ -410,6 +410,20 @@ class TestCramersPhi:
             oracles.cramers_phi_exact(grid), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[1e-200, 0], [1e-200, 1e300]],
+            [[1e-200, 0, 0], [0, 1e300, 1e299], [1e-200, 1e299, 1e300]],
+        ],
+    )
+    def test_count_flushed_by_the_rescale(self, grid):
+        # 1e-200 is more than 2^1074 times below the total, so the power-of-two
+        # rescale flushes it to 0; its O^2 / E is taken from the unscaled counts
+        assert cramers_phi(cm_of(grid)) == pytest.approx(
+            oracles.cramers_phi_exact(grid), abs=1e-12
+        )
+
     def test_zero_marginal_cells_contribute_nothing(self):
         # column 1 never predicted: expected counts there are zero
         cm = cm_of([[3, 0, 1], [2, 0, 2], [1, 0, 5]])
@@ -654,6 +668,10 @@ class TestLpMulticlass:
     def test_p_above_one_rejected(self):
         with pytest.raises(ValueError, match="p must be <= 1"):
             lp_multiclass(cm_of(GRID3), 1.1)
+
+    def test_p_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN exponent"):
+            lp_multiclass(cm_of(GRID3), math.nan)
 
     def test_zero_diagonal_rate_annihilates(self):
         cm = cm_of([[0, 3], [1, 5]])

@@ -38,3 +38,50 @@ def test_package_names_resolve_to_their_modules_objects():
 def test_by_name_entry_point_is_public():
     assert gofmetrics.evaluate_metric is multiclass.evaluate_metric
     assert gofmetrics.METRICS is multiclass.METRICS
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _module_level_names(tree):
+    # names bound by a module's own top-level statements
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id
+
+
+def _references(tree):
+    # loaded names, attribute names and imported names: every use but a binding
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name that nothing in the package refers to is left
+    # over from a deleted path
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    used = {name for tree in trees.values() for name in _references(tree)}
+    defined = [
+        (module, name)
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
+        if _is_private(name)
+    ]
+    assert defined
+    unused = [f"{module}:{name}" for module, name in defined if name not in used]
+    assert not unused, unused
