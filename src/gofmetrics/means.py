@@ -16,6 +16,7 @@ the element-wise two-value form over arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -119,6 +120,10 @@ ARITHMETIC = AveragingSpec(AverageKind.ARITHMETIC)
 MIN = AveragingSpec(AverageKind.MIN)
 MAX = AveragingSpec(AverageKind.MAX)
 
+# the normal positive doubles; a product outside them has lost bits or overflowed
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_SQRT_TINY = math.sqrt(_TINY)  # 2^-511, exact
+
 
 def _validate(values: Sequence[float]) -> None:
     # shared domain checks: the means are defined on non-empty tuples of
@@ -133,20 +138,28 @@ def _validate(values: Sequence[float]) -> None:
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean; returns 0.0 if any entry is 0 (the limiting value)."""
+    """Harmonic mean; returns 0.0 if any entry is 0 (the limiting value).
+
+    Where a reciprocal overflows, the smallest entry low scales them all:
+    k * low / sum(low / v).
+    """
     _validate(values)
     for v in values:
         if v == 0:
             return 0.0
-    return len(values) / sum(1.0 / v for v in values)
+    total = sum(1.0 / v for v in values)
+    if math.isinf(total):
+        low = min(values)
+        return low * len(values) / sum(low / v for v in values)
+    return len(values) / total
 
 
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean; returns 0.0 if any entry is 0.
 
     Short tuples multiply directly (exact for the two-element case used in
-    matrix normalization); longer ones go through log space to dodge
-    under/overflow.
+    matrix normalization) while the product is a normal double; past that a
+    pair is sqrt(a) * sqrt(b), and longer tuples go through log space.
     """
     _validate(values)
     for v in values:
@@ -155,16 +168,22 @@ def geometric_mean(values: Sequence[float]) -> float:
     k = len(values)
     if k == 1:
         return float(values[0])
-    if k == 2:
-        return math.sqrt(values[0] * values[1])
-    if k == 3:
-        return (values[0] * values[1] * values[2]) ** (1.0 / 3.0)
+    if k <= 3:
+        product = math.prod(values)
+        if _TINY <= product <= _HUGE:
+            return math.sqrt(product) if k == 2 else product ** (1.0 / 3.0)
+        if k == 2:
+            return math.sqrt(values[0]) * math.sqrt(values[1])
     return math.exp(sum(math.log(v) for v in values) / k)
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:
+    """Arithmetic mean; divides each finite entry first where their sum overflows."""
     _validate(values)
-    return sum(values) / len(values)
+    total = sum(values)
+    if math.isinf(total) and all(map(math.isfinite, values)):
+        return sum(v / len(values) for v in values)
+    return total / len(values)
 
 
 def power_mean(values: Sequence[float], p: float) -> float:
@@ -217,19 +236,34 @@ def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
 
 
 def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`apply_average(spec, (a, b))` element-wise, in place into `a`; `b` is clobbered.
+    """`apply_average(spec, (a, b))` element-wise over rates in [0, 1], in place
+    into `a`; `b` is clobbered.
 
-    Bit for bit the scalar two-element mean (`float_power`, like `**`, is C's `pow`).
+    Bit for bit the scalar two-element mean (`float_power`, like `**`, is C's `pow`),
+    its fallbacks past the double range included.  Those need a positive rate
+    below the smallest normal double (harmonic) or below its square root
+    (geometric), and are computed only when the smallest positive rate is.
     """
     p = spec.exponent
-    with np.errstate(divide="ignore", invalid="ignore"):
+    fix = None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if p in (0, -1):
+            low = np.minimum(a, b)
+            smallest = low.min(where=low > 0, initial=np.inf)
         if p == 0:
+            if smallest < _SQRT_TINY:  # sqrt(a) * sqrt(b) where a * b is not normal
+                fix = a * b < _TINY
+                fixed = np.sqrt(a[fix]) * np.sqrt(b[fix])
             a *= b
             np.sqrt(a, out=a)
         elif p == 1:
             a += b
             a /= 2
         elif p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
+            if smallest < _TINY:  # low * 2 / (low/a + low/b) where 1/a + 1/b overflows
+                fix = np.isinf(1.0 / a + 1.0 / b) & (low > 0)
+                low, x, y = low[fix], a[fix], b[fix]
+                fixed = low * 2 / (low / x + low / y)
             np.divide(1.0, a, out=a)
             a += np.divide(1.0, b, out=b)
             np.divide(2.0, a, out=a)
@@ -246,4 +280,6 @@ def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
             np.float_power(a, 1.0 / p, out=a)
             a *= anchor
             a[anchor == 0] = 0.0  # the scalar mean's early return
+    if fix is not None:
+        a[fix] = fixed
     return a

@@ -58,9 +58,6 @@ _EPS = 2.0**-52  # the double-precision machine epsilon
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # cells per row block of cramers_phi's temporaries, small enough for cache
 _PHI_BLOCK_CELLS = 1 << 15
-# totals that cramers_phi takes unscaled: r * c <= total^2 stays finite, and
-# above the smallest normal double unless a sum is 2^255 times below the total
-_PHI_LOW, _PHI_HIGH = 2.0**-256, 2.0**256
 
 
 @dataclass(frozen=True)
@@ -188,45 +185,25 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
 
         phi_c = sqrt( (chi2 / N) / (n - 1) )
 
-    Cells with zero expected count contribute zero to chi2 (their observed
-    count is necessarily zero too), except a positive count whose expected
-    count underflows to 0, or which the rescale below flushes to 0: it adds
-    its O^2 / E as total * (O / r) * (O / c).
+    With row sums r, column sums c and expected counts E = r_i * (c_j / N),
+    each cell's (O - E)^2 / E, divided by N, is ((O - E) / r_i) * ((O - E) / c_j),
+    since E * N = r_i * c_j.  Both factors lie in [-1, 1], so no product leaves
+    the double range at any scale of the counts.  A zero row or column sum has
+    only zero cells, where O - E = 0, so it divides by 1 instead.
     At n = 2 this equals |mcc_binary|.
     """
-    raw, raw_rows, raw_cols = cm.counts, cm.row_sums, cm.col_sums
-    counts, rows, cols, total = raw, raw_rows, raw_cols, float(raw.sum())
-    flushed = False
-    # each (O - E)^2 is at most r * c, which is at most total^2; a total
-    # far from 1 is brought into [0.5, 1) by an exact power-of-two rescale,
-    # which leaves phi as it is, so no r * c leaves the double range
-    if not _PHI_LOW <= total <= _PHI_HIGH:
-        shift = -math.frexp(total)[1]
-        counts, rows, cols = (np.ldexp(x, shift) for x in (counts, rows, cols))
-        total = math.ldexp(total, shift)
-        # a count some 2^1074 times below the total flushes to 0 here
-        flushed = np.count_nonzero(counts) < np.count_nonzero(raw)
-    # the smallest positive r * c / total tells, in O(n), whether any
-    # expected count of a positive row and column underflows to 0
-    underflows = flushed or rows[rows > 0].min() * cols[cols > 0].min() / total == 0
-    # chi2 over blocks of rows, so the temporaries stay in cache; a table
+    counts, rows, cols = cm.counts, cm.row_sums, cm.col_sums
+    shares = cols / float(counts.sum())
+    row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
+    # chi2 / N over blocks of rows, so the temporaries stay in cache; a table
     # smaller than one block is a single block
     step = max(1, _PHI_BLOCK_CELLS // cm.n)
-    chi2 = 0.0
+    chi2_share = 0.0
     for lo in range(0, cm.n, step):
-        block, block_rows = counts[lo:lo + step], rows[lo:lo + step]
-        expected = np.outer(block_rows, cols)
-        expected /= total
-        terms = block - expected
-        terms *= terms
-        np.divide(terms, expected, out=terms, where=expected > 0)
-        if underflows:
-            # O, r and c from the unscaled counts, where no count has flushed
-            obs, obs_rows = raw[lo:lo + step], raw_rows[lo:lo + step]
-            i, j = np.nonzero((expected == 0) & (obs > 0))
-            terms[i, j] = total * (obs[i, j] / obs_rows[i]) * (obs[i, j] / raw_cols[j])
-        chi2 += float(terms.sum())
-    phi = math.sqrt((chi2 / total) / (cm.n - 1))
+        hi = lo + step
+        diff = counts[lo:hi] - rows[lo:hi, None] * shares
+        chi2_share += float(((diff / row_div[lo:hi, None]) * (diff / col_div)).sum())
+    phi = math.sqrt(chi2_share / (cm.n - 1))
     return min(1.0, phi)
 
 

@@ -391,3 +391,5 @@ def test_cli_goldens_under_python_optimize():
         )
         assert child.returncode == 0, child.stderr.decode(errors="replace")
         assert child.stdout == (HERE / "goldens" / golden_name).read_bytes(), golden_name
+        # a numpy warning would print here without failing the run
+        assert child.stderr == b"", child.stderr.decode(errors="replace")

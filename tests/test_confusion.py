@@ -340,6 +340,10 @@ class TestNormalizedMatrix:
         for n in (2, 3, 4, 7, 12, 25, 40):
             for _ in range(3):
                 yield ConfusionMatrix.from_counts(random_counts_with_empty_classes(rng, n))
+        # a rate whose reciprocal overflows (a harmonic cell of 2e-310) and two
+        # rates whose product underflows (a geometric cell of 1e-200)
+        for grid in ([[1e-310, 1], [0, 1]], [[1e-200, 1], [1, 1]]):
+            yield ConfusionMatrix.from_counts(grid)
 
     def test_named_kinds_equal_scalar_loop_bitwise(self):
         # the power exponents -1, 0 and 1 collapse to the named means exactly

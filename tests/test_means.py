@@ -50,6 +50,12 @@ class TestHarmonic:
         with pytest.raises(ValueError, match="negative input"):
             harmonic_mean((0.5, -0.1))
 
+    def test_overflowing_reciprocal(self):
+        # 1 / 1e-310 is past the largest double
+        assert harmonic_mean((1.0, 1e-310)) == 2e-310
+        assert harmonic_mean((1e-310, 1e-310)) == 1e-310
+        assert harmonic_mean((1e-308, 1e-308, 1.0)) == pytest.approx(1.5e-308, rel=1e-15)
+
 
 class TestGeometric:
     def test_constant_pair_exact(self):
@@ -72,6 +78,13 @@ class TestGeometric:
         values = (1e200,) * 10
         assert geometric_mean(values) == pytest.approx(1e200, rel=1e-12)
 
+    def test_short_product_off_the_normal_range(self):
+        assert geometric_mean((1e-200, 1e-200)) == 1e-200
+        assert geometric_mean((1e200, 1e200)) == 1e200
+        assert geometric_mean((1e-160, 4e-160)) == 2e-160
+        assert geometric_mean((1e120,) * 3) == pytest.approx(1e120, rel=1e-13)
+        assert geometric_mean((1e-120,) * 3) == pytest.approx(1e-120, rel=1e-13)
+
     def test_errors(self):
         with pytest.raises(ValueError, match="empty tuple"):
             geometric_mean(())
@@ -84,6 +97,11 @@ class TestArithmetic:
         assert arithmetic_mean((1, 3)) == 2
         assert arithmetic_mean((0.5,)) == 0.5
         assert arithmetic_mean((0.2, 0.4, 0.9)) == pytest.approx(0.5, abs=1e-15)
+
+    def test_overflowing_sum(self):
+        assert arithmetic_mean((1e308, 1e308)) == 1e308
+        assert arithmetic_mean((1e308, 1e308, 0.0)) == pytest.approx(1e308 / 3 * 2, rel=1e-15)
+        assert arithmetic_mean((1e308, math.inf)) == math.inf
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty tuple"):

@@ -326,6 +326,19 @@ class TestGeneralizedFm:
     def test_perfect_diagonal(self):
         assert generalized_fm(cm_of([[4, 0], [0, 2]])) == 1.0
 
+    def test_rates_past_the_double_range(self):
+        # class 0's F1 is 2e-310 (1 / 1e-310 overflows) and its FM is 1e-200
+        # (1e-200 squared underflows); neither is 0, so no geometric outer is
+        f1_table = cm_of([[1e-310, 1], [0, 1]])
+        assert generalized_f1(f1_table, GEOMETRIC) == pytest.approx(
+            math.sqrt(2e-310 * (2 / 3)), rel=1e-12
+        )
+        fm_table = cm_of([[1e-200, 1], [1, 1]])
+        assert generalized_fm(fm_table, GEOMETRIC) == pytest.approx(
+            math.sqrt(1e-200 * math.sqrt(0.5)), rel=1e-12
+        )
+        assert normalized_matrix(fm_table).values[0, 0] == 1e-200
+
 
 class TestCramersPhi:
     def test_three_class_example(self):
@@ -382,11 +395,11 @@ class TestCramersPhi:
     def test_one_block_is_the_whole_table_expression(self, n):
         # 180 * 180 cells still fit in one block
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
-        total = counts.sum()
-        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / total
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
-        whole = min(1.0, math.sqrt((float(terms.sum()) / total) / (n - 1)))
+        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+        diff = counts - rows[:, None] * (cols / counts.sum())
+        row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
+        terms = (diff / row_div[:, None]) * (diff / col_div)
+        whole = min(1.0, math.sqrt(float(terms.sum()) / (n - 1)))
         assert cramers_phi(cm_of(counts)) == whole
 
     def test_many_blocks_at_1000(self, monkeypatch):
@@ -423,6 +436,36 @@ class TestCramersPhi:
         assert cramers_phi(cm_of(grid)) == pytest.approx(
             oracles.cramers_phi_exact(grid), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [[1e178, 0], [1e-163, 1e17]],
+            [[1e120, 1e5], [1e-90, 1e281]],
+            [[1e230, 1e-302, 1e-44], [1e-119, 1e69, 0], [0, 0, 1e-67]],
+        ],
+    )
+    def test_counts_of_very_different_size(self, grid):
+        # counts more than 10^180 apart; each table's exact value is 1 or 1/sqrt(2)
+        assert cramers_phi(cm_of(grid)) == pytest.approx(
+            oracles.cramers_phi_exact(grid), abs=1e-12
+        )
+
+    def test_counts_across_the_double_range(self):
+        rng = np.random.default_rng(1010)
+        checked = 0
+        while checked < 400:
+            n = int(rng.integers(2, 6))
+            grid = 10.0 ** rng.uniform(-320, 300, (n, n))
+            grid[rng.random((n, n)) < 0.3] = 0.0
+            if not grid.any():
+                continue
+            cm = cm_of(grid)
+            value = cramers_phi(cm)
+            assert value == pytest.approx(oracles.cramers_phi_exact(grid), abs=1e-12)
+            if n == 2:
+                assert value == pytest.approx(abs(mcc_binary(BinaryView(cm))), abs=1e-12)
+            checked += 1
 
     def test_zero_marginal_cells_contribute_nothing(self):
         # column 1 never predicted: expected counts there are zero
