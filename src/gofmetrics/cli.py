@@ -260,8 +260,13 @@ def parse_json_input(path: str) -> ConfusionMatrix:
     labels = payload.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise InputError(f"{path}: labels must be a list of names, got {json.dumps(labels)}")
+    for i, label in enumerate(labels or ()):
+        if not isinstance(label, str):  # from_counts would read it through str()
+            raise InputError(f"{path}: labels[{i}] is {json.dumps(label)}, not a string")
     counts = payload["counts"]
-    for i, row in enumerate(counts if isinstance(counts, list) else ()):
+    if not isinstance(counts, list):
+        raise InputError(f"{path}: counts must be a list of rows, got {json.dumps(counts)}")
+    for i, row in enumerate(counts):
         for j, cell in enumerate(row if isinstance(row, list) else ()):
             # only JSON numbers count; bool is an int subclass in Python
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):

@@ -1,12 +1,13 @@
-"""Confusion-matrix construction, validation, and structural transforms.
+"""The count table, its validation and transforms, and its normalization N.
 
 Rows index the true class, columns the predicted class, in the order given
 by `labels`.  Counts are stored as a read-only float64 array so smoothed
 (fractional) tables and raw integer tallies share one representation.
 
-`normalized_matrix` averages, cell by cell, the two conditional rates
-P(true i | predicted j) and P(predicted j | true i), each built as one
-whole-array division; with the geometric average its entries are
+`normalized_matrix` returns N as a read-only array: cell by cell, the
+average of the two conditional rates P(true i | predicted j) and
+P(predicted j | true i), each one whole-array division (0 over a zero
+sum); with the geometric average its entries are
 
     N[i][j] = C[i][j] / sqrt(row_sum(i) * col_sum(j))
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,15 +28,11 @@ from .means import GEOMETRIC, AveragingSpec, _pair_average
 
 __all__ = [
     "ConfusionMatrix",
-    "NormalizedConfusionMatrix",
     "SmoothingSpec",
     "smooth",
-    "row_conditional",
-    "col_conditional",
     "normalized_matrix",
     "transpose",
     "relabel",
-    "restrict_to_pair",
 ]
 
 
@@ -97,15 +94,17 @@ class ConfusionMatrix:
 
         Labels default to class_0 ... class_{n-1}.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
-        and not all zero, and their sum must be finite too.  A str, bytes,
-        bool, complex or None cell is refused, not read as a number.
+        and not all zero, and their sum must be finite too.  A cell that is
+        no number (a str, bytes, bool, complex, None or dict) is refused.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
-            _check_cells(grid)
+            _check_cells(grid, lambda kind: issubclass(kind, _NON_NUMBERS))
         try:
             counts = np.array(grid, dtype=float)  # the one copy
         except (ValueError, TypeError):
+            # a cell float() cannot read, such as a dict; else ragged rows
+            _check_cells(grid, lambda kind: not hasattr(kind, "__float__"))
             raise ValueError("non-square grid: rows have unequal lengths") from None
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"non-square grid: shape {counts.shape}")
@@ -199,15 +198,18 @@ class ConfusionMatrix:
         return cls.from_counts(counts, labels)
 
 
-def _check_cells(grid: object) -> None:
-    # cell types that numpy would read as a number, or fail on under another
-    # name; a grid or row that is no sequence is left to the shape checks
-    refused = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
+# cell types that numpy would read as a number, or fail on under another name
+_NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
+
+
+def _check_cells(grid: object, refused: Callable[[type], bool]) -> None:
+    # name the first cell of a type `refused` picks; a grid or row that is no
+    # sequence is left to the shape checks
     for i, row in enumerate(grid if isinstance(grid, Iterable) else ()):
         kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
-        if any(issubclass(kind, refused) for kind in kinds):
+        if any(map(refused, kinds)):
             # only a refused type takes a second pass, to name its cell
-            j, cell = next((j, c) for j, c in enumerate(row) if isinstance(c, refused))
+            j, cell = next((j, c) for j, c in enumerate(row) if refused(type(c)))
             raise ValueError(f"non-number cell at row {i}, column {j}: {cell!r}")
 
 
@@ -222,18 +224,6 @@ def _overflow_message(counts: np.ndarray) -> str:
     return "sum of all cells overflows"
 
 
-@dataclass(frozen=True)
-class NormalizedConfusionMatrix:
-    """Per-cell average of the two conditional rates of a ConfusionMatrix."""
-
-    values: np.ndarray
-    averaging: AveragingSpec
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def smooth(cm: ConfusionMatrix, spec: SmoothingSpec) -> ConfusionMatrix:
     """Add spec.alpha to every cell; alpha = 0 returns cm unchanged."""
     if spec.alpha == 0:
@@ -241,38 +231,19 @@ def smooth(cm: ConfusionMatrix, spec: SmoothingSpec) -> ConfusionMatrix:
     return ConfusionMatrix.from_counts(cm.counts + spec.alpha, cm.labels)
 
 
-def _check_index(cm: ConfusionMatrix, idx: int) -> None:
-    if not 0 <= idx < cm.n:
-        raise IndexError(f"class index {idx} out of range for {cm.n} classes")
-
-
 def _rates(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """counts / sums, broadcast, with 0 wherever the sum is 0."""
     return np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
 
 
-def row_conditional(cm: ConfusionMatrix, i: int, j: int) -> float:
-    """P(predicted j | true i); 0.0 when class i has no samples."""
-    _check_index(cm, i)
-    _check_index(cm, j)
-    return float(_rates(cm.counts[i, j], cm.row_sums[i]))
-
-
-def col_conditional(cm: ConfusionMatrix, i: int, j: int) -> float:
-    """P(true i | predicted j); 0.0 when class j is never predicted."""
-    _check_index(cm, i)
-    _check_index(cm, j)
-    return float(_rates(cm.counts[i, j], cm.col_sums[j]))
-
-
 def normalized_matrix(
     cm: ConfusionMatrix, averaging: AveragingSpec = GEOMETRIC
-) -> NormalizedConfusionMatrix:
-    """Average the column- and row-conditional rate in every cell.
+) -> np.ndarray:
+    """The read-only n x n matrix of averaged conditional rates.
 
     Two whole-array divisions, C / col_sums[None, :] and C / row_sums[:, None]
     (0 where the sum is 0), averaged in place, give cell (i, j) as exactly
-    `apply_average(averaging, (col_conditional(cm, i, j), row_conditional(cm, i, j)))`.
+    `apply_average(averaging, (C[i, j] / col_sums[j], C[i, j] / row_sums[i]))`.
     Entries lie in [0, 1].  The construction is symmetric in the two rates,
     so transposing the counts transposes the result exactly, and scaling
     every count by a common positive factor leaves it unchanged.
@@ -281,12 +252,11 @@ def normalized_matrix(
     by_row = _rates(cm.counts, cm.row_sums[:, None])
     values = _pair_average(averaging, by_col, by_row)
     values.setflags(write=False)
-    return NormalizedConfusionMatrix(values, averaging)
+    return values
 
 
 def _wrap(labels: tuple[str, ...], counts: np.ndarray) -> ConfusionMatrix:
-    # internal constructor for transforms of an already-validated matrix
-    counts = np.ascontiguousarray(counts)
+    # internal constructor for a transform's new array of validated counts
     counts.setflags(write=False)
     return ConfusionMatrix(labels, counts)
 
@@ -311,18 +281,3 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
     new_counts = cm.counts[np.ix_(perm, perm)]
     return _wrap(new_labels, new_counts)
 
-
-def restrict_to_pair(cm: ConfusionMatrix, i: int, j: int) -> ConfusionMatrix:
-    """The 2x2 sub-table for classes i and j only, in that order.
-
-    Row/column order in the result is (i, j); samples involving any other
-    class are dropped.  The restriction may be all zero when neither class
-    occurs, in which case every rate on it is 0 by the usual conventions.
-    """
-    _check_index(cm, i)
-    _check_index(cm, j)
-    if i == j:
-        raise ValueError("pair restriction needs two distinct classes")
-    idx = [i, j]
-    sub = cm.counts[np.ix_(idx, idx)]
-    return _wrap((cm.labels[i], cm.labels[j]), sub)

@@ -125,16 +125,21 @@ _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _SQRT_TINY = math.sqrt(_TINY)  # 2^-511, exact
 
 
-def _validate(values: Sequence[float]) -> None:
+def _validate(values: Sequence[float]) -> Sequence[float]:
     # shared domain checks: the means are defined on non-empty tuples of
-    # non-negative reals only
+    # non-negative reals only.  They compute on Python floats, since numpy
+    # scalars warn where an intermediate leaves the double range
     if len(values) == 0:
         raise ValueError("empty tuple")
+    floats = True
     for v in values:
-        if math.isnan(v):
+        if v != v:  # NaN, the one value unequal to itself
             raise ValueError("NaN input")
         if v < 0:
             raise ValueError("negative input")
+        if type(v) is not float:
+            floats = False
+    return values if floats else [float(v) for v in values]
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
@@ -143,7 +148,7 @@ def harmonic_mean(values: Sequence[float]) -> float:
     Where a reciprocal overflows, the smallest entry low scales them all:
     k * low / sum(low / v).
     """
-    _validate(values)
+    values = _validate(values)
     for v in values:
         if v == 0:
             return 0.0
@@ -161,13 +166,13 @@ def geometric_mean(values: Sequence[float]) -> float:
     matrix normalization) while the product is a normal double; past that a
     pair is sqrt(a) * sqrt(b), and longer tuples go through log space.
     """
-    _validate(values)
+    values = _validate(values)
     for v in values:
         if v == 0:
             return 0.0
     k = len(values)
     if k == 1:
-        return float(values[0])
+        return values[0]
     if k <= 3:
         product = math.prod(values)
         if _TINY <= product <= _HUGE:
@@ -179,7 +184,7 @@ def geometric_mean(values: Sequence[float]) -> float:
 
 def arithmetic_mean(values: Sequence[float]) -> float:
     """Arithmetic mean; divides each finite entry first where their sum overflows."""
-    _validate(values)
+    values = _validate(values)
     total = sum(values)
     if math.isinf(total) and all(map(math.isfinite, values)):
         return sum(v / len(values) for v in values)
@@ -191,33 +196,42 @@ def power_mean(values: Sequence[float], p: float) -> float:
 
     Any zero entry annihilates the mean for p <= 0 (the limiting value of
     the formula).  The generic branch rescales by the largest (p > 0) or
-    smallest (p < 0) entry so intermediate powers stay tame for large |p|.
+    smallest (p < 0) entry so intermediate powers stay tame for large |p|,
+    and averages r^p - 1 = expm1(p log r) rather than r^p: near p = 0 every
+    r^p rounds to 1, and the 1/p-th power of their mean loses every bit.
     """
-    if p == 0:
-        return geometric_mean(values)
     if p == 1:
         return arithmetic_mean(values)
     if p == -1:
         return harmonic_mean(values)
-    _validate(values)
+    if abs(p) < _TINY:  # 0 or subnormal: the geometric mean to far below an ulp
+        return geometric_mean(values)
+    values = _validate(values)
     if math.isnan(p):
         raise ValueError("NaN exponent")
     if p == math.inf:
-        return float(max(values))
+        return max(values)
     if p == -math.inf:
-        return float(min(values))
+        return min(values)
     k = len(values)
     if p > 0:
-        anchor = float(max(values))
+        anchor = max(values)
         if anchor == 0.0:
             return 0.0
     else:
         for v in values:
             if v == 0:
                 return 0.0
-        anchor = float(min(values))
-    total = sum((v / anchor) ** p for v in values)
-    return anchor * (total / k) ** (1.0 / p)
+        anchor = min(values)
+    total = 0.0
+    for v in values:
+        ratio = v / anchor
+        if ratio == 0:  # r^p - 1 at r = 0, p > 0
+            total -= 1.0
+        else:  # a ratio past the double range (a subnormal anchor) keeps its log
+            log_ratio = math.log(ratio) if ratio < math.inf else math.log(v) - math.log(anchor)
+            total += math.expm1(p * log_ratio)
+    return anchor * math.exp(math.log1p(total / k) / p)
 
 
 def _check_exponent(p: float) -> None:
@@ -239,12 +253,16 @@ def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """`apply_average(spec, (a, b))` element-wise over rates in [0, 1], in place
     into `a`; `b` is clobbered.
 
-    Bit for bit the scalar two-element mean (`float_power`, like `**`, is C's `pow`),
-    its fallbacks past the double range included.  Those need a positive rate
+    Bit for bit the scalar two-element mean at the named averages, its
+    fallbacks past the double range included; a power average takes numpy's
+    log, expm1, log1p and exp where the scalar takes `math`'s, which may
+    differ in the last bits.  The fallbacks need a positive rate
     below the smallest normal double (harmonic) or below its square root
     (geometric), and are computed only when the smallest positive rate is.
     """
     p = spec.exponent
+    if abs(p) < _TINY:  # as in power_mean
+        p = 0.0
     fix = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if p in (0, -1):
@@ -271,13 +289,15 @@ def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
             (np.minimum if p < 0 else np.maximum)(a, b, out=a)
         else:
             anchor = np.maximum(a, b) if p > 0 else np.minimum(a, b)
-            a /= anchor
-            b /= anchor
-            np.float_power(a, p, out=a)
-            np.float_power(b, p, out=b)
-            a += b
-            a /= 2
-            np.float_power(a, 1.0 / p, out=a)
+            for x in (a, b):  # expm1(p log(x / anchor)); a zero rate gives -1
+                ratio = x / anchor
+                # a ratio past the double range (a subnormal anchor) keeps its log
+                over = np.isinf(ratio) & (anchor > 0)
+                np.log(ratio, out=ratio)
+                ratio[over] = np.log(x[over]) - np.log(anchor[over])
+                np.multiply(ratio, p, out=x)
+                np.expm1(x, out=x)
+            np.exp(np.log1p((a + b) / 2) / p, out=a)
             a *= anchor
             a[anchor == 0] = 0.0  # the scalar mean's early return
     if fix is not None:

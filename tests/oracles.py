@@ -11,8 +11,9 @@ they keep the package's original one-cell-at-a-time construction, with its
 scalar `apply_average`, as the reference its whole-array code must reproduce.
 Likewise `pairs_csv_loop` keeps the original row-at-a-time label-pairs reader
 as the reference for the streaming one, and `one_vs_one_loop` the original
-pair-at-a-time one-vs-one loop, with a 2x2 sub-table and a `BinaryView` per
-pair, as the reference for the one that reads the table's cells directly.
+pair-at-a-time one-vs-one loop, with a 2x2 sub-table (`restrict_to_pair`,
+which the package no longer has) and a `BinaryView` per pair, as the
+reference for the one that reads the table's cells directly.
 """
 
 import csv
@@ -24,7 +25,7 @@ import numpy as np
 
 from gofmetrics.binary import BinaryView
 from gofmetrics.cli import InputError
-from gofmetrics.confusion import ConfusionMatrix, restrict_to_pair
+from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.means import apply_average
 from gofmetrics.multiclass import METRICS
 
@@ -118,6 +119,19 @@ def pairs_csv_loop(path):
         return ConfusionMatrix.from_counts(counts, labels)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def restrict_to_pair(cm, i, j):
+    """The 2x2 sub-table of classes i and j, in that order.
+
+    Built as a `ConfusionMatrix` directly, not through `from_counts`, because
+    two classes that never meet give an all-zero sub-table, which
+    `from_counts` refuses; every rate on it is 0 by the usual conventions.
+    """
+    idx = [i, j]
+    sub = cm.counts[np.ix_(idx, idx)]
+    sub.setflags(write=False)
+    return ConfusionMatrix((cm.labels[i], cm.labels[j]), sub)
 
 
 def one_vs_one_loop(cm, metric, outer, p=None):

@@ -340,6 +340,22 @@ class TestParseJsonInput:
         err = self.exits_2(tmp_path, capsys, '{"labels": 5, "counts": [[1, 0], [0, 1]]}')
         assert "labels must be a list of names, got 5" in err
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ('[[1], {"x": 2}]', "labels[0] is [1], not a string"),
+            ('["a", 2]', "labels[1] is 2, not a string"),
+            ('["a", null]', "labels[1] is null, not a string"),
+        ],
+    )
+    def test_non_string_labels_exit_2(self, tmp_path, capsys, labels, message):
+        text = f'{{"labels": {labels}, "counts": [[1, 0], [0, 1]]}}'
+        assert message in self.exits_2(tmp_path, capsys, text)
+
+    def test_non_list_counts_exit_2(self, tmp_path, capsys):
+        err = self.exits_2(tmp_path, capsys, '{"counts": {"a": 1}}')
+        assert 'counts must be a list of rows, got {"a": 1}' in err
+
     def test_boolean_counts_exit_2(self, tmp_path, capsys):
         err = self.exits_2(tmp_path, capsys, '{"counts": [[true, false], [false, true]]}')
         assert "counts[0][0] is true, not a number" in err

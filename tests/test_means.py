@@ -139,6 +139,18 @@ class TestPowerMean:
         expected = ((0.3**0.5 + 0.6**0.5) / 2) ** 2
         assert power_mean(values, 0.5) == pytest.approx(expected, rel=1e-12)
 
+    def test_near_zero_exponent(self):
+        # M_p(a, b) = sqrt(ab) * cosh(p h) ** (1/p) with h = log(b / a) / 2,
+        # and log cosh(x) = log1p(2 sinh(x / 2)^2) keeps its bits at tiny x.
+        # A mean of the r^p themselves, each rounding to 1 near p = 0, read
+        # (1, 4) as 4.0 or 1.0; b / a = 1e310 overflows and must not matter
+        for a, b in ((1.0, 4.0), (0.3, 0.6), (1e-200, 1.0), (1e-310, 1.0)):
+            h = (math.log(b) - math.log(a)) / 2
+            for p in (5e-324, -5e-324, 1e-300, 1e-17, -1e-17, 1e-10, -1e-10, 0.01, -0.01):
+                cosh_term = math.exp(math.log1p(2 * math.sinh(p * h / 2) ** 2) / p)
+                expected = math.sqrt(a) * math.sqrt(b) * cosh_term
+                assert power_mean((a, b), p) == pytest.approx(expected, rel=1e-13), (a, p)
+
     def test_large_exponent_stays_finite(self):
         assert power_mean((3.0, 5.0), 400.0) == pytest.approx(5.0, rel=1e-2)
         assert power_mean((3.0, 5.0), -400.0) == pytest.approx(3.0, rel=1e-2)
@@ -292,3 +304,16 @@ class TestApplyAverage:
     def test_numpy_scalars_accepted(self):
         values = tuple(np.float64(v) for v in (0.25, 1.0))
         assert apply_average(GEOMETRIC, values) == 0.5
+
+    def test_numpy_scalars_at_the_range_edge(self):
+        # numpy scalars warn where an intermediate leaves the double range;
+        # each mean gives them the value and type it gives Python floats
+        cases = (
+            (harmonic_mean, (1.0, 1e-310)),
+            (geometric_mean, (1e200, 1e200)),
+            (arithmetic_mean, (1e308, 1e308)),
+            (lambda values: power_mean(values, -0.5), (1e-310, 1.0)),
+        )
+        for mean, values in cases:
+            got = mean(tuple(map(np.float64, values)))
+            assert type(got) is float and got == mean(values), values
