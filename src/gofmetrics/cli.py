@@ -267,6 +267,8 @@ def parse_json_input(path: str) -> ConfusionMatrix:
     if not isinstance(counts, list):
         raise InputError(f"{path}: counts must be a list of rows, got {json.dumps(counts)}")
     for i, row in enumerate(counts):
+        if isinstance(row, (dict, str)):  # whose keys or characters are no cells
+            raise InputError(f"{path}: counts[{i}] is {json.dumps(row)}, not a list of numbers")
         for j, cell in enumerate(row if isinstance(row, list) else ()):
             # only JSON numbers count; bool is an int subclass in Python
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):

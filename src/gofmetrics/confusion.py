@@ -17,9 +17,10 @@ correlation-style score.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +58,8 @@ class ConfusionMatrix:
         labels: class names, one per row/column, all distinct.
         counts: (n, n) float64 array, counts[i][j] = number of samples of
             true class i that were predicted as class j.  Read-only.
+        total: float(counts.sum()); `from_counts` keeps the sum it validated
+            the table with, so the table is summed once.
     """
 
     labels: tuple[str, ...]
@@ -74,7 +77,7 @@ class ConfusionMatrix:
     def col_sums(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    @property
+    @cached_property
     def total(self) -> float:
         return float(self.counts.sum())
 
@@ -95,7 +98,8 @@ class ConfusionMatrix:
         Labels default to class_0 ... class_{n-1}.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
         and not all zero, and their sum must be finite too.  A cell that is
-        no number (a str, bytes, bool, complex, None or dict) is refused.
+        no number (a str, bytes, bool, complex, None or dict) is refused, and
+        so is a row that is a str, bytes or mapping.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
@@ -112,17 +116,17 @@ class ConfusionMatrix:
         if side < 2:
             raise ValueError(f"n < 2: need at least two classes, got {side}")
         if labels is None:
-            labels = tuple(f"class_{i}" for i in range(side))
+            labels = _default_labels(side)
         elif isinstance(labels, str):
             raise ValueError(f"labels must be a list of names, not the string {labels!r}")
         else:
             labels = tuple(str(lab) for lab in labels)
-        if len(labels) != side:
-            raise ValueError(
-                f"label count {len(labels)} does not match grid side {side}"
-            )
-        if len(set(labels)) != side:
-            raise ValueError("duplicate labels")
+            if len(labels) != side:
+                raise ValueError(
+                    f"label count {len(labels)} does not match grid side {side}"
+                )
+            if len(set(labels)) != side:
+                raise ValueError("duplicate labels")
         # NaN fails the min test, +inf and finite cells whose sum overflows
         # the sum test; the scans below tell these apart
         with np.errstate(over="ignore"):
@@ -142,7 +146,10 @@ class ConfusionMatrix:
         if total == 0:
             raise ValueError("all cells are zero")
         counts.setflags(write=False)
-        return cls(labels, counts)
+        cm = cls(labels, counts)
+        # the validating sum is the one `total` would take; fill its cache
+        vars(cm)["total"] = float(total)
+        return cm
 
     @classmethod
     def from_label_pairs(
@@ -198,14 +205,25 @@ class ConfusionMatrix:
         return cls.from_counts(counts, labels)
 
 
+@lru_cache(maxsize=64)
+def _default_labels(n: int) -> tuple[str, ...]:
+    # built once per class count, and distinct by construction
+    return tuple(f"class_{i}" for i in range(n))
+
+
 # cell types that numpy would read as a number, or fail on under another name
 _NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
 
 
 def _check_cells(grid: object, refused: Callable[[type], bool]) -> None:
     # name the first cell of a type `refused` picks; a grid or row that is no
-    # sequence is left to the shape checks
+    # sequence is left to the shape checks, and one whose items are no cells
+    # (the characters of a string, the keys of a mapping) is named as a row
     for i, row in enumerate(grid if isinstance(grid, Iterable) else ()):
+        if isinstance(row, (str, bytes, Mapping)):
+            raise ValueError(
+                f"row {i} is a {type(row).__name__}, not a sequence of numbers"
+            )
         kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
         if any(map(refused, kinds)):
             # only a refused type takes a second pass, to name its cell
@@ -270,9 +288,10 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
     """Reorder classes: new position k holds old class permutation[k].
 
     Rows and columns move together, so the table still describes the same
-    classifier; only the presentation order changes.
+    classifier; only the presentation order changes.  Entries are Python or
+    numpy integers; a bool or a float is refused.
     """
-    perm = [int(x) for x in permutation]
+    perm = [_position(k, x) for k, x in enumerate(permutation)]
     if sorted(perm) != list(range(cm.n)):
         raise ValueError(
             f"permutation must be a bijection on 0..{cm.n - 1}, got {perm}"
@@ -281,3 +300,12 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
     new_counts = cm.counts[np.ix_(perm, perm)]
     return _wrap(new_labels, new_counts)
 
+
+def _position(k: int, entry: object) -> int:
+    # an integer, never a bool or a float that int() would truncate
+    if not isinstance(entry, bool):
+        try:
+            return operator.index(entry)
+        except TypeError:
+            pass
+    raise ValueError(f"permutation[{k}] is {entry!r}, not an integer")

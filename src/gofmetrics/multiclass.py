@@ -96,7 +96,9 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
 
         log|det N| = log|det C| - (sum log r + sum log c) / 2
 
-    with log|det C| from `np.linalg.slogdet` of the counts, and the score is
+    with log|det C| from `np.linalg.slogdet` of the counts' transposed view
+    (det C^T = det C, and LAPACK takes that Fortran-ordered view with a straight
+    copy where C itself needs a transposing one), and the score is
     sign * exp(log|det N|): subnormal below log|det N| ~ -708, +0.0 below
     ~ -745 whatever the sign.  It is exactly +-1 only with a permutation
     witness (`perfect_fit_permutation`), signed by its parity.
@@ -104,7 +106,7 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     rows, cols = cm.row_sums, cm.col_sums
     if not (rows.all() and cols.all()):
         return 0.0
-    sign, logdet = np.linalg.slogdet(cm.counts)
+    sign, logdet = np.linalg.slogdet(cm.counts.T)
     logs = np.log(np.concatenate((rows, cols)))
     logdet -= 0.5 * float(logs.sum())
     # the two sums of logs round apart by up to ~ n * eps * sum |log|; a
@@ -157,7 +159,23 @@ def _per_class_average(
     # the inner mean pairs each class's precision with its recall
     _check_outer(outer, False)
     per_class = _pair_average(inner, *_diagonal_rates(cm))
-    return apply_average(outer, tuple(per_class.tolist()))
+    return _rate_mean(per_class, outer.exponent)
+
+
+def _rate_mean(rates: np.ndarray, p: float) -> float:
+    """`power_mean(tuple(rates.tolist()), p)`, bit for bit, for rates a metric
+    built itself: in [0, 1] and never NaN, so the arithmetic and harmonic means
+    skip the per-value checks and sum with the same builtin `sum`."""
+    if p == 1:
+        return sum(rates.tolist()) / len(rates)
+    if p == -1:
+        # a zero or subnormal rate makes the sum inf: the scalar mean's 0.0 or
+        # its rescaled fallback
+        with np.errstate(divide="ignore", over="ignore"):
+            total = sum((1.0 / rates).tolist())
+        if total < math.inf:
+            return len(rates) / total
+    return power_mean(tuple(rates.tolist()), p)
 
 
 def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -192,18 +210,23 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     only zero cells, where O - E = 0, so it divides by 1 instead.
     At n = 2 this equals |mcc_binary|.
     """
-    counts, rows, cols = cm.counts, cm.row_sums, cm.col_sums
-    shares = cols / float(counts.sum())
+    counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
+    shares = cols / cm.total
     row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-    # chi2 / N over blocks of rows, so the temporaries stay in cache; a table
-    # smaller than one block is a single block
-    step = max(1, _PHI_BLOCK_CELLS // cm.n)
+    # chi2 / N over blocks of rows, in two buffers reused by every block so
+    # they stay in cache; a table smaller than one block is a single block
+    step = max(1, _PHI_BLOCK_CELLS // n)
+    buffers = np.empty((2, min(step, n), n))
     chi2_share = 0.0
-    for lo in range(0, cm.n, step):
-        hi = lo + step
-        diff = counts[lo:hi] - rows[lo:hi, None] * shares
-        chi2_share += float(((diff / row_div[lo:hi, None]) * (diff / col_div)).sum())
-    phi = math.sqrt(chi2_share / (cm.n - 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        diff, by_col = buffers[:, : hi - lo]
+        np.multiply(rows[lo:hi, None], shares, out=diff)
+        np.subtract(counts[lo:hi], diff, out=diff)  # O - E
+        np.divide(diff, col_div, out=by_col)
+        np.divide(diff, row_div[lo:hi, None], out=diff)
+        chi2_share += float(np.multiply(diff, by_col, out=diff).sum())
+    phi = math.sqrt(chi2_share / (n - 1))
     return min(1.0, phi)
 
 
@@ -214,8 +237,7 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     reward lopsided class performance instead of penalizing it.
     """
     _check_exponent(p)
-    rates = np.concatenate(_diagonal_rates(cm))
-    return power_mean(tuple(rates.tolist()), p)
+    return _rate_mean(np.concatenate(_diagonal_rates(cm)), p)
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,18 @@ class TestParseJsonInput:
         err = self.exits_2(tmp_path, capsys, '{"counts": {"a": 1}}')
         assert 'counts must be a list of rows, got {"a": 1}' in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('{"a": 1}', 'counts[1] is {"a": 1}, not a list of numbers'),
+            ('"ab"', 'counts[1] is "ab", not a list of numbers'),
+        ],
+    )
+    def test_non_list_row_exit_2(self, tmp_path, capsys, row, message):
+        # from_counts would read the keys or characters as cells
+        err = self.exits_2(tmp_path, capsys, f'{{"counts": [[1, 0], {row}]}}')
+        assert message in err
+
     def test_boolean_counts_exit_2(self, tmp_path, capsys):
         err = self.exits_2(tmp_path, capsys, '{"counts": [[true, false], [false, true]]}')
         assert "counts[0][0] is true, not a number" in err

@@ -77,6 +77,14 @@ class TestFromCounts:
         with pytest.raises(ValueError, match="duplicate labels"):
             ConfusionMatrix.from_counts([[1, 0], [0, 1]], ["a", "a"])
 
+    def test_default_labels_passed_in(self):
+        # the defaults skip the duplicate scan; the same names passed in take it
+        labels = ["class_0", "class_1", "class_2"]
+        assert ConfusionMatrix.from_counts(GRID3, labels).labels == tuple(labels)
+        assert ConfusionMatrix.from_counts(GRID3).labels == tuple(labels)
+        with pytest.raises(ValueError, match="duplicate labels"):
+            ConfusionMatrix.from_counts(GRID3, ["class_0", "class_1", "class_0"])
+
     def test_too_small(self):
         with pytest.raises(ValueError, match="n < 2"):
             ConfusionMatrix.from_counts([[5]])
@@ -135,6 +143,10 @@ class TestFromCounts:
                 f"non-number cell at row 1, column 0: {OPAQUE!r}",
                 id="object-cell",  # the repr holds an address
             ),
+            # rows whose items are characters, bytes or keys rather than cells
+            ([[1, 0], "ab"], "row 1 is a str, not a sequence of numbers"),
+            ([[1, 0], b"ab"], "row 1 is a bytes, not a sequence of numbers"),
+            ([{"a": 1}, [0, 1]], "row 0 is a dict, not a sequence of numbers"),
         ],
     )
     def test_non_number_cells_rejected(self, grid, message):
@@ -171,6 +183,21 @@ class TestFromCounts:
         source[0][0] = 99.0
         assert cm.counts[0, 0] == 1.0
         assert not cm.counts.flags.writeable
+
+    def test_total_is_the_sum_of_the_counts(self):
+        # fractional cells whose sum depends on the order numpy adds them in,
+        # so a transform that kept its source's total would read apart
+        rng = np.random.default_rng(18)
+        cm = ConfusionMatrix.from_counts(random_counts(rng, 12) + rng.uniform(0.01, 1.0, (12, 12)))
+        tables = [
+            cm,
+            ConfusionMatrix.from_pair_counts({("a", "a"): 0.1, ("a", "b"): 0.7, ("b", "b"): 0.2}),
+            smooth(cm, SmoothingSpec(0.3)),
+            transpose(cm),
+            relabel(cm, list(range(12))[::-1]),
+        ]
+        for table in tables:
+            assert table.total == float(table.counts.sum())
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="label count"):
@@ -401,4 +428,19 @@ class TestRelabel:
             relabel(cm, [0, 0, 1])
         with pytest.raises(ValueError, match="bijection"):
             relabel(cm, [0, 1])
+
+    @pytest.mark.parametrize(
+        "permutation, message",
+        [
+            ([1.7, 0.2], "permutation[0] is 1.7, not an integer"),
+            ([1, True], "permutation[1] is True, not an integer"),
+            ([np.float64(1.0), 0], f"permutation[0] is {np.float64(1.0)!r}, not an integer"),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, permutation, message):
+        # int() would truncate these to the order [1, 0]
+        cm = ConfusionMatrix.from_counts([[1, 2], [3, 4]])
+        with pytest.raises(ValueError) as info:
+            relabel(cm, permutation)
+        assert str(info.value) == message
 

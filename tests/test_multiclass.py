@@ -402,6 +402,21 @@ class TestCramersPhi:
         whole = min(1.0, math.sqrt(float(terms.sum()) / (n - 1)))
         assert cramers_phi(cm_of(counts)) == whole
 
+    @pytest.mark.parametrize("n", [181, 300, 1000])
+    def test_blocks_are_the_loop_with_fresh_temporaries(self, n):
+        # 181 * 181 cells are one block; 300 and 1000 end on a short block
+        counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
+        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+        shares = cols / counts.sum()
+        row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
+        step = max(1, multiclass._PHI_BLOCK_CELLS // n)
+        chi2_share = 0.0
+        for lo in range(0, n, step):
+            hi = lo + step
+            diff = counts[lo:hi] - rows[lo:hi, None] * shares
+            chi2_share += float(((diff / row_div[lo:hi, None]) * (diff / col_div)).sum())
+        assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(chi2_share / (n - 1)))
+
     def test_many_blocks_at_1000(self, monkeypatch):
         counts = random_counts_with_empty_classes(np.random.default_rng(1001), 1000, 5)
         cm = cm_of(counts)
@@ -658,8 +673,15 @@ class TestDiagonalRateScores:
     def test_equal_scalar_formulas_bitwise(self):
         rng = np.random.default_rng(38)
         outers = (ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec.power(0.5))
-        for _ in range(100):
-            cm = cm_of(random_counts_with_empty_classes(rng, int(rng.integers(2, 30))))
+        grids = [
+            *(random_counts_with_empty_classes(rng, int(rng.integers(2, 30))) for _ in range(100)),
+            strongly_diagonal_counts(rng, 300),
+            strongly_diagonal_counts(rng, 1000),
+            [[0, 3, 1], [1, 5, 0], [2, 0, 4]],  # a zero rate
+            [[1e-310, 1], [0, 1]],  # subnormal rates: the harmonic fallback
+        ]
+        for grid in grids:
+            cm = cm_of(grid)
             precision, recall = oracles.diagonal_rates_loop(cm.counts)
             f1 = tuple(harmonic_mean((r, s)) for r, s in zip(recall, precision))
             fm = tuple(geometric_mean((r, s)) for r, s in zip(recall, precision))
