@@ -1,7 +1,7 @@
 """Two-class rates and scores over a 2x2 confusion matrix.
 
-A `BinaryView` fixes which of the two classes counts as positive; the four
-cells are then
+A `BinaryView` fixes which of the two classes counts as positive and holds
+its four cells as Python floats (one-vs-one builds one per class pair):
 
     TP = counts[pos][pos]   FN = counts[pos][neg]
     FP = counts[neg][pos]   TN = counts[neg][neg]
@@ -14,10 +14,10 @@ every non-empty table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 from .confusion import ConfusionMatrix
-from .means import _check_exponent, harmonic_mean, power_mean
+from .means import _check_exponent, geometric_mean, harmonic_mean, power_mean
 
 __all__ = [
     "BinaryView",
@@ -33,42 +33,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BinaryView:
-    """A 2x2 confusion matrix with one class marked positive."""
+    """A 2x2 confusion matrix with one class marked positive, as four Python floats."""
 
-    cm: ConfusionMatrix
-    positive_index: int = 0
+    __slots__ = ("tp", "fn", "fp", "tn")
 
-    def __post_init__(self) -> None:
-        if self.cm.n != 2:
-            raise ValueError(f"binary view needs a 2x2 matrix, got {self.cm.n}x{self.cm.n}")
-        if self.positive_index not in (0, 1):
+    def __init__(self, cm: ConfusionMatrix, positive_index: int = 0) -> None:
+        if cm.n != 2:
+            raise ValueError(f"binary view needs a 2x2 matrix, got {cm.n}x{cm.n}")
+        # True and 1.0 compare equal to 1 but are no index
+        if isinstance(positive_index, (bool, float)) or positive_index not in (0, 1):
             raise ValueError("positive_index must be 0 or 1")
-
-    @property
-    def _neg(self) -> int:
-        return 1 - self.positive_index
-
-    @property
-    def tp(self) -> float:
-        return float(self.cm.counts[self.positive_index, self.positive_index])
-
-    @property
-    def fn(self) -> float:
-        return float(self.cm.counts[self.positive_index, self._neg])
-
-    @property
-    def fp(self) -> float:
-        return float(self.cm.counts[self._neg, self.positive_index])
-
-    @property
-    def tn(self) -> float:
-        return float(self.cm.counts[self._neg, self._neg])
+        (a, b), (c, d) = cm.counts.tolist()
+        self.tp, self.fn, self.fp, self.tn = ((a, b, c, d), (d, c, b, a))[positive_index]
 
     def swapped(self) -> "BinaryView":
         """The same table with the other class as positive."""
-        return BinaryView(self.cm, self._neg)
+        return _view(self.tn, self.fp, self.fn, self.tp)
+
+
+# the class is bound here once: a tracer may rebind the module name
+# `BinaryView` to a wrapper function, and the builder must not look it up
+_blank_view = partial(object.__new__, BinaryView)
+
+
+def _view(tp: float, fn: float, fp: float, tn: float) -> BinaryView:
+    """The `BinaryView` with these four cells, without a 2x2 table."""
+    view = _blank_view()
+    view.tp, view.fn, view.fp, view.tn = tp, fn, fp, tn
+    return view
 
 
 def _rate(num: float, denom: float) -> float:
@@ -109,9 +102,7 @@ def f1_zero_binary(view: BinaryView) -> float:
 
 def fowlkes_mallows_binary(view: BinaryView) -> float:
     """Geometric mean of precision and sensitivity."""
-    p = precision(view)
-    s = sensitivity(view)
-    return math.sqrt(p * s)
+    return geometric_mean((precision(view), sensitivity(view)))
 
 
 def mcc_binary(view: BinaryView) -> float:

@@ -179,11 +179,12 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
             cells = cells[1:]
         values = []
         for colno, cell in enumerate(cells, start=1):
-            if not _is_number(cell):
+            try:
+                values.append(float(cell))
+            except ValueError:
                 raise InputError(
                     f"{path}: non-numeric cell at line {lineno}, column {colno}"
-                )
-            values.append(float(cell))
+                ) from None
         grid.append(values)
 
     if has_label_col and row_labels != list(labels):

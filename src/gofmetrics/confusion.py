@@ -21,7 +21,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,17 +98,16 @@ class ConfusionMatrix:
         Labels default to class_0 ... class_{n-1}.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
         and not all zero, and their sum must be finite too.  A cell that is
-        no number (a str, bytes, bool, complex, None or dict) is refused, and
-        so is a row that is a str, bytes or mapping.
+        no number (a str, bytes, bool, complex, None, list or dict) is refused,
+        and so is a grid or a row that is a str, bytes or mapping.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
-            _check_cells(grid, lambda kind: issubclass(kind, _NON_NUMBERS))
+            _check_cells(grid)
         try:
             counts = np.array(grid, dtype=float)  # the one copy
         except (ValueError, TypeError):
-            # a cell float() cannot read, such as a dict; else ragged rows
-            _check_cells(grid, lambda kind: not hasattr(kind, "__float__"))
+            # every cell is a number by now, so the rows are ragged
             raise ValueError("non-square grid: rows have unequal lengths") from None
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"non-square grid: shape {counts.shape}")
@@ -215,19 +214,28 @@ def _default_labels(n: int) -> tuple[str, ...]:
 _NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
 
 
-def _check_cells(grid: object, refused: Callable[[type], bool]) -> None:
-    # name the first cell of a type `refused` picks; a grid or row that is no
-    # sequence is left to the shape checks, and one whose items are no cells
-    # (the characters of a string, the keys of a mapping) is named as a row
+def _check_cells(grid: object) -> None:
+    # name the first cell that is no number: a type numpy would misread, or
+    # one with neither __float__ nor __index__.  A grid or row that is no
+    # sequence is left to the shape checks, and one whose items are no rows or
+    # cells (the characters of a string, the keys of a mapping) is named
+    if isinstance(grid, (str, bytes, Mapping)):
+        raise ValueError(f"grid is a {type(grid).__name__}, not a sequence of rows")
     for i, row in enumerate(grid if isinstance(grid, Iterable) else ()):
         if isinstance(row, (str, bytes, Mapping)):
             raise ValueError(
                 f"row {i} is a {type(row).__name__}, not a sequence of numbers"
             )
         kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
-        if any(map(refused, kinds)):
+        refused = {
+            kind
+            for kind in kinds
+            if issubclass(kind, _NON_NUMBERS)
+            or not (hasattr(kind, "__float__") or hasattr(kind, "__index__"))
+        }
+        if refused:
             # only a refused type takes a second pass, to name its cell
-            j, cell = next((j, c) for j, c in enumerate(row) if refused(type(c)))
+            j, cell = next((j, c) for j, c in enumerate(row) if type(c) in refused)
             raise ValueError(f"non-number cell at row {i}, column {j}: {cell!r}")
 
 

@@ -162,9 +162,10 @@ def harmonic_mean(values: Sequence[float]) -> float:
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean; returns 0.0 if any entry is 0.
 
-    Short tuples multiply directly (exact for the two-element case used in
-    matrix normalization) while the product is a normal double; past that a
-    pair is sqrt(a) * sqrt(b), and longer tuples go through log space.
+    Short tuples multiply directly while the product is a normal double (a
+    pair is then sqrt(a * b), correctly rounded: the two-class
+    Fowlkes-Mallows score); past that a pair is sqrt(a) * sqrt(b), and
+    longer tuples go through log space.
     """
     values = _validate(values)
     for v in values:

@@ -298,37 +298,21 @@ def _signed_outer(outer: AveragingSpec, values: Sequence[float]) -> float:
     return float(min(values) if outer.exponent < 0 else max(values))
 
 
-class _PairCells:
-    """The four cells of class pair (i, j) with i positive, as a `BinaryView`
-    of its 2x2 restriction gives them, read straight from the table."""
-
-    __slots__ = ("tp", "fn", "fp", "tn")
-
-    def __init__(self, tp: float, fn: float, fp: float, tn: float) -> None:
-        self.tp, self.fn, self.fp, self.tn = tp, fn, fp, tn
-
-    def swapped(self) -> "_PairCells":
-        """The same pair with j positive."""
-        return _PairCells(self.tn, self.fp, self.fn, self.tp)
-
-
 def _one_vs_one(
     cm: ConfusionMatrix, info: MetricInfo, outer: AveragingSpec, p: float | None
 ) -> float:
     # the per-pair loop behind `one_vs_one_average`, for a METRICS row whose
     # options `evaluate_metric` has checked
     _check_outer(outer, info.signed)
-    if info.needs_p:
-        evaluate = lambda view: info.func(view, p)
-    else:
-        evaluate = info.func
+    evaluate = (lambda view: info.func(view, p)) if info.needs_p else info.func
     average = _signed_outer if info.signed else apply_average
 
-    counts = cm.counts.tolist()
+    # pair (i, j), i positive: the BinaryView of its 2x2 restriction, read in place
+    counts, view_of = cm.counts.tolist(), _binary._view
     values = []
     for i in range(cm.n):
         for j in range(i + 1, cm.n):
-            view = _PairCells(counts[i][i], counts[i][j], counts[j][i], counts[j][j])
+            view = view_of(counts[i][i], counts[i][j], counts[j][i], counts[j][j])
             if info.swap_invariant:
                 values.append(evaluate(view))
             else:

@@ -38,12 +38,21 @@ class TestView:
     def test_cell_mapping(self):
         v = view_from(1, 2, 3, 4)
         assert (v.tp, v.fn, v.fp, v.tn) == (1, 2, 3, 4)
+        w = view_from(1, 2, 3, 4, positive=1)
+        assert (w.tp, w.fn, w.fp, w.tn) == (4, 3, 2, 1)
+        # the cells are read once, as Python floats
+        assert {type(c) for c in (v.tp, v.fn, v.fp, v.tn, w.tp, w.fn, w.fp, w.tn)} == {float}
 
     def test_swapped_exchanges_roles(self):
         v = view_from(1, 2, 3, 4)
         s = v.swapped()
         assert (s.tp, s.fn, s.fp, s.tn) == (4, 3, 2, 1)
         assert s.swapped().tp == v.tp
+        assert type(s) is BinaryView and type(s.swapped()) is BinaryView
+        w = view_from(1, 2, 3, 4, positive=1).swapped()
+        assert type(w) is BinaryView
+        assert (w.tp, w.fn, w.fp, w.tn) == (1, 2, 3, 4)
+        assert {type(c) for c in (s.tp, s.fn, s.fp, s.tn)} == {float}
 
     def test_needs_two_classes(self):
         cm = ConfusionMatrix.from_counts([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -54,6 +63,17 @@ class TestView:
         cm = ConfusionMatrix.from_counts([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="positive_index"):
             BinaryView(cm, 2)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, np.float64(0.0)])
+    def test_positive_index_that_is_no_integer_refused(self, index):
+        # each compares equal to 0 or 1, and is refused rather than read as one
+        cm = ConfusionMatrix.from_counts([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="positive_index must be 0 or 1"):
+            BinaryView(cm, index)
+
+    def test_numpy_integer_positive_index(self):
+        v = BinaryView(ConfusionMatrix.from_counts([[1, 2], [3, 4]]), np.int64(1))
+        assert (v.tp, v.fn, v.fp, v.tn) == (4, 3, 2, 1)
 
 
 class TestRates:
@@ -115,6 +135,23 @@ class TestF1Family:
         assert fowlkes_mallows_binary(v) == pytest.approx(
             math.sqrt((2 / 3) * 0.99), rel=1e-12
         )
+
+    def test_fowlkes_mallows_past_the_double_range(self):
+        # precision and sensitivity are both 1e-200: their product underflows,
+        # their geometric mean does not
+        assert fowlkes_mallows_binary(view_from(1e-200, 1, 1, 1)) == 1e-200
+        assert fowlkes_mallows_binary(view_from(1e-200, 1e-200, 3e-200, 1)) == pytest.approx(
+            math.sqrt(0.25 * 0.5), rel=1e-15
+        )
+
+    def test_fowlkes_mallows_is_sqrt_of_the_product_where_it_is_normal(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            tp, fn, fp, tn = (float(x) for x in rng.integers(0, 100, size=4))
+            if tp + fn + fp + tn == 0:
+                continue
+            v = view_from(tp, fn, fp, tn)
+            assert fowlkes_mallows_binary(v) == math.sqrt(precision(v) * sensitivity(v))
 
     def test_perfect_and_empty(self):
         assert f1_binary(view_from(5, 0, 0, 9)) == 1.0

@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ class TestFromCounts:
             ([[1, 0], "ab"], "row 1 is a str, not a sequence of numbers"),
             ([[1, 0], b"ab"], "row 1 is a bytes, not a sequence of numbers"),
             ([{"a": 1}, [0, 1]], "row 0 is a dict, not a sequence of numbers"),
+            # a cell that is itself a list, which numpy would read as a third axis
+            ([[[1], [2]], [[3], [4]]], "non-number cell at row 0, column 0: [1]"),
+            ([[1, 0], [0, [1]]], "non-number cell at row 1, column 1: [1]"),
+            # a grid whose items are keys or characters rather than rows
+            ({0: [1, 0], 1: [0, 1]}, "grid is a dict, not a sequence of rows"),
+            ({"a": [1, 0], "b": [0, 1]}, "grid is a dict, not a sequence of rows"),
+            (
+                MappingProxyType({0: [1, 0], 1: [0, 1]}),
+                "grid is a mappingproxy, not a sequence of rows",
+            ),
+            ("ab", "grid is a str, not a sequence of rows"),
+            (b"ab", "grid is a bytes, not a sequence of rows"),
         ],
     )
     def test_non_number_cells_rejected(self, grid, message):
@@ -154,6 +167,18 @@ class TestFromCounts:
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_counts(grid)
         assert str(info.value) == message
+
+    def test_index_only_cell_accepted(self):
+        # float() and numpy read a cell through __index__ alone
+        class Count:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        cm = ConfusionMatrix.from_counts([[Count(3), Count(0)], [Count(1), Count(2)]])
+        assert cm.counts.tolist() == [[3.0, 0.0], [1.0, 2.0]]
 
     def test_number_cells_accepted(self):
         grid = [[np.int64(3), np.float32(0.5)], [Fraction(1, 4), Decimal("2.5")]]
@@ -360,8 +385,8 @@ class TestNormalizedMatrix:
                 assert np.array_equal(normalized_matrix(cm, spec), ref), spec
 
     def test_power_kind_within_four_ulp_of_scalar_loop(self):
-        # float_power and Python's ** both call C's pow, so they agree bit for
-        # bit where both use one libm; a numpy whose power loop differs in the
+        # the array path takes numpy's log, expm1, log1p and exp where the
+        # scalar takes math's; a numpy whose loops differ from the libm in the
         # last bit is allowed 4 ulp of the larger value.  Zeros are exact.
         for cm in self._tables(11):
             for p in (-3.0, -0.5, 0.25, 0.5, 0.9, 2.0):

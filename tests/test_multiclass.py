@@ -339,6 +339,19 @@ class TestGeneralizedFm:
         )
         assert normalized_matrix(fm_table)[0, 0] == 1e-200
 
+    def test_two_classes_equal_one_vs_one(self):
+        # at n = 2 the one pair's two orientations are the two classes, also
+        # where a class's precision times its recall underflows
+        rng = np.random.default_rng(29)
+        tables = [cm_of([[1e-200, 1], [1, 1]])]
+        tables += [cm_of(random_counts(rng, 2)) for _ in range(100)]
+        for cm in tables:
+            for outer in (ARITHMETIC, GEOMETRIC, HARMONIC):
+                pairwise = one_vs_one_average(cm, "fowlkes_mallows", outer).value
+                assert pairwise == generalized_fm(cm, outer), (cm.counts, outer)
+        assert generalized_fm(tables[0], GEOMETRIC) == 7.071067811865475e-101
+        assert one_vs_one_average(tables[0], "fowlkes_mallows", HARMONIC).value == 2e-200
+
 
 class TestCramersPhi:
     def test_three_class_example(self):
