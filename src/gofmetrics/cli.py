@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .confusion import ConfusionMatrix, SmoothingSpec, smooth
+from .confusion import ConfusionMatrix, smooth
 from .means import AveragingSpec
 from .multiclass import MetricScore, evaluate_metric
 
@@ -360,7 +360,7 @@ def run(config: RunConfig) -> tuple[ConfusionMatrix, list[MetricScore]]:
     if config.smoothing is not None:
         # a bad alpha, or one that makes the table overflow, is a bad parameter
         try:
-            cm = smooth(cm, SmoothingSpec(config.smoothing))
+            cm = smooth(cm, config.smoothing)
         except ValueError as exc:
             raise ParameterError(f"cannot smooth by {config.smoothing!r}: {exc}") from None
     scores = []

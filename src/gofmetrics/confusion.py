@@ -4,10 +4,10 @@ Rows index the true class, columns the predicted class, in the order given
 by `labels`.  Counts are stored as a read-only float64 array so smoothed
 (fractional) tables and raw integer tallies share one representation.
 
-`normalized_matrix` returns N as a read-only array: cell by cell, the
-average of the two conditional rates P(true i | predicted j) and
-P(predicted j | true i), each one whole-array division (0 over a zero
-sum); with the geometric average its entries are
+`normalized_matrix` returns the paper's N as a read-only array: cell by
+cell, the geometric mean of the two conditional rates P(true i | predicted j)
+and P(predicted j | true i), each one whole-array division (0 over a zero
+sum), so that
 
     N[i][j] = C[i][j] / sqrt(row_sum(i) * col_sum(j))
 
@@ -21,33 +21,19 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .means import GEOMETRIC, AveragingSpec, _pair_average
+from .means import GEOMETRIC, _pair_average
 
 __all__ = [
     "ConfusionMatrix",
-    "SmoothingSpec",
     "smooth",
     "normalized_matrix",
     "transpose",
     "relabel",
 ]
-
-
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """Additive pseudo-count: alpha is added to every cell."""
-
-    alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -99,11 +85,12 @@ class ConfusionMatrix:
         (smoothing produces such tables); they must be finite, non-negative,
         and not all zero, and their sum must be finite too.  A cell that is
         no number (a str, bytes, bool, complex, None, list or dict) is refused,
-        and so is a grid or a row that is a str, bytes or mapping.
+        and so is a grid or a row that is a str, bytes or mapping.  A grid or
+        row that is an iterator is read once, as its list would be.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
-            _check_cells(grid)
+            grid = _check_cells(grid)
         try:
             counts = np.array(grid, dtype=float)  # the one copy
         except (ValueError, TypeError):
@@ -214,18 +201,25 @@ def _default_labels(n: int) -> tuple[str, ...]:
 _NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
 
 
-def _check_cells(grid: object) -> None:
-    # name the first cell that is no number: a type numpy would misread, or
-    # one with neither __float__ nor __index__.  A grid or row that is no
-    # sequence is left to the shape checks, and one whose items are no rows or
-    # cells (the characters of a string, the keys of a mapping) is named
+def _check_cells(grid: object) -> object:
+    # the grid as a list of rows, any row that is an iterator read into a list
+    # once, so numpy gets the cells this scan saw.  Names the first cell that
+    # is no number: a type numpy would misread, or one with neither __float__
+    # nor __index__.  A grid or row that is not iterable is left to the shape
+    # checks, and one whose items are no rows or cells (the characters of a
+    # string, the keys of a mapping) is named
     if isinstance(grid, (str, bytes, Mapping)):
         raise ValueError(f"grid is a {type(grid).__name__}, not a sequence of rows")
-    for i, row in enumerate(grid if isinstance(grid, Iterable) else ()):
+    if not isinstance(grid, Iterable):
+        return grid
+    rows = list(grid)
+    for i, row in enumerate(rows):
         if isinstance(row, (str, bytes, Mapping)):
             raise ValueError(
                 f"row {i} is a {type(row).__name__}, not a sequence of numbers"
             )
+        if isinstance(row, Iterator):
+            row = rows[i] = list(row)
         kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
         refused = {
             kind
@@ -237,6 +231,7 @@ def _check_cells(grid: object) -> None:
             # only a refused type takes a second pass, to name its cell
             j, cell = next((j, c) for j, c in enumerate(row) if type(c) in refused)
             raise ValueError(f"non-number cell at row {i}, column {j}: {cell!r}")
+    return rows
 
 
 def _overflow_message(counts: np.ndarray) -> str:
@@ -250,11 +245,17 @@ def _overflow_message(counts: np.ndarray) -> str:
     return "sum of all cells overflows"
 
 
-def smooth(cm: ConfusionMatrix, spec: SmoothingSpec) -> ConfusionMatrix:
-    """Add spec.alpha to every cell; alpha = 0 returns cm unchanged."""
-    if spec.alpha == 0:
+def smooth(cm: ConfusionMatrix, alpha: float) -> ConfusionMatrix:
+    """Add the pseudo-count alpha to every cell; alpha = 0 returns cm unchanged.
+
+    alpha must be finite and non-negative."""
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    if alpha == 0:
         return cm
-    return ConfusionMatrix.from_counts(cm.counts + spec.alpha, cm.labels)
+    return ConfusionMatrix.from_counts(cm.counts + alpha, cm.labels)
 
 
 def _rates(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
@@ -262,21 +263,19 @@ def _rates(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
 
 
-def normalized_matrix(
-    cm: ConfusionMatrix, averaging: AveragingSpec = GEOMETRIC
-) -> np.ndarray:
-    """The read-only n x n matrix of averaged conditional rates.
+def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:
+    """The paper's N: the read-only n x n matrix of geometric conditional rates.
 
     Two whole-array divisions, C / col_sums[None, :] and C / row_sums[:, None]
     (0 where the sum is 0), averaged in place, give cell (i, j) as exactly
-    `apply_average(averaging, (C[i, j] / col_sums[j], C[i, j] / row_sums[i]))`.
+    `geometric_mean((C[i, j] / col_sums[j], C[i, j] / row_sums[i]))`.
     Entries lie in [0, 1].  The construction is symmetric in the two rates,
     so transposing the counts transposes the result exactly, and scaling
     every count by a common positive factor leaves it unchanged.
     """
     by_col = _rates(cm.counts, cm.col_sums[None, :])
     by_row = _rates(cm.counts, cm.row_sums[:, None])
-    values = _pair_average(averaging, by_col, by_row)
+    values = _pair_average(GEOMETRIC, by_col, by_row)
     values.setflags(write=False)
     return values
 

@@ -9,8 +9,10 @@ p -> 0, the harmonic mean at p = -1, and the max / min in the limits
 p -> +inf / -inf.  The named cases get dedicated implementations so the
 collapse is exact rather than approximate.  `AveragingSpec` is the small
 value object the rest of the package uses to pick one; its `exponent` is
-the one place a named average is mapped to its p, and `_pair_average` is
-the element-wise two-value form over arrays.
+the one place a named average is mapped to its p.  `_pair_average` is the
+element-wise form over two arrays of rates, for the only two pair means the
+metrics take: harmonic (per-class F1) and geometric (per-class
+Fowlkes-Mallows and the normalized matrix N).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class AveragingSpec:
         if self.kind is AverageKind.POWER:
             if self.p is None:
                 raise ValueError("power average needs an exponent")
+            _refuse_bool(self.p)
             if not math.isfinite(self.p):
                 raise ValueError(
                     "power exponent must be finite; use min or max for the limits"
@@ -81,6 +84,7 @@ class AveragingSpec:
 
     @classmethod
     def power(cls, p: float) -> "AveragingSpec":
+        _refuse_bool(p)
         return cls(AverageKind.POWER, float(p))
 
     @classmethod
@@ -123,6 +127,7 @@ MAX = AveragingSpec(AverageKind.MAX)
 # the normal positive doubles; a product outside them has lost bits or overflowed
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _SQRT_TINY = math.sqrt(_TINY)  # 2^-511, exact
+_BOOLS = (bool, np.bool_)
 
 
 def _validate(values: Sequence[float]) -> Sequence[float]:
@@ -235,10 +240,18 @@ def power_mean(values: Sequence[float], p: float) -> float:
     return anchor * math.exp(math.log1p(total / k) / p)
 
 
+def _refuse_bool(p: object) -> None:
+    # a bool is no exponent, although float() reads it as 0 or 1
+    if isinstance(p, _BOOLS):
+        raise ValueError(f"exponent must be a number, not the bool {p!r}")
+
+
 def _check_exponent(p: float) -> None:
-    """The rate scores' exponent rule: p <= 1 (-inf allowed), never NaN.
+    """The rate scores' exponent rule: p <= 1 (-inf allowed), never NaN or a bool.
 
     Past p = 1 a power mean of rates rewards imbalance between them."""
+    if type(p) is not float:  # one-vs-one checks p per pair; a float skips the call
+        _refuse_bool(p)
     if math.isnan(p):
         raise ValueError("NaN exponent")
     if p > 1:
@@ -252,33 +265,25 @@ def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
 
 def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`apply_average(spec, (a, b))` element-wise over rates in [0, 1], in place
-    into `a`; `b` is clobbered.
+    into `a`; `b` is clobbered.  `spec` is HARMONIC (per-class F1) or GEOMETRIC
+    (per-class Fowlkes-Mallows and the normalized matrix N).
 
-    Bit for bit the scalar two-element mean at the named averages, its
-    fallbacks past the double range included; a power average takes numpy's
-    log, expm1, log1p and exp where the scalar takes `math`'s, which may
-    differ in the last bits.  The fallbacks need a positive rate
-    below the smallest normal double (harmonic) or below its square root
-    (geometric), and are computed only when the smallest positive rate is.
+    Bit for bit the scalar two-element mean, its fallbacks past the double
+    range included.  The fallbacks need a positive rate below the smallest
+    normal double (harmonic) or below its square root (geometric), and are
+    computed only when the smallest positive rate is.
     """
-    p = spec.exponent
-    if abs(p) < _TINY:  # as in power_mean
-        p = 0.0
+    low = np.minimum(a, b)
+    smallest = low.min(where=low > 0, initial=np.inf)
     fix = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if p in (0, -1):
-            low = np.minimum(a, b)
-            smallest = low.min(where=low > 0, initial=np.inf)
-        if p == 0:
+        if spec.kind is AverageKind.GEOMETRIC:
             if smallest < _SQRT_TINY:  # sqrt(a) * sqrt(b) where a * b is not normal
                 fix = a * b < _TINY
                 fixed = np.sqrt(a[fix]) * np.sqrt(b[fix])
             a *= b
             np.sqrt(a, out=a)
-        elif p == 1:
-            a += b
-            a /= 2
-        elif p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
+        else:  # HARMONIC; a zero rate gives 2/inf = 0, as in the scalar
             if smallest < _TINY:  # low * 2 / (low/a + low/b) where 1/a + 1/b overflows
                 fix = np.isinf(1.0 / a + 1.0 / b) & (low > 0)
                 low, x, y = low[fix], a[fix], b[fix]
@@ -286,21 +291,6 @@ def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
             np.divide(1.0, a, out=a)
             a += np.divide(1.0, b, out=b)
             np.divide(2.0, a, out=a)
-        elif math.isinf(p):
-            (np.minimum if p < 0 else np.maximum)(a, b, out=a)
-        else:
-            anchor = np.maximum(a, b) if p > 0 else np.minimum(a, b)
-            for x in (a, b):  # expm1(p log(x / anchor)); a zero rate gives -1
-                ratio = x / anchor
-                # a ratio past the double range (a subnormal anchor) keeps its log
-                over = np.isinf(ratio) & (anchor > 0)
-                np.log(ratio, out=ratio)
-                ratio[over] = np.log(x[over]) - np.log(anchor[over])
-                np.multiply(ratio, p, out=x)
-                np.expm1(x, out=x)
-            np.exp(np.log1p((a + b) / 2) / p, out=a)
-            a *= anchor
-            a[anchor == 0] = 0.0  # the scalar mean's early return
     if fix is not None:
         a[fix] = fixed
     return a

@@ -42,6 +42,19 @@ def strongly_diagonal_counts(rng, n):
     return counts
 
 
+def pair_mean_tables(seed):
+    """Tables whose rates exercise the element-wise pair means: random ones of
+    2 to 40 classes, some empty, and two past the double range, a rate whose
+    reciprocal overflows (a harmonic mean of 2e-310) and two rates whose
+    product underflows (a geometric mean of 1e-200)."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4, 7, 12, 25, 40):
+        for _ in range(3):
+            yield ConfusionMatrix.from_counts(random_counts_with_empty_classes(rng, n))
+    for grid in ([[1e-310, 1], [0, 1]], [[1e-200, 1], [1, 1]]):
+        yield ConfusionMatrix.from_counts(grid)
+
+
 def random_permutation_counts(rng, n, high=50):
     """Counts concentrated on one random permutation: a perfect fit up to relabeling."""
     grid = np.zeros((n, n))

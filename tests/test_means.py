@@ -261,6 +261,13 @@ class TestAveragingSpec:
         with pytest.raises(ValueError, match="finite"):
             AveragingSpec.from_string("power:inf")
 
+    def test_power_refuses_a_bool_exponent(self):
+        # float() would read True as the exponent 1
+        for build in (AveragingSpec.power, lambda p: AveragingSpec(AverageKind.POWER, p)):
+            for p in (True, False, np.False_):
+                with pytest.raises(ValueError, match="not the bool"):
+                    build(p)
+
     def test_power_requires_exponent(self):
         with pytest.raises(ValueError, match="needs an exponent"):
             AveragingSpec(AverageKind.POWER)

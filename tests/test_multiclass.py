@@ -40,6 +40,7 @@ from gofmetrics.multiclass import (
     perfect_fit_permutation,
 )
 from helpers import (
+    pair_mean_tables,
     random_counts,
     random_counts_with_empty_classes,
     random_matrix,
@@ -282,6 +283,26 @@ class TestGeneralizedF1:
         # class 2 occurs but is never predicted, so its per-class value is 0
         cm = cm_of([[3, 0, 0], [0, 4, 0], [1, 2, 0]])
         assert generalized_f1(cm, HARMONIC) == 0.0
+
+    def test_per_class_f1_equals_scalar_harmonic_mean_bitwise(self, monkeypatch):
+        # each class's F1, the values the outer average receives, is the
+        # scalar harmonic mean of its two diagonal rates, its fallback for a
+        # reciprocal that overflows (an F1 of 2e-310) included
+        per_class, rate_mean = [], multiclass._rate_mean
+
+        def recording_rate_mean(rates, p):
+            per_class.append(rates.tolist())
+            return rate_mean(rates, p)
+
+        monkeypatch.setattr(multiclass, "_rate_mean", recording_rate_mean)
+        f1_values = []
+        for cm in pair_mean_tables(10):
+            generalized_f1(cm)
+            precision, recall = oracles.diagonal_rates_loop(cm.counts)
+            ref = [harmonic_mean(pair) for pair in zip(precision, recall)]
+            assert per_class.pop() == ref
+            f1_values += ref
+        assert 2e-310 in f1_values  # the fallback ran
 
     def test_matches_oracle_on_random(self):
         rng = np.random.default_rng(26)
@@ -750,6 +771,17 @@ class TestLpMulticlass:
         with pytest.raises(ValueError, match="NaN exponent"):
             lp_multiclass(cm_of(GRID3), math.nan)
 
+    @pytest.mark.parametrize("p", [True, False, np.True_])
+    def test_bool_p_rejected(self, p):
+        # float() would read a bool as the exponent 0 or 1
+        cm = cm_of(GRID3)
+        message = f"exponent must be a number, not the bool {p!r}"
+        with pytest.raises(ValueError, match=message):
+            lp_multiclass(cm, p)
+        for name in ("lp_multiclass", "one_vs_one_lp_four_rate"):
+            with pytest.raises(ValueError, match=message):
+                multiclass.evaluate_metric(cm, name, p=p)
+
     def test_zero_diagonal_rate_annihilates(self):
         cm = cm_of([[0, 3], [1, 5]])
         assert lp_multiclass(cm, -1.0) == 0.0
@@ -827,10 +859,10 @@ class TestInvariances:
                 ), name
 
     def test_smoothing_commutes_with_manual_addition(self):
-        from gofmetrics.confusion import SmoothingSpec, smooth
+        from gofmetrics.confusion import smooth
 
         cm = cm_of(GRID3)
-        smoothed = smooth(cm, SmoothingSpec(0.5))
+        smoothed = smooth(cm, 0.5)
         manual = cm_of((np.asarray(GRID3) + 0.5).tolist())
         assert generalized_mcc(smoothed) == generalized_mcc(manual)
         assert generalized_f1(smoothed) == generalized_f1(manual)
