@@ -185,9 +185,12 @@ class ConfusionMatrix:
         index = {label: position[str(label)] for label in distinct}
         n = len(labels)
         cells = [index[t] * n + index[p] for t, p in pair_counts]
-        counts = np.bincount(
-            cells, weights=list(pair_counts.values()), minlength=n * n
-        ).reshape(n, n)
+        weights = list(pair_counts.values())
+        refused = set(filter(_no_number, set(map(type, weights))))
+        if refused:
+            pair = next(pair for pair, c in pair_counts.items() if type(c) in refused)
+            raise ValueError(f"count of {pair!r} is {pair_counts[pair]!r}, not a number")
+        counts = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
         return cls.from_counts(counts, labels)
 
 
@@ -201,13 +204,18 @@ def _default_labels(n: int) -> tuple[str, ...]:
 _NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
 
 
+def _no_number(kind: type) -> bool:
+    # a type numpy would misread as a number, or one with neither __float__ nor __index__
+    number = hasattr(kind, "__float__") or hasattr(kind, "__index__")
+    return not number or issubclass(kind, _NON_NUMBERS)
+
+
 def _check_cells(grid: object) -> object:
     # the grid as a list of rows, any row that is an iterator read into a list
     # once, so numpy gets the cells this scan saw.  Names the first cell that
-    # is no number: a type numpy would misread, or one with neither __float__
-    # nor __index__.  A grid or row that is not iterable is left to the shape
-    # checks, and one whose items are no rows or cells (the characters of a
-    # string, the keys of a mapping) is named
+    # is no number (`_no_number`).  A grid or row that is not iterable is left
+    # to the shape checks, and one whose items are no rows or cells (the
+    # characters of a string, the keys of a mapping) is named
     if isinstance(grid, (str, bytes, Mapping)):
         raise ValueError(f"grid is a {type(grid).__name__}, not a sequence of rows")
     if not isinstance(grid, Iterable):
@@ -221,12 +229,7 @@ def _check_cells(grid: object) -> object:
         if isinstance(row, Iterator):
             row = rows[i] = list(row)
         kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
-        refused = {
-            kind
-            for kind in kinds
-            if issubclass(kind, _NON_NUMBERS)
-            or not (hasattr(kind, "__float__") or hasattr(kind, "__index__"))
-        }
+        refused = set(filter(_no_number, kinds))
         if refused:
             # only a refused type takes a second pass, to name its cell
             j, cell = next((j, c) for j, c in enumerate(row) if type(c) in refused)
@@ -248,7 +251,11 @@ def _overflow_message(counts: np.ndarray) -> str:
 def smooth(cm: ConfusionMatrix, alpha: float) -> ConfusionMatrix:
     """Add the pseudo-count alpha to every cell; alpha = 0 returns cm unchanged.
 
-    alpha must be finite and non-negative."""
+    alpha must be finite, non-negative and a number by the cell rule of
+    `from_counts`, which refuses a bool or a str and reads a Fraction as float."""
+    if _no_number(type(alpha)):
+        raise ValueError(f"alpha is {alpha!r}, not a number")
+    alpha = float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if alpha < 0:

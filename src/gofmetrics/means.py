@@ -7,9 +7,9 @@ The workhorse is the power-mean family
 which collapses to the arithmetic mean at p = 1, the geometric mean as
 p -> 0, the harmonic mean at p = -1, and the max / min in the limits
 p -> +inf / -inf.  The named cases get dedicated implementations so the
-collapse is exact rather than approximate.  `AveragingSpec` is the small
-value object the rest of the package uses to pick one; its `exponent` is
-the one place a named average is mapped to its p.  `_pair_average` is the
+collapse is exact rather than approximate.  An `AveragingSpec` is an
+average's name and the power-mean exponent that name stands for; every mean
+the package takes is keyed by that exponent.  `_pair_average` is the
 element-wise form over two arrays of rates, for the only two pair means the
 metrics take: harmonic (per-class F1) and geometric (per-class
 Fowlkes-Mallows and the normalized matrix N).
@@ -20,13 +20,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "AverageKind",
     "AveragingSpec",
     "HARMONIC",
     "GEOMETRIC",
@@ -41,88 +39,66 @@ __all__ = [
 ]
 
 
-class AverageKind(Enum):
-    HARMONIC = "harmonic"
-    GEOMETRIC = "geometric"
-    ARITHMETIC = "arithmetic"
-    POWER = "power"
-    MIN = "min"
-    MAX = "max"
+_EXPONENTS = {
+    "harmonic": -1.0,
+    "geometric": 0.0,
+    "arithmetic": 1.0,
+    "min": -math.inf,
+    "max": math.inf,
+}
 
 
 @dataclass(frozen=True)
 class AveragingSpec:
-    """Choice of averaging function.
+    """Choice of averaging function: a name and the exponent it stands for.
 
-    `p` is the exponent for the POWER kind and must be finite there; the
-    infinite limits are spelled as the explicit MIN / MAX kinds instead of
-    IEEE infinities so that a spec is unambiguous when serialized.
+    `name` is harmonic, geometric, arithmetic, min, max or 'power:<float>'
+    with a finite exponent; the infinite limits are spelled min and max so
+    that a spec is unambiguous when serialized.  A power name is rewritten
+    to its one spelling, 'power:' and the float's repr (-0.0 read as 0.0),
+    so equal specs serialize identically.  `exponent` is derived once, here:
+    -1, 0, 1, -inf or +inf for the named averages, the parsed p otherwise.
     """
 
-    kind: AverageKind
-    p: float | None = None
-    # the power-mean exponent this average stands for: -1, 0 or 1 for
-    # harmonic, geometric and arithmetic, -inf or +inf for min and max, and
-    # p for a power average; derived once, here, from kind and p
+    name: str
     exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind is AverageKind.POWER:
-            if self.p is None:
-                raise ValueError("power average needs an exponent")
-            _refuse_bool(self.p)
-            if not math.isfinite(self.p):
-                raise ValueError(
-                    "power exponent must be finite; use min or max for the limits"
-                )
-            exponent = self.p
-        elif self.p is not None:
-            raise ValueError(f"{self.kind.value} average takes no exponent")
+        name = self.name
+        if isinstance(name, str) and name in _EXPONENTS:
+            exponent = _EXPONENTS[name]
+        elif isinstance(name, str) and name.startswith("power:"):
+            raw = name[len("power:"):]
+            try:
+                exponent = float(raw) + 0.0  # + 0.0 reads -0.0 as 0.0
+            except ValueError:
+                raise ValueError(f"bad power exponent {raw!r}") from None
+            if not math.isfinite(exponent):
+                raise ValueError("power exponent must be finite; use min or max for the limits")
+            object.__setattr__(self, "name", f"power:{exponent!r}")  # frozen
         else:
-            exponent = _EXPONENTS[self.kind]
-        object.__setattr__(self, "exponent", exponent)  # the dataclass is frozen
+            raise ValueError(f"unknown averaging spec {name!r}")
+        object.__setattr__(self, "exponent", exponent)
 
     @classmethod
     def power(cls, p: float) -> "AveragingSpec":
         _refuse_bool(p)
-        return cls(AverageKind.POWER, float(p))
+        return cls(f"power:{float(p)!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "AveragingSpec":
         """Parse 'harmonic', 'geometric', 'arithmetic', 'min', 'max', or 'power:<float>'."""
-        text = text.strip()
-        if text.startswith("power:"):
-            raw = text[len("power:"):]
-            try:
-                p = float(raw)
-            except ValueError:
-                raise ValueError(f"bad power exponent {raw!r}") from None
-            return cls.power(p)
-        for kind in _EXPONENTS:  # the named averages
-            if text == kind.value:
-                return cls(kind)
-        raise ValueError(f"unknown averaging spec {text!r}")
+        return cls(text.strip())
 
     def to_string(self) -> str:
-        if self.kind is AverageKind.POWER:
-            return f"power:{self.p!r}"
-        return self.kind.value
+        return self.name
 
 
-_EXPONENTS = {
-    AverageKind.HARMONIC: -1.0,
-    AverageKind.GEOMETRIC: 0.0,
-    AverageKind.ARITHMETIC: 1.0,
-    AverageKind.MIN: -math.inf,
-    AverageKind.MAX: math.inf,
-}
-
-
-HARMONIC = AveragingSpec(AverageKind.HARMONIC)
-GEOMETRIC = AveragingSpec(AverageKind.GEOMETRIC)
-ARITHMETIC = AveragingSpec(AverageKind.ARITHMETIC)
-MIN = AveragingSpec(AverageKind.MIN)
-MAX = AveragingSpec(AverageKind.MAX)
+HARMONIC = AveragingSpec("harmonic")
+GEOMETRIC = AveragingSpec("geometric")
+ARITHMETIC = AveragingSpec("arithmetic")
+MIN = AveragingSpec("min")
+MAX = AveragingSpec("max")
 
 # the normal positive doubles; a product outside them has lost bits or overflowed
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
@@ -206,6 +182,8 @@ def power_mean(values: Sequence[float], p: float) -> float:
     and averages r^p - 1 = expm1(p log r) rather than r^p: near p = 0 every
     r^p rounds to 1, and the 1/p-th power of their mean loses every bit.
     """
+    if type(p) is not float:  # the exponents of `AveragingSpec` skip the call
+        _refuse_bool(p)
     if p == 1:
         return arithmetic_mean(values)
     if p == -1:
@@ -277,7 +255,7 @@ def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
     smallest = low.min(where=low > 0, initial=np.inf)
     fix = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.kind is AverageKind.GEOMETRIC:
+        if spec.exponent == 0:
             if smallest < _SQRT_TINY:  # sqrt(a) * sqrt(b) where a * b is not normal
                 fix = a * b < _TINY
                 fixed = np.sqrt(a[fix]) * np.sqrt(b[fix])

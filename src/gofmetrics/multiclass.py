@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -164,10 +164,13 @@ def _per_class_average(
 
 def _rate_mean(rates: np.ndarray, p: float) -> float:
     """`power_mean(tuple(rates.tolist()), p)`, bit for bit, for rates a metric
-    built itself: in [0, 1] and never NaN, so the arithmetic and harmonic means
-    skip the per-value checks and sum with the same builtin `sum`."""
+    built itself: never NaN, and negative only where p is 1 or +-inf (a signed
+    one-vs-one score), so the arithmetic, min, max and harmonic means skip the
+    per-value checks and the two sums use the same builtin `sum`."""
     if p == 1:
         return sum(rates.tolist()) / len(rates)
+    if math.isinf(p):
+        return float(rates.max() if p > 0 else rates.min())
     if p == -1:
         # a zero or subnormal rate makes the sum inf: the scalar mean's 0.0 or
         # its rescaled fallback
@@ -290,14 +293,6 @@ def _parameters(outer: AveragingSpec | None, p: float | None) -> dict[str, str]:
     return parameters
 
 
-def _signed_outer(outer: AveragingSpec, values: Sequence[float]) -> float:
-    # the arithmetic, min or max outer that `_check_outer` admits for a
-    # signed metric, on values that may be negative
-    if outer.exponent == 1:
-        return sum(values) / len(values)
-    return float(min(values) if outer.exponent < 0 else max(values))
-
-
 def _one_vs_one(
     cm: ConfusionMatrix, info: MetricInfo, outer: AveragingSpec, p: float | None
 ) -> float:
@@ -305,7 +300,6 @@ def _one_vs_one(
     # options `evaluate_metric` has checked
     _check_outer(outer, info.signed)
     evaluate = (lambda view: info.func(view, p)) if info.needs_p else info.func
-    average = _signed_outer if info.signed else apply_average
 
     # pair (i, j), i positive: the BinaryView of its 2x2 restriction, read in place
     counts, view_of = cm.counts.tolist(), _binary._view
@@ -316,8 +310,8 @@ def _one_vs_one(
             if info.swap_invariant:
                 values.append(evaluate(view))
             else:
-                values.append(average(outer, (evaluate(view), evaluate(view.swapped()))))
-    return average(outer, values)
+                values.append(apply_average(outer, (evaluate(view), evaluate(view.swapped()))))
+    return _rate_mean(np.array(values), outer.exponent)
 
 
 def one_vs_one_average(

@@ -26,7 +26,7 @@ from gofmetrics.cli import (
     run,
 )
 from gofmetrics.confusion import ConfusionMatrix
-from gofmetrics.means import ARITHMETIC, AverageKind, AveragingSpec
+from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec
 
 
 def write(tmp_path, name, text):
@@ -384,7 +384,7 @@ class TestParseMetricRequest:
 
     def test_outer_option(self):
         req = parse_metric_request("generalized_f1:outer=harmonic")
-        assert req.outer.kind is AverageKind.HARMONIC
+        assert req.outer == HARMONIC
 
     def test_power_outer_keeps_its_colon(self):
         req = parse_metric_request("generalized_f1:outer=power:0.5")
@@ -397,10 +397,10 @@ class TestParseMetricRequest:
     def test_both_options_any_order(self):
         req = parse_metric_request("one_vs_one_lp_four_rate:p=-1:outer=geometric")
         assert req.p == -1.0
-        assert req.outer.kind is AverageKind.GEOMETRIC
+        assert req.outer == GEOMETRIC
         req2 = parse_metric_request("one_vs_one_lp_four_rate:outer=geometric:p=-1")
         assert req2.p == -1.0
-        assert req2.outer.kind is AverageKind.GEOMETRIC
+        assert req2.outer == GEOMETRIC
 
     def test_unknown_option(self):
         with pytest.raises(ParameterError, match="unknown metric option"):
@@ -650,6 +650,22 @@ class TestReports:
             "value": 0.225669288012,
         }
         assert report["scores"][1]["params"] == {"outer": "harmonic"}
+
+    def test_json_power_outer_in_its_one_spelling(self, tmp_path, capsys):
+        # an outer exponent must be <= 1, so power:2 itself is refused
+        path = write(tmp_path, "m.csv", "20,6,0\n2,20,0\n12,12,8\n")
+        code = main(
+            [
+                "--input", path,
+                "--metric", "generalized_f1:outer=power:-2",
+                "--metric", "generalized_f1:outer=power:1",
+                "--output", "json",
+            ]
+        )
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        params = [score["params"] for score in report["scores"]]
+        assert params == [{"outer": "power:-2.0"}, {"outer": "power:1.0"}]
 
     def test_json_smoothing_noted(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "1,0\n0,1\n")

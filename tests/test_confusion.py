@@ -290,6 +290,13 @@ class TestFromLabelPairs:
         assert direct.counts.tolist() == via_pairs.counts.tolist()
         assert direct.counts.tolist() == [[0, 1, 0], [0, 2, 0], [1, 0, 0]]
 
+    @pytest.mark.parametrize("count", ["3", True, None])
+    def test_pair_count_that_is_no_number_rejected(self, count):
+        # numpy would read "3" as 3.0 and True as 1.0
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_pair_counts({("a", "b"): count, ("b", "b"): 2})
+        assert str(info.value) == f"count of ('a', 'b') is {count!r}, not a number"
+
 
 class TestSmoothing:
     def test_zero_alpha_is_identity(self):
@@ -300,6 +307,9 @@ class TestSmoothing:
         cm = ConfusionMatrix.from_counts([[1, 0], [0, 1]])
         out = smooth(cm, 0.5)
         assert out.counts.tolist() == [[1.5, 0.5], [0.5, 1.5]]
+        # alpha follows from_counts' cell rule, which admits these
+        for alpha in (Fraction(1, 2), Decimal("0.5"), np.float32(0.5)):
+            assert smooth(cm, alpha).counts.tolist() == out.counts.tolist()
         assert out.total == 4.0
         assert out.labels == cm.labels
 
@@ -312,6 +322,14 @@ class TestSmoothing:
         cm = ConfusionMatrix.from_counts(GRID3)
         with pytest.raises(ValueError, match="finite"):
             smooth(cm, float("inf"))
+
+    @pytest.mark.parametrize("alpha", [True, np.True_, "1", None])
+    def test_alpha_that_is_no_number_rejected(self, alpha):
+        # a bool would add 0 or 1 to every cell
+        cm = ConfusionMatrix.from_counts([[3, 1], [1, 2]])
+        with pytest.raises(ValueError) as info:
+            smooth(cm, alpha)
+        assert str(info.value) == f"alpha is {alpha!r}, not a number"
 
 
 class TestNormalizedMatrix:

@@ -13,7 +13,6 @@ from gofmetrics.means import (
     HARMONIC,
     MAX,
     MIN,
-    AverageKind,
     AveragingSpec,
     apply_average,
     arithmetic_mean,
@@ -236,20 +235,35 @@ class TestAveragingSpec:
         for text in ("harmonic", "geometric", "arithmetic", "min", "max"):
             spec = AveragingSpec.from_string(text)
             assert spec.to_string() == text
-            assert spec.p is None
+            assert spec.name == text
 
     def test_power_round_trip(self):
         spec = AveragingSpec.from_string("power:0.5")
-        assert spec.kind is AverageKind.POWER
-        assert spec.p == 0.5
+        assert spec.name == "power:0.5"
+        assert spec.exponent == 0.5
         assert AveragingSpec.from_string(spec.to_string()) == spec
 
     def test_power_negative_exponent(self):
-        assert AveragingSpec.from_string("power:-1.5").p == -1.5
+        assert AveragingSpec.from_string("power:-1.5").exponent == -1.5
+
+    def test_one_spelling_per_average(self):
+        # however a power spec is built, equal specs serialize identically
+        built = (
+            AveragingSpec("power:2"),
+            AveragingSpec.power(2),
+            AveragingSpec.from_string("power:2"),
+        )
+        assert built[0] == built[1] == built[2]
+        assert [spec.to_string() for spec in built] == ["power:2.0"] * 3
+        assert AveragingSpec.power(-0.0) == AveragingSpec.power(0.0)
+        assert AveragingSpec.power(-0.0).to_string() == "power:0.0"
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown averaging spec"):
             AveragingSpec.from_string("median")
+        for name in ("power", 2, None, HARMONIC):  # the name is a str
+            with pytest.raises(ValueError, match="unknown averaging spec"):
+                AveragingSpec(name)
 
     def test_bad_exponent_text(self):
         with pytest.raises(ValueError, match="bad power exponent"):
@@ -263,18 +277,10 @@ class TestAveragingSpec:
 
     def test_power_refuses_a_bool_exponent(self):
         # float() would read True as the exponent 1
-        for build in (AveragingSpec.power, lambda p: AveragingSpec(AverageKind.POWER, p)):
+        for build in (AveragingSpec.power, lambda p: power_mean((1.0, 2.0), p)):
             for p in (True, False, np.False_):
-                with pytest.raises(ValueError, match="not the bool"):
+                with pytest.raises(ValueError, match=f"not the bool {p!r}"):
                     build(p)
-
-    def test_power_requires_exponent(self):
-        with pytest.raises(ValueError, match="needs an exponent"):
-            AveragingSpec(AverageKind.POWER)
-
-    def test_named_kind_rejects_exponent(self):
-        with pytest.raises(ValueError, match="takes no exponent"):
-            AveragingSpec(AverageKind.HARMONIC, 2.0)
 
     def test_power_one_evaluates_like_arithmetic(self):
         values = (1, 3)
