@@ -67,12 +67,6 @@ class ConfusionMatrix:
     def total(self) -> float:
         return float(self.counts.sum())
 
-    def label_index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
-
     @classmethod
     def from_counts(
         cls,
@@ -93,6 +87,11 @@ class ConfusionMatrix:
             grid = _check_cells(grid)
         try:
             counts = np.array(grid, dtype=float)  # the one copy
+        except OverflowError:
+            i, j = next(
+                (i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if _past_doubles(c)
+            )
+            raise ValueError(f"cell at row {i}, column {j} is past the double range") from None
         except (ValueError, TypeError):
             # every cell is a number by now, so the rows are ragged
             raise ValueError("non-square grid: rows have unequal lengths") from None
@@ -190,7 +189,11 @@ class ConfusionMatrix:
         if refused:
             pair = next(pair for pair, c in pair_counts.items() if type(c) in refused)
             raise ValueError(f"count of {pair!r} is {pair_counts[pair]!r}, not a number")
-        counts = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
+        try:
+            counts = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
+        except OverflowError:
+            pair = next(pair for pair, c in pair_counts.items() if _past_doubles(c))
+            raise ValueError(f"count of {pair!r} is past the double range") from None
         return cls.from_counts(counts, labels)
 
 
@@ -208,6 +211,15 @@ def _no_number(kind: type) -> bool:
     # a type numpy would misread as a number, or one with neither __float__ nor __index__
     number = hasattr(kind, "__float__") or hasattr(kind, "__index__")
     return not number or issubclass(kind, _NON_NUMBERS)
+
+
+def _past_doubles(number: object) -> bool:
+    # an int or Fraction that float() cannot read, being past the largest double
+    try:
+        float(number)
+    except OverflowError:
+        return True
+    return False
 
 
 def _check_cells(grid: object) -> object:
@@ -255,7 +267,7 @@ def smooth(cm: ConfusionMatrix, alpha: float) -> ConfusionMatrix:
     `from_counts`, which refuses a bool or a str and reads a Fraction as float."""
     if _no_number(type(alpha)):
         raise ValueError(f"alpha is {alpha!r}, not a number")
-    alpha = float(alpha)
+    alpha = np.inf if _past_doubles(alpha) else float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if alpha < 0:

@@ -6,10 +6,14 @@ The workhorse is the power-mean family
 
 which collapses to the arithmetic mean at p = 1, the geometric mean as
 p -> 0, the harmonic mean at p = -1, and the max / min in the limits
-p -> +inf / -inf.  The named cases get dedicated implementations so the
-collapse is exact rather than approximate.  An `AveragingSpec` is an
-average's name and the power-mean exponent that name stands for; every mean
-the package takes is keyed by that exponent.  `_pair_average` is the
+p -> +inf / -inf.  One kernel, `_power_mean`, holds every case, and gives
+the named ones their own branch so the collapse is exact rather than
+approximate; `harmonic_mean`, `geometric_mean` and `arithmetic_mean` are
+`power_mean` at -1, 0 and 1.  Every sum is `math.fsum`, correctly rounded,
+so a mean does not depend on the order of its values or on the interpreter
+(the builtin float `sum` is compensated from 3.12 on).  An `AveragingSpec`
+is an average's name and the power-mean exponent that name stands for;
+every mean the package takes is keyed by that exponent.  `_pair_average` is the
 element-wise form over two arrays of rates, for the only two pair means the
 metrics take: harmonic (per-class F1) and geometric (per-class
 Fowlkes-Mallows and the normalized matrix N).
@@ -82,7 +86,7 @@ class AveragingSpec:
 
     @classmethod
     def power(cls, p: float) -> "AveragingSpec":
-        _refuse_bool(p)
+        _refuse_non_number(p)
         return cls(f"power:{float(p)!r}")
 
     @classmethod
@@ -103,7 +107,7 @@ MAX = AveragingSpec("max")
 # the normal positive doubles; a product outside them has lost bits or overflowed
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _SQRT_TINY = math.sqrt(_TINY)  # 2^-511, exact
-_BOOLS = (bool, np.bool_)
+_NON_NUMBERS = (bool, np.bool_, str)
 
 
 def _validate(values: Sequence[float]) -> Sequence[float]:
@@ -129,15 +133,7 @@ def harmonic_mean(values: Sequence[float]) -> float:
     Where a reciprocal overflows, the smallest entry low scales them all:
     k * low / sum(low / v).
     """
-    values = _validate(values)
-    for v in values:
-        if v == 0:
-            return 0.0
-    total = sum(1.0 / v for v in values)
-    if math.isinf(total):
-        low = min(values)
-        return low * len(values) / sum(low / v for v in values)
-    return len(values) / total
+    return power_mean(values, -1.0)
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -148,29 +144,12 @@ def geometric_mean(values: Sequence[float]) -> float:
     Fowlkes-Mallows score); past that a pair is sqrt(a) * sqrt(b), and
     longer tuples go through log space.
     """
-    values = _validate(values)
-    for v in values:
-        if v == 0:
-            return 0.0
-    k = len(values)
-    if k == 1:
-        return values[0]
-    if k <= 3:
-        product = math.prod(values)
-        if _TINY <= product <= _HUGE:
-            return math.sqrt(product) if k == 2 else product ** (1.0 / 3.0)
-        if k == 2:
-            return math.sqrt(values[0]) * math.sqrt(values[1])
-    return math.exp(sum(math.log(v) for v in values) / k)
+    return power_mean(values, 0.0)
 
 
 def arithmetic_mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; divides each finite entry first where their sum overflows."""
-    values = _validate(values)
-    total = sum(values)
-    if math.isinf(total) and all(map(math.isfinite, values)):
-        return sum(v / len(values) for v in values)
-    return total / len(values)
+    """Arithmetic mean; scales each entry down by a power of two where their sum overflows."""
+    return power_mean(values, 1.0)
 
 
 def power_mean(values: Sequence[float], p: float) -> float:
@@ -183,53 +162,74 @@ def power_mean(values: Sequence[float], p: float) -> float:
     r^p rounds to 1, and the 1/p-th power of their mean loses every bit.
     """
     if type(p) is not float:  # the exponents of `AveragingSpec` skip the call
-        _refuse_bool(p)
-    if p == 1:
-        return arithmetic_mean(values)
-    if p == -1:
-        return harmonic_mean(values)
-    if abs(p) < _TINY:  # 0 or subnormal: the geometric mean to far below an ulp
-        return geometric_mean(values)
+        _refuse_non_number(p)
     values = _validate(values)
     if math.isnan(p):
         raise ValueError("NaN exponent")
-    if p == math.inf:
-        return max(values)
-    if p == -math.inf:
-        return min(values)
+    return _power_mean(values, p)
+
+
+def _power_mean(values: Sequence[float], p: float) -> float:
+    """`power_mean` on a non-empty sequence of floats it need not check: never
+    NaN, and negative only where p is 1 or +-inf.  `math.fsum` raises
+    OverflowError where a finite sum overflows; the arithmetic and harmonic
+    means then take their fallbacks."""
     k = len(values)
-    if p > 0:
-        anchor = max(values)
-        if anchor == 0.0:
-            return 0.0
-    else:
-        for v in values:
-            if v == 0:
-                return 0.0
-        anchor = min(values)
-    total = 0.0
+    if k == 1:
+        return values[0]
+    if p == 1:
+        try:
+            return math.fsum(values) / k
+        except OverflowError:  # scaled by a power of two 2^e > k, the sum is finite
+            scale = 2.0 ** k.bit_length()
+            return math.fsum([v / scale for v in values]) / k * scale
+    if math.isinf(p):
+        return max(values) if p > 0 else min(values)
+    if p < _TINY and 0.0 in values:  # p <= 0, or a subnormal p read as 0
+        return 0.0
+    if p == -1:
+        try:  # a reciprocal of a subnormal is inf, a sum of large ones overflows
+            total = math.fsum([1.0 / v for v in values])
+        except OverflowError:
+            total = math.inf
+        if total < math.inf:
+            return k / total
+        low = min(values)
+        return low * k / math.fsum([low / v for v in values])
+    if abs(p) < _TINY:  # 0 or subnormal: the geometric mean to far below an ulp
+        if k <= 3:
+            product = math.prod(sorted(values))  # one order, whatever the input's
+            if _TINY <= product <= _HUGE:
+                return math.sqrt(product) if k == 2 else product ** (1.0 / 3.0)
+            if k == 2:
+                return math.sqrt(values[0]) * math.sqrt(values[1])
+        return math.exp(math.fsum(map(math.log, values)) / k)
+    anchor = max(values) if p > 0 else min(values)
+    if anchor == 0.0:  # p > 0 and every entry 0
+        return 0.0
+    terms = []
     for v in values:
         ratio = v / anchor
         if ratio == 0:  # r^p - 1 at r = 0, p > 0
-            total -= 1.0
+            terms.append(-1.0)
         else:  # a ratio past the double range (a subnormal anchor) keeps its log
             log_ratio = math.log(ratio) if ratio < math.inf else math.log(v) - math.log(anchor)
-            total += math.expm1(p * log_ratio)
-    return anchor * math.exp(math.log1p(total / k) / p)
+            terms.append(math.expm1(p * log_ratio))
+    return anchor * math.exp(math.log1p(math.fsum(terms) / k) / p)
 
 
-def _refuse_bool(p: object) -> None:
-    # a bool is no exponent, although float() reads it as 0 or 1
-    if isinstance(p, _BOOLS):
-        raise ValueError(f"exponent must be a number, not the bool {p!r}")
+def _refuse_non_number(p: object) -> None:
+    # a bool is no exponent, although float() reads it as 0 or 1, nor is a str
+    if isinstance(p, _NON_NUMBERS):
+        raise ValueError(f"exponent must be a number, not the {type(p).__name__} {p!r}")
 
 
 def _check_exponent(p: float) -> None:
-    """The rate scores' exponent rule: p <= 1 (-inf allowed), never NaN or a bool.
+    """The rate scores' exponent rule: p <= 1 (-inf allowed), never NaN, a bool or a str.
 
     Past p = 1 a power mean of rates rewards imbalance between them."""
     if type(p) is not float:  # one-vs-one checks p per pair; a float skips the call
-        _refuse_bool(p)
+        _refuse_non_number(p)
     if math.isnan(p):
         raise ValueError("NaN exponent")
     if p > 1:

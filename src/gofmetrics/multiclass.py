@@ -31,8 +31,7 @@ from .means import (
     AveragingSpec,
     _check_exponent,
     _pair_average,
-    apply_average,
-    power_mean,
+    _power_mean,
 )
 
 __all__ = [
@@ -144,13 +143,10 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
                 "average undefined on negative values: "
                 f"{outer.to_string()} outer cannot aggregate a signed metric"
             )
-    elif math.isinf(exponent):
-        raise ValueError(f"invalid outer spec: {outer.to_string()}")
-    else:
-        try:
-            _check_exponent(exponent)
-        except ValueError as exc:
-            raise ValueError(f"invalid outer spec: {exc}") from None
+    elif not -math.inf < exponent <= 1:
+        raise ValueError(
+            f"invalid outer spec {outer.to_string()}: an outer exponent must be <= 1 and not -inf"
+        )
 
 
 def _per_class_average(
@@ -159,26 +155,7 @@ def _per_class_average(
     # the inner mean pairs each class's precision with its recall
     _check_outer(outer, False)
     per_class = _pair_average(inner, *_diagonal_rates(cm))
-    return _rate_mean(per_class, outer.exponent)
-
-
-def _rate_mean(rates: np.ndarray, p: float) -> float:
-    """`power_mean(tuple(rates.tolist()), p)`, bit for bit, for rates a metric
-    built itself: never NaN, and negative only where p is 1 or +-inf (a signed
-    one-vs-one score), so the arithmetic, min, max and harmonic means skip the
-    per-value checks and the two sums use the same builtin `sum`."""
-    if p == 1:
-        return sum(rates.tolist()) / len(rates)
-    if math.isinf(p):
-        return float(rates.max() if p > 0 else rates.min())
-    if p == -1:
-        # a zero or subnormal rate makes the sum inf: the scalar mean's 0.0 or
-        # its rescaled fallback
-        with np.errstate(divide="ignore", over="ignore"):
-            total = sum((1.0 / rates).tolist())
-        if total < math.inf:
-            return len(rates) / total
-    return power_mean(tuple(rates.tolist()), p)
+    return _power_mean(per_class.tolist(), outer.exponent)
 
 
 def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -240,7 +217,7 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     reward lopsided class performance instead of penalizing it.
     """
     _check_exponent(p)
-    return _rate_mean(np.concatenate(_diagonal_rates(cm)), p)
+    return _power_mean(np.concatenate(_diagonal_rates(cm)).tolist(), p)
 
 
 @dataclass(frozen=True)
@@ -310,8 +287,9 @@ def _one_vs_one(
             if info.swap_invariant:
                 values.append(evaluate(view))
             else:
-                values.append(apply_average(outer, (evaluate(view), evaluate(view.swapped()))))
-    return _rate_mean(np.array(values), outer.exponent)
+                pair = [evaluate(view), evaluate(view.swapped())]
+                values.append(_power_mean(pair, outer.exponent))
+    return _power_mean(values, outer.exponent)
 
 
 def one_vs_one_average(

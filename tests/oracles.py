@@ -152,7 +152,7 @@ def one_vs_one_loop(cm, metric, outer, p=None):
         if not info.signed:
             return apply_average(outer, values)
         if outer.exponent == 1:
-            return sum(values) / len(values)
+            return math.fsum(values) / len(values)
         return float(min(values) if outer.exponent < 0 else max(values))
 
     values = []

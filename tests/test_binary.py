@@ -255,6 +255,10 @@ class TestLpFourRate:
         with pytest.raises(ValueError, match="NaN exponent"):
             lp_four_rate_score(view_from(1, 1, 1, 1), math.nan)
 
+    def test_p_str_rejected(self):
+        with pytest.raises(ValueError, match="exponent must be a number, not the str '-1'"):
+            lp_four_rate_score(view_from(1, 1, 1, 1), "-1")
+
     def test_perfect_fit(self):
         assert lp_four_rate_score(view_from(5, 0, 0, 9), -1.0) == 1.0
 

@@ -376,6 +376,11 @@ class TestParseJsonInput:
         err = self.exits_2(tmp_path, capsys, '{"counts": [[3, "1"], ["1", "3"]]}')
         assert 'counts[0][1] is "1", not a number' in err
 
+    def test_count_past_the_double_range_exits_2(self, tmp_path, capsys):
+        # json reads 10^400 as an int that float() cannot
+        err = self.exits_2(tmp_path, capsys, f'{{"counts": [[1, 0], [0, {10**400}]]}}')
+        assert "cell at row 1, column 1 is past the double range" in err
+
 
 class TestParseMetricRequest:
     def test_bare_name(self):

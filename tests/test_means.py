@@ -1,6 +1,7 @@
 """Unit tests for the averaging family."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestArithmetic:
         assert arithmetic_mean((1e308, 1e308)) == 1e308
         assert arithmetic_mean((1e308, 1e308, 0.0)) == pytest.approx(1e308 / 3 * 2, rel=1e-15)
         assert arithmetic_mean((1e308, math.inf)) == math.inf
+
+    def test_sum_is_correctly_rounded(self):
+        # math.fsum; the builtin sum reads 3333333333333333.5 before 3.12,
+        # and 1e16 + 1.0 + 1.0 there depends on the order of the terms
+        for values in ((1e16, 1.0, 1.0), (1.0, 1.0, 1e16)):
+            assert arithmetic_mean(values) == 3333333333333334.0
+
+    def test_largest_double_is_its_own_mean(self):
+        # each third of the sum rounds up, so dividing first overflowed
+        assert arithmetic_mean((sys.float_info.max,) * 3) == sys.float_info.max
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty tuple"):
@@ -281,6 +292,12 @@ class TestAveragingSpec:
             for p in (True, False, np.False_):
                 with pytest.raises(ValueError, match=f"not the bool {p!r}"):
                     build(p)
+
+    def test_power_refuses_a_str_exponent(self):
+        # float() would read "2" as the exponent 2
+        for build in (AveragingSpec.power, lambda p: power_mean((1.0, 2.0), p)):
+            with pytest.raises(ValueError, match="exponent must be a number, not the str '2'"):
+                build("2")
 
     def test_power_one_evaluates_like_arithmetic(self):
         values = (1, 3)

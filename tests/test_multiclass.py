@@ -288,13 +288,13 @@ class TestGeneralizedF1:
         # each class's F1, the values the outer average receives, is the
         # scalar harmonic mean of its two diagonal rates, its fallback for a
         # reciprocal that overflows (an F1 of 2e-310) included
-        per_class, rate_mean = [], multiclass._rate_mean
+        per_class, kernel = [], multiclass._power_mean
 
-        def recording_rate_mean(rates, p):
-            per_class.append(rates.tolist())
-            return rate_mean(rates, p)
+        def recording_kernel(values, p):
+            per_class.append(list(values))
+            return kernel(values, p)
 
-        monkeypatch.setattr(multiclass, "_rate_mean", recording_rate_mean)
+        monkeypatch.setattr(multiclass, "_power_mean", recording_kernel)
         f1_values = []
         for cm in pair_mean_tables(10):
             generalized_f1(cm)
@@ -320,7 +320,8 @@ class TestGeneralizedF1:
                 generalized_f1(cm, outer)
 
     def test_power_outer_above_one_rejected(self):
-        with pytest.raises(ValueError, match="p must be <= 1"):
+        message = r"invalid outer spec power:1\.5: an outer exponent must be <= 1"
+        with pytest.raises(ValueError, match=message):
             generalized_f1(cm_of(GRID3), AveragingSpec.power(1.5))
 
 
@@ -782,6 +783,15 @@ class TestLpMulticlass:
             with pytest.raises(ValueError, match=message):
                 multiclass.evaluate_metric(cm, name, p=p)
 
+    def test_str_p_rejected(self):
+        cm = cm_of(GRID3)
+        message = "exponent must be a number, not the str '-1'"
+        with pytest.raises(ValueError, match=message):
+            lp_multiclass(cm, "-1")
+        for name in ("lp_multiclass", "one_vs_one_lp_four_rate"):
+            with pytest.raises(ValueError, match=message):
+                multiclass.evaluate_metric(cm, name, p="-1")
+
     def test_zero_diagonal_rate_annihilates(self):
         cm = cm_of([[0, 3], [1, 5]])
         assert lp_multiclass(cm, -1.0) == 0.0
@@ -857,6 +867,33 @@ class TestInvariances:
                 assert metric(cm_of(cm.counts * 10)) == pytest.approx(
                     base, abs=1e-12
                 ), name
+
+    ORDER_FREE = {
+        **{
+            f"generalized_{kind}:{outer.to_string()}": (
+                lambda cm, score=score, outer=outer: score(cm, outer)
+            )
+            for kind, score in (("f1", generalized_f1), ("fm", generalized_fm))
+            for outer in (ARITHMETIC, HARMONIC, GEOMETRIC)
+        },
+        "lp_multiclass(-1)": lambda cm: lp_multiclass(cm, -1.0),
+        "lp_multiclass(0.5)": lambda cm: lp_multiclass(cm, 0.5),
+        "one_vs_one_f1": lambda cm: one_vs_one_average(cm, "f1").value,
+        "one_vs_one_mcc": lambda cm: one_vs_one_average(cm, "mcc").value,
+        "one_vs_one_lp_four_rate": lambda cm: one_vs_one_average(cm, "lp_four_rate", p=-1.0).value,
+    }
+
+    def test_relabel_keeps_every_bit(self):
+        # every mean sums with math.fsum, correctly rounded, so these scores do
+        # not depend on the class order; generalized_mcc (the LU's pivot order)
+        # and cramers_phi (numpy's pairwise sums) still may
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            n = int(rng.integers(3, 21))
+            cm = cm_of(random_counts(rng, n))
+            moved = relabel(cm, rng.permutation(n).tolist())
+            for name, metric in self.ORDER_FREE.items():
+                assert metric(moved) == metric(cm), (name, cm.counts.tolist())
 
     def test_smoothing_commutes_with_manual_addition(self):
         from gofmetrics.confusion import smooth

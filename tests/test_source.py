@@ -85,3 +85,20 @@ def test_every_private_helper_is_used():
     assert defined
     unused = [f"{module}:{name}" for module, name in defined if name not in used]
     assert not unused, unused
+
+
+def test_no_builtin_sum():
+    # every sum of floats is math.fsum, correctly rounded, so a score does not
+    # depend on the order of its terms or on the interpreter (3.12 made the
+    # builtin float sum compensated); numpy's .sum() is an attribute, not flagged
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"
+        ]
+    assert not found, found
