@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .confusion import ConfusionMatrix
-from .means import _check_exponent, geometric_mean, harmonic_mean, power_mean
+from .confusion import ConfusionMatrix, _integer
+from .means import _check_exponent, _power_mean
 
 __all__ = [
     "BinaryView",
@@ -41,8 +41,8 @@ class BinaryView:
     def __init__(self, cm: ConfusionMatrix, positive_index: int = 0) -> None:
         if cm.n != 2:
             raise ValueError(f"binary view needs a 2x2 matrix, got {cm.n}x{cm.n}")
-        # True and 1.0 compare equal to 1 but are no index
-        if isinstance(positive_index, (bool, float)) or positive_index not in (0, 1):
+        # `relabel`'s index rule: True and 1.0 compare equal to 1 but are no index
+        if _integer(positive_index) not in (0, 1):
             raise ValueError("positive_index must be 0 or 1")
         (a, b), (c, d) = cm.counts.tolist()
         self.tp, self.fn, self.fp, self.tn = ((a, b, c, d), (d, c, b, a))[positive_index]
@@ -92,17 +92,17 @@ def npv(view: BinaryView) -> float:
 
 def f1_binary(view: BinaryView) -> float:
     """Harmonic mean of precision and sensitivity."""
-    return harmonic_mean((precision(view), sensitivity(view)))
+    return _power_mean((precision(view), sensitivity(view)), -1.0)
 
 
 def f1_zero_binary(view: BinaryView) -> float:
     """Harmonic mean of specificity and npv: the F1 of the negative class."""
-    return harmonic_mean((specificity(view), npv(view)))
+    return _power_mean((specificity(view), npv(view)), -1.0)
 
 
 def fowlkes_mallows_binary(view: BinaryView) -> float:
     """Geometric mean of precision and sensitivity."""
-    return geometric_mean((precision(view), sensitivity(view)))
+    return _power_mean((precision(view), sensitivity(view)), 0.0)
 
 
 def mcc_binary(view: BinaryView) -> float:
@@ -129,6 +129,5 @@ def lp_four_rate_score(view: BinaryView, p: float) -> float:
 
     p must be <= 1 (-inf allowed), as `means._check_exponent` explains.
     """
-    _check_exponent(p)
     rates = (sensitivity(view), specificity(view), precision(view), npv(view))
-    return power_mean(rates, p)
+    return _power_mean(rates, _check_exponent(p))

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .confusion import ConfusionMatrix, smooth
-from .means import AveragingSpec
+from .means import AveragingSpec, _no_number
 from .multiclass import MetricScore, evaluate_metric
 
 __all__ = [
@@ -271,8 +271,8 @@ def parse_json_input(path: str) -> ConfusionMatrix:
         if isinstance(row, (dict, str)):  # whose keys or characters are no cells
             raise InputError(f"{path}: counts[{i}] is {json.dumps(row)}, not a list of numbers")
         for j, cell in enumerate(row if isinstance(row, list) else ()):
-            # only JSON numbers count; bool is an int subclass in Python
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
+            # only JSON numbers pass the number rule, which refuses a bool
+            if _no_number(type(cell)):
                 raise InputError(
                     f"{path}: counts[{i}][{j}] is {json.dumps(cell)}, not a number"
                 )

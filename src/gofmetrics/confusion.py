@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .means import GEOMETRIC, _pair_average
+from .means import GEOMETRIC, _no_number, _pair_average, _past_doubles
 
 __all__ = [
     "ConfusionMatrix",
@@ -203,25 +203,6 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"class_{i}" for i in range(n))
 
 
-# cell types that numpy would read as a number, or fail on under another name
-_NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
-
-
-def _no_number(kind: type) -> bool:
-    # a type numpy would misread as a number, or one with neither __float__ nor __index__
-    number = hasattr(kind, "__float__") or hasattr(kind, "__index__")
-    return not number or issubclass(kind, _NON_NUMBERS)
-
-
-def _past_doubles(number: object) -> bool:
-    # an int or Fraction that float() cannot read, being past the largest double
-    try:
-        float(number)
-    except OverflowError:
-        return True
-    return False
-
-
 def _check_cells(grid: object) -> object:
     # the grid as a list of rows, any row that is an iterator read into a list
     # once, so numpy gets the cells this scan saw.  Names the first cell that
@@ -263,8 +244,8 @@ def _overflow_message(counts: np.ndarray) -> str:
 def smooth(cm: ConfusionMatrix, alpha: float) -> ConfusionMatrix:
     """Add the pseudo-count alpha to every cell; alpha = 0 returns cm unchanged.
 
-    alpha must be finite, non-negative and a number by the cell rule of
-    `from_counts`, which refuses a bool or a str and reads a Fraction as float."""
+    alpha must be finite, non-negative and a number by the cells' rule
+    (`means._no_number`), which refuses a bool or a str and reads a Fraction."""
     if _no_number(type(alpha)):
         raise ValueError(f"alpha is {alpha!r}, not a number")
     alpha = np.inf if _past_doubles(alpha) else float(alpha)
@@ -317,7 +298,11 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
     classifier; only the presentation order changes.  Entries are Python or
     numpy integers; a bool or a float is refused.
     """
-    perm = [_position(k, x) for k, x in enumerate(permutation)]
+    entries = list(permutation)
+    perm = list(map(_integer, entries))
+    if None in perm:
+        k = perm.index(None)
+        raise ValueError(f"permutation[{k}] is {entries[k]!r}, not an integer")
     if sorted(perm) != list(range(cm.n)):
         raise ValueError(
             f"permutation must be a bijection on 0..{cm.n - 1}, got {perm}"
@@ -327,11 +312,11 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
     return _wrap(new_labels, new_counts)
 
 
-def _position(k: int, entry: object) -> int:
-    # an integer, never a bool or a float that int() would truncate
+def _integer(entry: object) -> int | None:
+    # an integer, never a bool or a float that int() would truncate; else None
     if not isinstance(entry, bool):
         try:
             return operator.index(entry)
         except TypeError:
             pass
-    raise ValueError(f"permutation[{k}] is {entry!r}, not an integer")
+    return None

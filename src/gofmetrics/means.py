@@ -1,4 +1,4 @@
-"""Averaging functions over tuples of non-negative reals.
+"""Averaging functions over tuples of non-negative reals, and the number rule.
 
 The workhorse is the power-mean family
 
@@ -10,13 +10,14 @@ p -> +inf / -inf.  One kernel, `_power_mean`, holds every case, and gives
 the named ones their own branch so the collapse is exact rather than
 approximate; `harmonic_mean`, `geometric_mean` and `arithmetic_mean` are
 `power_mean` at -1, 0 and 1.  Every sum is `math.fsum`, correctly rounded,
-so a mean does not depend on the order of its values or on the interpreter
-(the builtin float `sum` is compensated from 3.12 on).  An `AveragingSpec`
-is an average's name and the power-mean exponent that name stands for;
-every mean the package takes is keyed by that exponent.  `_pair_average` is the
-element-wise form over two arrays of rates, for the only two pair means the
-metrics take: harmonic (per-class F1) and geometric (per-class
-Fowlkes-Mallows and the normalized matrix N).
+so a mean does not depend on the order of its values or on the interpreter.
+An `AveragingSpec` is an average's name and the exponent it stands for.
+`_pair_average` is the element-wise form over two arrays of rates: harmonic
+(per-class F1) or geometric (per-class Fowlkes-Mallows and the matrix N).
+
+`_no_number` is the package's one rule for what counts as a number, applied
+once where a caller's number comes in: an exponent (`_exponent`), a mean's
+value, a table cell, a pair count, an alpha.  The kernel sees only floats.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ class AveragingSpec:
 
     @classmethod
     def power(cls, p: float) -> "AveragingSpec":
-        _refuse_non_number(p)
-        return cls(f"power:{float(p)!r}")
+        return cls(f"power:{_exponent(p)!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "AveragingSpec":
@@ -107,24 +107,58 @@ MAX = AveragingSpec("max")
 # the normal positive doubles; a product outside them has lost bits or overflowed
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _SQRT_TINY = math.sqrt(_TINY)  # 2^-511, exact
-_NON_NUMBERS = (bool, np.bool_, str)
+# types that numpy or float() would read as a number, or fail on under another name
+_NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
+
+
+def _no_number(kind: type) -> bool:
+    # the one number rule: a type numpy would misread, or one with neither __float__ nor __index__
+    number = hasattr(kind, "__float__") or hasattr(kind, "__index__")
+    return not number or issubclass(kind, _NON_NUMBERS)
+
+
+def _past_doubles(number: object) -> bool:
+    # an int or Fraction that float() cannot read, being past the largest double
+    try:
+        float(number)
+    except OverflowError:
+        return True
+    return False
+
+
+def _exponent(p: object) -> float:
+    """A caller's exponent as a float: a non-number (`_no_number`) and NaN are refused
+    by name, and a number past the double range reads as the infinity of its sign."""
+    if type(p) is not float:
+        if _no_number(type(p)):
+            raise ValueError(f"exponent must be a number, not the {type(p).__name__} {p!r}")
+        p = (math.inf if p > 0 else -math.inf) if _past_doubles(p) else float(p)
+    if math.isnan(p):
+        raise ValueError("NaN exponent")
+    return p
 
 
 def _validate(values: Sequence[float]) -> Sequence[float]:
-    # shared domain checks: the means are defined on non-empty tuples of
-    # non-negative reals only.  They compute on Python floats, since numpy
+    # shared domain checks: the means are defined on non-empty tuples of non-negative
+    # numbers (`_no_number`) only.  They compute on Python floats, since numpy
     # scalars warn where an intermediate leaves the double range
     if len(values) == 0:
         raise ValueError("empty tuple")
     floats = True
     for v in values:
+        if type(v) is not float:
+            if _no_number(type(v)):
+                raise ValueError(f"value must be a number, not the {type(v).__name__} {v!r}")
+            floats = False
         if v != v:  # NaN, the one value unequal to itself
             raise ValueError("NaN input")
         if v < 0:
             raise ValueError("negative input")
-        if type(v) is not float:
-            floats = False
-    return values if floats else [float(v) for v in values]
+    try:
+        return values if floats else [float(v) for v in values]
+    except OverflowError:  # an int or Fraction past the largest double
+        i = next(i for i, v in enumerate(values) if _past_doubles(v))
+        raise ValueError(f"value {i} is past the double range") from None
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
@@ -161,12 +195,7 @@ def power_mean(values: Sequence[float], p: float) -> float:
     and averages r^p - 1 = expm1(p log r) rather than r^p: near p = 0 every
     r^p rounds to 1, and the 1/p-th power of their mean loses every bit.
     """
-    if type(p) is not float:  # the exponents of `AveragingSpec` skip the call
-        _refuse_non_number(p)
-    values = _validate(values)
-    if math.isnan(p):
-        raise ValueError("NaN exponent")
-    return _power_mean(values, p)
+    return _power_mean(_validate(values), _exponent(p))
 
 
 def _power_mean(values: Sequence[float], p: float) -> float:
@@ -189,13 +218,13 @@ def _power_mean(values: Sequence[float], p: float) -> float:
         return 0.0
     if p == -1:
         try:  # a reciprocal of a subnormal is inf, a sum of large ones overflows
-            total = math.fsum([1.0 / v for v in values])
+            total = math.fsum(map((1.0).__truediv__, values))
         except OverflowError:
             total = math.inf
         if total < math.inf:
             return k / total
         low = min(values)
-        return low * k / math.fsum([low / v for v in values])
+        return low * k / math.fsum(map(low.__truediv__, values))
     if abs(p) < _TINY:  # 0 or subnormal: the geometric mean to far below an ulp
         if k <= 3:
             product = math.prod(sorted(values))  # one order, whatever the input's
@@ -218,22 +247,13 @@ def _power_mean(values: Sequence[float], p: float) -> float:
     return anchor * math.exp(math.log1p(math.fsum(terms) / k) / p)
 
 
-def _refuse_non_number(p: object) -> None:
-    # a bool is no exponent, although float() reads it as 0 or 1, nor is a str
-    if isinstance(p, _NON_NUMBERS):
-        raise ValueError(f"exponent must be a number, not the {type(p).__name__} {p!r}")
-
-
-def _check_exponent(p: float) -> None:
-    """The rate scores' exponent rule: p <= 1 (-inf allowed), never NaN, a bool or a str.
-
-    Past p = 1 a power mean of rates rewards imbalance between them."""
-    if type(p) is not float:  # one-vs-one checks p per pair; a float skips the call
-        _refuse_non_number(p)
-    if math.isnan(p):
-        raise ValueError("NaN exponent")
-    if p > 1:
+def _check_exponent(p: float) -> float:
+    """The rate scores' exponent rule, returning `_exponent`'s float: p <= 1, -inf
+    allowed.  Past p = 1 a power mean of rates rewards imbalance between them."""
+    exponent = _exponent(p)
+    if exponent > 1:
         raise ValueError(f"p must be <= 1, got {p}")
+    return exponent
 
 
 def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:

@@ -216,7 +216,7 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     p <= 1 (with -inf meaning the worst rate): exponents past 1 would
     reward lopsided class performance instead of penalizing it.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
     return _power_mean(np.concatenate(_diagonal_rates(cm)).tolist(), p)
 
 
@@ -260,14 +260,6 @@ METRICS: dict[str, MetricInfo] = {
 }
 
 BINARY_METRIC_NAMES = tuple(name[len(_OVO):] for name in METRICS if name.startswith(_OVO))
-
-
-def _parameters(outer: AveragingSpec | None, p: float | None) -> dict[str, str]:
-    # MetricScore.parameters: the options that shaped a score
-    parameters = {} if outer is None else {"outer": outer.to_string()}
-    if p is not None:
-        parameters["p"] = repr(float(p))
-    return parameters
 
 
 def _one_vs_one(
@@ -344,7 +336,11 @@ def evaluate_metric(
     else:
         # past the checks, exactly the options this metric takes are set
         value = info.func(cm, *(option for option in (outer, p) if option is not None))
-    return MetricScore(name, value, _parameters(outer, p), cm.n)
+    # the options that shaped the score, p as the float it was read as
+    parameters = {} if outer is None else {"outer": outer.to_string()}
+    if p is not None:
+        parameters["p"] = repr(_check_exponent(p))
+    return MetricScore(name, value, parameters, cm.n)
 
 
 def _parity(mapping: tuple[int, ...]) -> str:

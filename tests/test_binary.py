@@ -71,6 +71,13 @@ class TestView:
         with pytest.raises(ValueError, match="positive_index must be 0 or 1"):
             BinaryView(cm, index)
 
+    @pytest.mark.parametrize("index", [np.True_, np.False_, np.float32(1), "1", None])
+    def test_positive_index_by_the_relabel_index_rule(self, index):
+        # operator.index refuses each, as relabel does; a tuple index would raise TypeError
+        cm = ConfusionMatrix.from_counts([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="positive_index must be 0 or 1"):
+            BinaryView(cm, index)
+
     def test_numpy_integer_positive_index(self):
         v = BinaryView(ConfusionMatrix.from_counts([[1, 2], [3, 4]]), np.int64(1))
         assert (v.tp, v.fn, v.fp, v.tn) == (4, 3, 2, 1)

@@ -102,3 +102,30 @@ def test_no_builtin_sum():
             and node.func.id == "sum"
         ]
     assert not found, found
+
+
+def test_number_rule_and_public_means_stay_in_means():
+    # the number rule is bound once, in `means`, and the package calls the
+    # public means only from there: every other module has checked its floats
+    # and hands them to `means._power_mean`
+    public_means = {
+        "power_mean", "harmonic_mean", "geometric_mean", "arithmetic_mean", "apply_average"
+    }
+    calls, bindings = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "means.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in public_means:
+                    calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id == "_NON_NUMBERS":
+                    bindings.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.alias) and (node.asname or node.name) == "_NON_NUMBERS":
+                bindings.append(f"{path.name}: import")
+    assert not calls, calls
+    assert not bindings, bindings
