@@ -1,10 +1,15 @@
 """Two-class rates and scores over a 2x2 confusion matrix.
 
 A `BinaryView` fixes which of the two classes counts as positive and holds
-its four cells as Python floats (one-vs-one builds one per class pair):
+its four cells as Python floats:
 
     TP = counts[pos][pos]   FN = counts[pos][neg]
     FP = counts[neg][pos]   TN = counts[neg][neg]
+
+Every score is an array function of the eight rates of m such tables at
+once (`_rates`), which one-vs-one applies to all class pairs of a table in
+one pass; the public scores of one view are those functions at m = 1.  The
+other class's rates are the same rows reversed, `rates[:, ::-1]`.
 
 All rate functions use the 0-on-degenerate convention: when a denominator
 is zero the rate is 0.0 rather than an error, so the scores stay total on
@@ -13,11 +18,13 @@ every non-empty table.
 
 from __future__ import annotations
 
-import math
-from functools import partial
+from operator import itemgetter
+from typing import Callable
+
+import numpy as np
 
 from .confusion import ConfusionMatrix, _integer
-from .means import _check_exponent, _power_mean
+from .means import _check_exponent, _pair_average, _power_mean
 
 __all__ = [
     "BinaryView",
@@ -49,60 +56,88 @@ class BinaryView:
 
     def swapped(self) -> "BinaryView":
         """The same table with the other class as positive."""
-        return _view(self.tn, self.fp, self.fn, self.tp)
+        # type(self), not the module name, which a tracer may rebind to a wrapper
+        view = object.__new__(type(self))
+        view.tp, view.fn, view.fp, view.tn = self.tn, self.fp, self.fn, self.tp
+        return view
 
 
-# the class is bound here once: a tracer may rebind the module name
-# `BinaryView` to a wrapper function, and the builder must not look it up
-_blank_view = partial(object.__new__, BinaryView)
+def _rates(cells: np.ndarray) -> np.ndarray:
+    """The (2, 4, m) rates of m tables whose cells are the columns of the
+    (4, m) `cells`, rows TP, FN, FP, TN.
+
+    rates[0] is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity
+    TN/(TN+FP) and npv TN/(TN+FN); rates[1] holds FP, FN, FP and FN over the
+    same four sums.  Each is one division, 0 over a zero sum: the two
+    non-negative numerators of a zero sum are 0 (+0.0, since `from_counts`
+    stores no -0.0), and stay as its rates.
+    """
+    numerators = cells.take([0, 0, 3, 3, 2, 1, 2, 1], axis=0).reshape(2, 4, -1)
+    sums = numerators[0] + numerators[1]
+    return np.divide(numerators, sums, out=numerators, where=sums != 0)
 
 
-def _view(tp: float, fn: float, fp: float, tn: float) -> BinaryView:
-    """The `BinaryView` with these four cells, without a 2x2 table."""
-    view = _blank_view()
-    view.tp, view.fn, view.fp, view.tn = tp, fn, fp, tn
-    return view
+def _of(view: BinaryView) -> np.ndarray:
+    # the rates of one view, m = 1
+    return _rates(np.array([[view.tp], [view.fn], [view.fp], [view.tn]]))
 
 
-def _rate(num: float, denom: float) -> float:
-    if denom == 0:
-        return 0.0
-    return num / denom
+def _two_term(p: float, rows: list[int]) -> Callable[[np.ndarray], np.ndarray]:
+    # the array score that is the two-term mean of exponent p of two of rates[0]
+    return lambda rates: _pair_average(p, *rates[0, rows])
+
+
+# the two-class scores as array functions of `_rates`
+_precision, _sensitivity, _specificity, _npv = (itemgetter((0, k)) for k in range(4))
+_f1 = _two_term(-1.0, [0, 1])  # of precision and sensitivity
+_f1_zero = _two_term(-1.0, [2, 3])  # of specificity and npv
+_fowlkes_mallows = _two_term(0.0, [0, 1])
+
+
+def _mcc(rates: np.ndarray) -> np.ndarray:
+    halves = rates[:, :2] * rates[:, :1:-1]  # PPV NPV, TPR TNR and FDR FOR, FNR FPR
+    roots = np.sqrt(halves[:, 0] * halves[:, 1])
+    return roots[0] - roots[1]
+
+
+def _lp_four_rate(rates: np.ndarray, p: float) -> np.ndarray:
+    # a mean of four terms sums with fsum, one table at a time
+    return np.array([_power_mean(four, p) for four in rates[0, [1, 2, 0, 3]].T.tolist()])
 
 
 def precision(view: BinaryView) -> float:
     """TP / (TP + FP): how often a positive call is right."""
-    return _rate(view.tp, view.tp + view.fp)
+    return _precision(_of(view)).item()
 
 
 def sensitivity(view: BinaryView) -> float:
     """TP / (TP + FN): how much of the positive class is recovered."""
-    return _rate(view.tp, view.tp + view.fn)
+    return _sensitivity(_of(view)).item()
 
 
 def specificity(view: BinaryView) -> float:
     """TN / (TN + FP): sensitivity of the negative class."""
-    return _rate(view.tn, view.tn + view.fp)
+    return _specificity(_of(view)).item()
 
 
 def npv(view: BinaryView) -> float:
     """TN / (TN + FN): precision of the negative class."""
-    return _rate(view.tn, view.tn + view.fn)
+    return _npv(_of(view)).item()
 
 
 def f1_binary(view: BinaryView) -> float:
     """Harmonic mean of precision and sensitivity."""
-    return _power_mean((precision(view), sensitivity(view)), -1.0)
+    return _f1(_of(view)).item()
 
 
 def f1_zero_binary(view: BinaryView) -> float:
     """Harmonic mean of specificity and npv: the F1 of the negative class."""
-    return _power_mean((specificity(view), npv(view)), -1.0)
+    return _f1_zero(_of(view)).item()
 
 
 def fowlkes_mallows_binary(view: BinaryView) -> float:
     """Geometric mean of precision and sensitivity."""
-    return _power_mean((precision(view), sensitivity(view)), 0.0)
+    return _fowlkes_mallows(_of(view)).item()
 
 
 def mcc_binary(view: BinaryView) -> float:
@@ -118,10 +153,7 @@ def mcc_binary(view: BinaryView) -> float:
     sqrt((FDR FOR)(FNR FPR)): exact under power-of-two scaling, bounded by
     construction, and the same bits with either class positive.
     """
-    tp, fn, fp, tn = view.tp, view.fn, view.fp, view.tn
-    agree = (_rate(tp, tp + fp) * _rate(tn, tn + fn)) * (_rate(tp, tp + fn) * _rate(tn, tn + fp))
-    disagree = (_rate(fp, tp + fp) * _rate(fn, tn + fn)) * (_rate(fn, tp + fn) * _rate(fp, tn + fp))
-    return math.sqrt(agree) - math.sqrt(disagree)
+    return _mcc(_of(view)).item()
 
 
 def lp_four_rate_score(view: BinaryView, p: float) -> float:
@@ -129,5 +161,4 @@ def lp_four_rate_score(view: BinaryView, p: float) -> float:
 
     p must be <= 1 (-inf allowed), as `means._check_exponent` explains.
     """
-    rates = (sensitivity(view), specificity(view), precision(view), npv(view))
-    return _power_mean(rates, _check_exponent(p))
+    return _lp_four_rate(_of(view), _check_exponent(p)).item()

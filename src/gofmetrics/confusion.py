@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .means import GEOMETRIC, _no_number, _pair_average, _past_doubles
+from .means import _no_number, _pair_average, _past_doubles, _quiet
 
 __all__ = [
     "ConfusionMatrix",
@@ -80,7 +80,8 @@ class ConfusionMatrix:
         and not all zero, and their sum must be finite too.  A cell that is
         no number (a str, bytes, bool, complex, None, list or dict) is refused,
         and so is a grid or a row that is a str, bytes or mapping.  A grid or
-        row that is an iterator is read once, as its list would be.
+        row that is an iterator is read once, as its list would be.  A
+        signalling NaN is a NaN cell, and a -0.0 cell is stored as 0.0.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
@@ -130,6 +131,7 @@ class ConfusionMatrix:
             raise ValueError(_overflow_message(counts))
         if total == 0:
             raise ValueError("all cells are zero")
+        counts += 0.0  # -0.0 as 0.0: no rate, and no mean of rates, sees a signed zero
         counts.setflags(write=False)
         cm = cls(labels, counts)
         # the validating sum is the one `total` would take; fill its cache
@@ -185,10 +187,13 @@ class ConfusionMatrix:
         n = len(labels)
         cells = [index[t] * n + index[p] for t, p in pair_counts]
         weights = list(pair_counts.values())
-        refused = set(filter(_no_number, set(map(type, weights))))
+        kinds = set(map(type, weights))
+        refused = set(filter(_no_number, kinds))
         if refused:
             pair = next(pair for pair, c in pair_counts.items() if type(c) in refused)
             raise ValueError(f"count of {pair!r} is {pair_counts[pair]!r}, not a number")
+        if any(hasattr(kind, "is_snan") for kind in kinds):
+            weights = list(map(_quiet, weights))
         try:
             counts = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
         except OverflowError:
@@ -206,7 +211,8 @@ def _default_labels(n: int) -> tuple[str, ...]:
 def _check_cells(grid: object) -> object:
     # the grid as a list of rows, any row that is an iterator read into a list
     # once, so numpy gets the cells this scan saw.  Names the first cell that
-    # is no number (`_no_number`).  A grid or row that is not iterable is left
+    # is no number (`_no_number`), and reads a signalling NaN as NaN (`_quiet`),
+    # since numpy refuses one as ragged.  A grid or row that is not iterable is left
     # to the shape checks, and one whose items are no rows or cells (the
     # characters of a string, the keys of a mapping) is named
     if isinstance(grid, (str, bytes, Mapping)):
@@ -227,6 +233,8 @@ def _check_cells(grid: object) -> object:
             # only a refused type takes a second pass, to name its cell
             j, cell = next((j, c) for j, c in enumerate(row) if type(c) in refused)
             raise ValueError(f"non-number cell at row {i}, column {j}: {cell!r}")
+        if any(hasattr(kind, "is_snan") for kind in kinds):
+            rows[i] = list(map(_quiet, row))
     return rows
 
 
@@ -248,6 +256,7 @@ def smooth(cm: ConfusionMatrix, alpha: float) -> ConfusionMatrix:
     (`means._no_number`), which refuses a bool or a str and reads a Fraction."""
     if _no_number(type(alpha)):
         raise ValueError(f"alpha is {alpha!r}, not a number")
+    alpha = _quiet(alpha)
     alpha = np.inf if _past_doubles(alpha) else float(alpha)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
@@ -275,7 +284,7 @@ def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:
     """
     by_col = _rates(cm.counts, cm.col_sums[None, :])
     by_row = _rates(cm.counts, cm.row_sums[:, None])
-    values = _pair_average(GEOMETRIC, by_col, by_row)
+    values = _pair_average(0.0, by_col, by_row)
     values.setflags(write=False)
     return values
 

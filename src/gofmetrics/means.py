@@ -12,12 +12,13 @@ approximate; `harmonic_mean`, `geometric_mean` and `arithmetic_mean` are
 `power_mean` at -1, 0 and 1.  Every sum is `math.fsum`, correctly rounded,
 so a mean does not depend on the order of its values or on the interpreter.
 An `AveragingSpec` is an average's name and the exponent it stands for.
-`_pair_average` is the element-wise form over two arrays of rates: harmonic
-(per-class F1) or geometric (per-class Fowlkes-Mallows and the matrix N).
+`_pair_average` is the element-wise two-term mean over two arrays of rates:
+per-class F1 and Fowlkes-Mallows, the matrix N, and the one-vs-one scores.
 
 `_no_number` is the package's one rule for what counts as a number, applied
 once where a caller's number comes in: an exponent (`_exponent`), a mean's
-value, a table cell, a pair count, an alpha.  The kernel sees only floats.
+value, a table cell, a pair count, an alpha.  A signalling NaN is read there
+as NaN (`_quiet`).  The kernel sees only floats.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ def _no_number(kind: type) -> bool:
     return not number or issubclass(kind, _NON_NUMBERS)
 
 
+def _quiet(number: object) -> object:
+    # a signalling NaN (a Decimal's) as NaN, which float() and comparisons accept
+    is_snan = getattr(number, "is_snan", None)
+    return math.nan if is_snan is not None and is_snan() else number
+
+
 def _past_doubles(number: object) -> bool:
     # an int or Fraction that float() cannot read, being past the largest double
     try:
@@ -132,6 +139,7 @@ def _exponent(p: object) -> float:
     if type(p) is not float:
         if _no_number(type(p)):
             raise ValueError(f"exponent must be a number, not the {type(p).__name__} {p!r}")
+        p = _quiet(p)
         p = (math.inf if p > 0 else -math.inf) if _past_doubles(p) else float(p)
     if math.isnan(p):
         raise ValueError("NaN exponent")
@@ -149,6 +157,7 @@ def _validate(values: Sequence[float]) -> Sequence[float]:
         if type(v) is not float:
             if _no_number(type(v)):
                 raise ValueError(f"value must be a number, not the {type(v).__name__} {v!r}")
+            v = _quiet(v)
             floats = False
         if v != v:  # NaN, the one value unequal to itself
             raise ValueError("NaN input")
@@ -261,27 +270,30 @@ def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
     return power_mean(values, spec.exponent)
 
 
-def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`apply_average(spec, (a, b))` element-wise over rates in [0, 1], in place
-    into `a`; `b` is clobbered.  `spec` is HARMONIC (per-class F1) or GEOMETRIC
-    (per-class Fowlkes-Mallows and the normalized matrix N).
+def _pair_average(p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_power_mean((x, y), p)` for each x of `a` and y of `b`, rates in [0, 1],
+    in place into `a`; `b` is clobbered.
 
-    Bit for bit the scalar two-element mean, its fallbacks past the double
-    range included.  The fallbacks need a positive rate below the smallest
-    normal double (harmonic) or below its square root (geometric), and are
-    computed only when the smallest positive rate is.
+    The arithmetic (p = 1), harmonic (-1) and geometric (0, or a subnormal p)
+    means are whole-array and bit for bit the scalar two-term mean, its
+    fallbacks past the double range included.  Those need a positive rate
+    below the smallest normal double (harmonic) or below its square root
+    (geometric), and are computed only when the smallest positive rate is.
+    Any other p takes logs, which numpy and `math` round apart, so each pair
+    goes through the scalar kernel.
     """
+    if p == 1:  # the two-term fsum is a + b, correctly rounded
+        a += b
+        a /= 2
+        return a
+    if p != -1 and abs(p) >= _TINY:
+        a[:] = [_power_mean(pair, p) for pair in zip(a.tolist(), b.tolist())]
+        return a
     low = np.minimum(a, b)
     smallest = low.min(where=low > 0, initial=np.inf)
     fix = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.exponent == 0:
-            if smallest < _SQRT_TINY:  # sqrt(a) * sqrt(b) where a * b is not normal
-                fix = a * b < _TINY
-                fixed = np.sqrt(a[fix]) * np.sqrt(b[fix])
-            a *= b
-            np.sqrt(a, out=a)
-        else:  # HARMONIC; a zero rate gives 2/inf = 0, as in the scalar
+        if p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
             if smallest < _TINY:  # low * 2 / (low/a + low/b) where 1/a + 1/b overflows
                 fix = np.isinf(1.0 / a + 1.0 / b) & (low > 0)
                 low, x, y = low[fix], a[fix], b[fix]
@@ -289,6 +301,12 @@ def _pair_average(spec: AveragingSpec, a: np.ndarray, b: np.ndarray) -> np.ndarr
             np.divide(1.0, a, out=a)
             a += np.divide(1.0, b, out=b)
             np.divide(2.0, a, out=a)
+        else:
+            if smallest < _SQRT_TINY:  # sqrt(a) * sqrt(b) where a * b is not normal
+                fix = a * b < _TINY
+                fixed = np.sqrt(a[fix]) * np.sqrt(b[fix])
+            a *= b
+            np.sqrt(a, out=a)
     if fix is not None:
         a[fix] = fixed
     return a

@@ -10,29 +10,24 @@ classifier is perfect up to a relabeling of its outputs
 The rest of the family: per-class F1 / Fowlkes-Mallows rolled up by a
 caller-chosen average, the chi-square association score `cramers_phi`,
 pairwise one-vs-one averages of any two-class score, and a power mean of
-the 2n diagonal rates.  `METRICS` names every score with the options it
-takes, and `evaluate_metric` scores a matrix by name.
+the 2n diagonal rates.  One-vs-one scores every class pair in one pass of
+array operations over the pairs' cells (`_one_vs_one`).  `METRICS` names
+every score with the options it takes, and `evaluate_metric` scores a
+matrix by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import binary as _binary
 from .confusion import ConfusionMatrix, _rates
-from .means import (
-    ARITHMETIC,
-    GEOMETRIC,
-    HARMONIC,
-    AveragingSpec,
-    _check_exponent,
-    _pair_average,
-    _power_mean,
-)
+from .means import ARITHMETIC, AveragingSpec, _check_exponent, _pair_average, _power_mean
 
 __all__ = [
     "MetricScore",
@@ -149,10 +144,8 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
         )
 
 
-def _per_class_average(
-    cm: ConfusionMatrix, inner: AveragingSpec, outer: AveragingSpec
-) -> float:
-    # the inner mean pairs each class's precision with its recall
+def _per_class_average(cm: ConfusionMatrix, inner: float, outer: AveragingSpec) -> float:
+    # the inner mean, of exponent `inner`, pairs each class's precision with its recall
     _check_outer(outer, False)
     per_class = _pair_average(inner, *_diagonal_rates(cm))
     return _power_mean(per_class.tolist(), outer.exponent)
@@ -164,7 +157,7 @@ def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     Class i's F1 is the harmonic mean of its two diagonal rates, the share
     of predicted-i that is truly i and the share of true-i predicted as i.
     """
-    return _per_class_average(cm, HARMONIC, outer)
+    return _per_class_average(cm, -1.0, outer)
 
 
 def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -175,7 +168,7 @@ def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     geometric normalized matrix.  Dominates generalized_f1 for a matching
     outer because G >= H entrywise.
     """
-    return _per_class_average(cm, GEOMETRIC, outer)
+    return _per_class_average(cm, 0.0, outer)
 
 
 def cramers_phi(cm: ConfusionMatrix) -> float:
@@ -224,8 +217,9 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
 class MetricInfo:
     """One row of `METRICS`: a metric's function and the options it takes.
 
-    A one-vs-one row holds the two-class score that `one_vs_one_average`
-    applies to every class pair."""
+    A one-vs-one row holds the two-class score as an array function of the
+    rates of many tables (`binary._rates`), which `one_vs_one_average`
+    applies to all class pairs at once."""
 
     func: Callable
     takes_outer: bool = False  # an outer average, arithmetic by default
@@ -244,44 +238,43 @@ METRICS: dict[str, MetricInfo] = {
     "generalized_fm": MetricInfo(generalized_fm, takes_outer=True),
     "cramers_phi": MetricInfo(cramers_phi),
     "lp_multiclass": MetricInfo(lp_multiclass, needs_p=True),
-    _OVO + "precision": MetricInfo(_binary.precision, takes_outer=True),
-    _OVO + "sensitivity": MetricInfo(_binary.sensitivity, takes_outer=True),
-    _OVO + "specificity": MetricInfo(_binary.specificity, takes_outer=True),
-    _OVO + "npv": MetricInfo(_binary.npv, takes_outer=True),
-    _OVO + "f1": MetricInfo(_binary.f1_binary, takes_outer=True),
-    _OVO + "f1_zero": MetricInfo(_binary.f1_zero_binary, takes_outer=True),
-    _OVO + "fowlkes_mallows": MetricInfo(_binary.fowlkes_mallows_binary, takes_outer=True),
-    _OVO + "mcc": MetricInfo(
-        _binary.mcc_binary, takes_outer=True, signed=True, swap_invariant=True
-    ),
+    _OVO + "precision": MetricInfo(_binary._precision, takes_outer=True),
+    _OVO + "sensitivity": MetricInfo(_binary._sensitivity, takes_outer=True),
+    _OVO + "specificity": MetricInfo(_binary._specificity, takes_outer=True),
+    _OVO + "npv": MetricInfo(_binary._npv, takes_outer=True),
+    _OVO + "f1": MetricInfo(_binary._f1, takes_outer=True),
+    _OVO + "f1_zero": MetricInfo(_binary._f1_zero, takes_outer=True),
+    _OVO + "fowlkes_mallows": MetricInfo(_binary._fowlkes_mallows, takes_outer=True),
+    _OVO + "mcc": MetricInfo(_binary._mcc, takes_outer=True, signed=True, swap_invariant=True),
     _OVO + "lp_four_rate": MetricInfo(
-        _binary.lp_four_rate_score, takes_outer=True, needs_p=True, swap_invariant=True
+        _binary._lp_four_rate, takes_outer=True, needs_p=True, swap_invariant=True
     ),
 }
 
 BINARY_METRIC_NAMES = tuple(name[len(_OVO):] for name in METRICS if name.startswith(_OVO))
 
 
+@lru_cache(maxsize=32)
+def _pair_cells(n: int) -> np.ndarray:
+    # flat indices into an n x n table of the cells TP, FN, FP, TN of each
+    # class pair i < j, class i positive, in row-major pair order: 4 * 8 bytes
+    # a pair, so a cache entry at n = 1000 holds 16 MB
+    i, j = np.triu_indices(n, 1)
+    return np.stack((i * (n + 1), i * n + j, j * n + i, j * (n + 1)))
+
+
 def _one_vs_one(
     cm: ConfusionMatrix, info: MetricInfo, outer: AveragingSpec, p: float | None
 ) -> float:
-    # the per-pair loop behind `one_vs_one_average`, for a METRICS row whose
-    # options `evaluate_metric` has checked
-    _check_outer(outer, info.signed)
-    evaluate = (lambda view: info.func(view, p)) if info.needs_p else info.func
-
-    # pair (i, j), i positive: the BinaryView of its 2x2 restriction, read in place
-    counts, view_of = cm.counts.tolist(), _binary._view
-    values = []
-    for i in range(cm.n):
-        for j in range(i + 1, cm.n):
-            view = view_of(counts[i][i], counts[i][j], counts[j][i], counts[j][j])
-            if info.swap_invariant:
-                values.append(evaluate(view))
-            else:
-                pair = [evaluate(view), evaluate(view.swapped())]
-                values.append(_power_mean(pair, outer.exponent))
-    return _power_mean(values, outer.exponent)
+    # `one_vs_one_average` for a METRICS row whose options `evaluate_metric`
+    # has checked: the score of every pair, and of every pair with its other
+    # class positive, then the outer mean over both and over the pairs
+    rates = _binary._rates(cm.counts.take(_pair_cells(cm.n)))
+    options = () if p is None else (p,)
+    values = info.func(rates, *options)
+    if not info.swap_invariant:
+        values = _pair_average(outer.exponent, values, info.func(rates[:, ::-1], *options))
+    return _power_mean(values.tolist(), outer.exponent)
 
 
 def one_vs_one_average(
@@ -331,15 +324,18 @@ def evaluate_metric(
         raise ValueError(f"{name} takes no p option: it takes no exponent{hint}")
     if info.takes_outer:
         outer = outer or ARITHMETIC
+        _check_outer(outer, info.signed)
+    if p is not None:
+        p = _check_exponent(p)  # read once, as the float it stands for
     if name.startswith(_OVO):
         value = _one_vs_one(cm, info, outer, p)
     else:
         # past the checks, exactly the options this metric takes are set
         value = info.func(cm, *(option for option in (outer, p) if option is not None))
-    # the options that shaped the score, p as the float it was read as
+    # the options that shaped the score
     parameters = {} if outer is None else {"outer": outer.to_string()}
     if p is not None:
-        parameters["p"] = repr(_check_exponent(p))
+        parameters["p"] = repr(p)
     return MetricScore(name, value, parameters, cm.n)
 
 

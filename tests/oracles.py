@@ -12,8 +12,9 @@ scalar `apply_average`, as the reference its whole-array code must reproduce.
 Likewise `pairs_csv_loop` keeps the original row-at-a-time label-pairs reader
 as the reference for the streaming one, and `one_vs_one_loop` the original
 pair-at-a-time one-vs-one loop, with a 2x2 sub-table (`restrict_to_pair`,
-which the package no longer has) and a `BinaryView` per pair, as the
-reference for the one that reads the table's cells directly.
+which the package no longer has), a `BinaryView` per pair and its own copy
+of the scalar two-class formulas (`TWO_CLASS`), as the reference for the
+whole-array one that scores every pair at once.
 """
 
 import csv
@@ -26,7 +27,7 @@ import numpy as np
 from gofmetrics.binary import BinaryView
 from gofmetrics.cli import InputError
 from gofmetrics.confusion import ConfusionMatrix
-from gofmetrics.means import apply_average
+from gofmetrics.means import apply_average, power_mean
 from gofmetrics.multiclass import METRICS
 
 
@@ -129,24 +130,69 @@ def restrict_to_pair(cm, i, j):
     `from_counts` refuses; every rate on it is 0 by the usual conventions.
     """
     idx = [i, j]
-    sub = cm.counts[np.ix_(idx, idx)]
+    sub = cm.counts[idx][:, idx]
     sub.setflags(write=False)
     return ConfusionMatrix((cm.labels[i], cm.labels[j]), sub)
+
+
+def _rate(num, denom):
+    return 0.0 if denom == 0 else num / denom
+
+
+def _mcc_scalar(v):
+    # sqrt((PPV NPV)(TPR TNR)) - sqrt((FDR FOR)(FNR FPR)), one view at a time
+    tp, fn, fp, tn = v.tp, v.fn, v.fp, v.tn
+    agree = (_rate(tp, tp + fp) * _rate(tn, tn + fn)) * (_rate(tp, tp + fn) * _rate(tn, tn + fp))
+    disagree = (_rate(fp, tp + fp) * _rate(fn, tn + fn)) * (_rate(fn, tp + fn) * _rate(fp, tn + fp))
+    return math.sqrt(agree) - math.sqrt(disagree)
+
+
+def _precision(v):
+    return _rate(v.tp, v.tp + v.fp)
+
+
+def _sensitivity(v):
+    return _rate(v.tp, v.tp + v.fn)
+
+
+def _specificity(v):
+    return _rate(v.tn, v.tn + v.fp)
+
+
+def _npv(v):
+    return _rate(v.tn, v.tn + v.fn)
+
+
+# the two-class scores of one `BinaryView`, written out with scalar floats
+TWO_CLASS = {
+    "precision": _precision,
+    "sensitivity": _sensitivity,
+    "specificity": _specificity,
+    "npv": _npv,
+    "f1": lambda v: power_mean((_precision(v), _sensitivity(v)), -1.0),
+    "f1_zero": lambda v: power_mean((_specificity(v), _npv(v)), -1.0),
+    "fowlkes_mallows": lambda v: power_mean((_precision(v), _sensitivity(v)), 0.0),
+    "mcc": _mcc_scalar,
+    "lp_four_rate": lambda v, p: power_mean(
+        (_sensitivity(v), _specificity(v), _precision(v), _npv(v)), p
+    ),
+}
 
 
 def one_vs_one_loop(cm, metric, outer, p=None):
     """`one_vs_one_average(cm, metric, outer, p).value`, one pair at a time.
 
     Each pair i < j is restricted to its 2x2 sub-table and scored through a
-    `BinaryView` by the package's own two-class score; a score that depends
+    `BinaryView` by the scalar formula in `TWO_CLASS`; a score that depends
     on the positive class is averaged over both orientations, and the pair
     values then go through the outer average.  A signed score takes the
     arithmetic, min or max outer on values that may be negative.
     """
     info = METRICS["one_vs_one_" + metric]
+    score = TWO_CLASS[metric]
 
     def evaluate(view):
-        return info.func(view) if p is None else info.func(view, p)
+        return score(view) if p is None else score(view, p)
 
     def average(values):
         if not info.signed:

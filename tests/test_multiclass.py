@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gofmetrics import multiclass
+from gofmetrics import binary, means, multiclass
 from gofmetrics.binary import BinaryView, f1_binary, lp_four_rate_score, mcc_binary
 from gofmetrics.confusion import (
     ConfusionMatrix,
@@ -525,7 +525,9 @@ class TestCramersPhi:
 
 def _one_vs_one_tables():
     # seeded tables at n = 2..30: empty rows and columns, smoothed fractional
-    # counts, permutation tables, and counts scaled far out of the unit range
+    # counts, permutation tables, counts scaled far out of the unit range, and
+    # subnormal cells beside normal ones, whose subnormal rates take the
+    # harmonic and geometric fallbacks; then one n = 60 table with empty classes
     rng = np.random.default_rng(808)
     kinds = {
         "empty classes": lambda n: random_counts_with_empty_classes(rng, n),
@@ -533,10 +535,14 @@ def _one_vs_one_tables():
         "permutation": lambda n: random_permutation_counts(rng, n),
         "scaled by 2^600": lambda n: random_counts(rng, n) * 2.0**600,
         "scaled by 2^-600": lambda n: random_counts(rng, n) * 2.0**-600,
+        "subnormal cells": lambda n: np.where(
+            rng.random((n, n)) < 0.3, 1e-320, random_counts(rng, n)
+        ),
     }
     for kind, make in kinds.items():
         for n in (2, 30, *rng.integers(3, 30, size=2).tolist()):
             yield f"{kind}, n={n}", cm_of(make(n))
+    yield "empty classes, n=60", cm_of(random_counts_with_empty_classes(rng, 60))
 
 
 ONE_VS_ONE_TABLES = list(_one_vs_one_tables())
@@ -560,19 +566,35 @@ class TestOneVsOneLoop:
                     assert value == expected, (name, outer.to_string(), p)
 
     def test_no_matrix_per_pair(self, monkeypatch):
-        # the loop reads the table's own cells: no 2x2 sub-table per pair
+        # the pairs are scored from the table's own cells in one pass: no 2x2
+        # sub-table and no BinaryView per pair, and p is read once per call
         cm = cm_of(random_counts(np.random.default_rng(12), 12))
-        built = []
-        init = ConfusionMatrix.__init__
+        built, checked = [], []
 
-        def counted_init(self, *args, **kwargs):
-            built.append("ConfusionMatrix")
-            init(self, *args, **kwargs)
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return method(*args, **kwargs)
 
-        monkeypatch.setattr(ConfusionMatrix, "__init__", counted_init)
+            return wrapper
+
+        def counted_check(p):
+            checked.append(p)
+            return check(p)
+
+        monkeypatch.setattr(
+            ConfusionMatrix, "__init__", counted("ConfusionMatrix", ConfusionMatrix.__init__)
+        )
+        monkeypatch.setattr(BinaryView, "__init__", counted("BinaryView", BinaryView.__init__))
+        monkeypatch.setattr(BinaryView, "swapped", counted("swapped", BinaryView.swapped))
+        check = means._check_exponent
+        for module in (means, multiclass, binary):
+            monkeypatch.setattr(module, "_check_exponent", counted_check)
         for metric in BINARY_METRIC_NAMES:
             p = -1.0 if METRICS["one_vs_one_" + metric].needs_p else None
+            checked.clear()
             one_vs_one_average(cm, metric, p=p)
+            assert checked == ([] if p is None else [p]), metric
         assert built == []
 
 

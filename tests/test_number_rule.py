@@ -10,7 +10,7 @@ import pytest
 from gofmetrics.binary import BinaryView, lp_four_rate_score
 from gofmetrics.confusion import ConfusionMatrix, smooth
 from gofmetrics.means import AveragingSpec, power_mean
-from gofmetrics.multiclass import evaluate_metric, lp_multiclass
+from gofmetrics.multiclass import METRICS, evaluate_metric, lp_multiclass
 
 GRID3 = [[20, 6, 0], [2, 20, 0], [12, 12, 8]]
 CM3 = ConfusionMatrix.from_counts(GRID3)
@@ -93,7 +93,36 @@ def test_numbers_that_are_not_floats_still_read():
 
 
 def test_nan_exponent_refused_by_every_spelling():
-    for p in (math.nan, np.float32("nan"), Decimal("NaN")):
+    for p in (math.nan, np.float32("nan"), Decimal("NaN"), Decimal("sNaN"), Decimal("-sNaN")):
         for entry in EXPONENT_ENTRIES.values():
             with pytest.raises(ValueError, match="NaN exponent"):
                 entry(p)
+
+
+@pytest.mark.parametrize("nan", [math.nan, Decimal("NaN"), Decimal("sNaN")], ids=repr)
+def test_signalling_nan_value_reads_as_nan(nan):
+    # float() and comparisons refuse a signalling NaN; each door reads it as NaN
+    # and gives its NaN message
+    with pytest.raises(ValueError, match="NaN input"):
+        power_mean((nan, 1.0), 1.0)
+    with pytest.raises(ValueError, match="non-finite cell at row 0, column 1"):
+        ConfusionMatrix.from_counts([[1, nan], [0, 1]])
+    with pytest.raises(ValueError, match="non-finite cell at row 0, column 1"):
+        ConfusionMatrix.from_pair_counts({("a", "a"): 1, ("a", "b"): nan})
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        smooth(CM3, nan)
+
+
+def test_negative_zero_cell_is_zero():
+    # a -0.0 cell is stored as 0.0, so no rate or mean of rates sees a signed
+    # zero: a harmonic mean of -0.0 and 0.0 would read NaN
+    grids = ([[-0.0, 0], [1, 1]], [[-0.0, 1], [1, -0.0]], [[5, -0.0, 1], [-0.0, 0, 2], [1, 3, -0.0]])
+    for grid in grids:
+        cm = ConfusionMatrix.from_counts(grid)
+        assert not np.signbit(cm.counts).any()
+        zeros = ConfusionMatrix.from_counts(np.abs(np.array(grid, dtype=float)))
+        for name, info in METRICS.items():
+            p = -1.0 if info.needs_p else None
+            value = evaluate_metric(cm, name, p=p).value
+            assert value == evaluate_metric(zeros, name, p=p).value, (grid, name)
+            assert math.copysign(1.0, value) == 1.0 or value < 0, (grid, name)
