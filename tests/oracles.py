@@ -179,14 +179,23 @@ TWO_CLASS = {
 }
 
 
-def one_vs_one_loop(cm, metric, outer, p=None):
+def pair_views(cm):
+    """The `BinaryView` of each pair i < j's 2x2 sub-table, class i positive,
+    in row-major pair order."""
+    return [
+        BinaryView(restrict_to_pair(cm, i, j)) for i in range(cm.n) for j in range(i + 1, cm.n)
+    ]
+
+
+def one_vs_one_loop(cm, metric, outer, p=None, views=None):
     """`one_vs_one_average(cm, metric, outer, p).value`, one pair at a time.
 
     Each pair i < j is restricted to its 2x2 sub-table and scored through a
     `BinaryView` by the scalar formula in `TWO_CLASS`; a score that depends
     on the positive class is averaged over both orientations, and the pair
     values then go through the outer average.  A signed score takes the
-    arithmetic, min or max outer on values that may be negative.
+    arithmetic, min or max outer on values that may be negative.  `views`,
+    if given, is `pair_views(cm)`, built once for many calls.
     """
     info = METRICS["one_vs_one_" + metric]
     score = TWO_CLASS[metric]
@@ -202,13 +211,11 @@ def one_vs_one_loop(cm, metric, outer, p=None):
         return float(min(values) if outer.exponent < 0 else max(values))
 
     values = []
-    for i in range(cm.n):
-        for j in range(i + 1, cm.n):
-            view = BinaryView(restrict_to_pair(cm, i, j))
-            if info.swap_invariant:
-                values.append(evaluate(view))
-            else:
-                values.append(average((evaluate(view), evaluate(view.swapped()))))
+    for view in pair_views(cm) if views is None else views:
+        if info.swap_invariant:
+            values.append(evaluate(view))
+        else:
+            values.append(average((evaluate(view), evaluate(view.swapped()))))
     return average(values)
 
 

@@ -116,7 +116,11 @@ def test_signalling_nan_value_reads_as_nan(nan):
 def test_negative_zero_cell_is_zero():
     # a -0.0 cell is stored as 0.0, so no rate or mean of rates sees a signed
     # zero: a harmonic mean of -0.0 and 0.0 would read NaN
-    grids = ([[-0.0, 0], [1, 1]], [[-0.0, 1], [1, -0.0]], [[5, -0.0, 1], [-0.0, 0, 2], [1, 3, -0.0]])
+    grids = (
+        [[-0.0, 0], [1, 1]],
+        [[-0.0, 1], [1, -0.0]],
+        [[5, -0.0, 1], [-0.0, 0, 2], [1, 3, -0.0]],
+    )
     for grid in grids:
         cm = ConfusionMatrix.from_counts(grid)
         assert not np.signbit(cm.counts).any()

@@ -80,6 +80,7 @@ def summarize(parent: dict[int, dict], change: dict[int, dict], metrics: list[di
         row.update({side: spread(values) for side, values in sides.items()})
         row["median_ratio"] = row["change"]["median"] / row["parent"]["median"]
         pairs = [(value(parent[s]), value(change[s])) for s in both]
+        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         row["wins"] = sum((c > p) if higher else (c < p) for p, c in pairs)
         row["pairs"] = len(pairs)
         out["metrics"][name] = row
@@ -87,9 +88,11 @@ def summarize(parent: dict[int, dict], change: dict[int, dict], metrics: list[di
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--parent", type=Path, required=True, help="checkout the parent runs wrote to")
-    parser.add_argument("--change", type=Path, required=True, help="checkout the change runs wrote to")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent runs")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change runs")
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
     parser.add_argument("--output", type=Path, required=True)
