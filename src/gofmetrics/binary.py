@@ -9,11 +9,9 @@ its four cells as Python floats:
 Every score is an array function of the eight rates of m such tables at
 once (`_rates`), which one-vs-one applies to all class pairs of a table in
 one pass; the public scores of one view are those functions at m = 1.  The
-other class's rates are the same rows reversed, `rates[:, ::-1]`.
-
-All rate functions use the 0-on-degenerate convention: when a denominator
-is zero the rate is 0.0 rather than an error, so the scores stay total on
-every non-empty table.
+other class's rates are the same rows reversed, `rates[:, ::-1]`.  A rate
+over a zero sum is 0.0 rather than an error, so the scores stay total on
+every non-empty table, and each mean of rates is `means._column_means`.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .confusion import ConfusionMatrix, _integer
-from .means import _check_exponent, _pair_average, _power_mean
+from .confusion import ConfusionMatrix, _integer, _rates as _divide
+from .means import _check_exponent, _column_means
 
 __all__ = [
     "BinaryView",
@@ -68,13 +66,10 @@ def _rates(cells: np.ndarray) -> np.ndarray:
 
     rates[0] is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity
     TN/(TN+FP) and npv TN/(TN+FN); rates[1] holds FP, FN, FP and FN over the
-    same four sums.  Each is one division, 0 over a zero sum: the two
-    non-negative numerators of a zero sum are 0 (+0.0, since `from_counts`
-    stores no -0.0), and stay as its rates.
+    same four sums: one division, 0 over a zero sum (`confusion._rates`).
     """
     numerators = cells.take([0, 0, 3, 3, 2, 1, 2, 1], axis=0).reshape(2, 4, -1)
-    sums = numerators[0] + numerators[1]
-    return np.divide(numerators, sums, out=numerators, where=sums != 0)
+    return _divide(numerators, numerators[0] + numerators[1])
 
 
 def _of(view: BinaryView) -> np.ndarray:
@@ -82,16 +77,16 @@ def _of(view: BinaryView) -> np.ndarray:
     return _rates(np.array([[view.tp], [view.fn], [view.fp], [view.tn]]))
 
 
-def _two_term(p: float, rows: list[int]) -> Callable[[np.ndarray], np.ndarray]:
-    # the array score that is the two-term mean of exponent p of two of rates[0]
-    return lambda rates: _pair_average(p, *rates[0, rows])
+def _two_term(p: float, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
+    # the array score that is the two-term mean of exponent p of rates[0, i] and rates[0, j]
+    return lambda rates: _column_means(p, rates[0, i], rates[0, j])
 
 
 # the two-class scores as array functions of `_rates`
 _precision, _sensitivity, _specificity, _npv = (itemgetter((0, k)) for k in range(4))
-_f1 = _two_term(-1.0, [0, 1])  # of precision and sensitivity
-_f1_zero = _two_term(-1.0, [2, 3])  # of specificity and npv
-_fowlkes_mallows = _two_term(0.0, [0, 1])
+_f1 = _two_term(-1.0, 0, 1)  # of precision and sensitivity
+_f1_zero = _two_term(-1.0, 2, 3)  # of specificity and npv
+_fowlkes_mallows = _two_term(0.0, 0, 1)
 
 
 def _mcc(rates: np.ndarray) -> np.ndarray:
@@ -101,8 +96,7 @@ def _mcc(rates: np.ndarray) -> np.ndarray:
 
 
 def _lp_four_rate(rates: np.ndarray, p: float) -> np.ndarray:
-    # a mean of four terms sums with fsum, one table at a time
-    return np.array([_power_mean(four, p) for four in rates[0, [1, 2, 0, 3]].T.tolist()])
+    return _column_means(p, *(rates[0, k] for k in (1, 2, 0, 3)))
 
 
 def precision(view: BinaryView) -> float:

@@ -270,12 +270,11 @@ def parse_json_input(path: str) -> ConfusionMatrix:
     for i, row in enumerate(counts):
         if isinstance(row, (dict, str)):  # whose keys or characters are no cells
             raise InputError(f"{path}: counts[{i}] is {json.dumps(row)}, not a list of numbers")
-        for j, cell in enumerate(row if isinstance(row, list) else ()):
-            # only JSON numbers pass the number rule, which refuses a bool
-            if _no_number(type(cell)):
-                raise InputError(
-                    f"{path}: counts[{i}][{j}] is {json.dumps(cell)}, not a number"
-                )
+        # only JSON numbers pass the number rule, which refuses a bool; the
+        # row's set of types is checked, and a refused cell then located
+        if isinstance(row, list) and any(map(_no_number, set(map(type, row)))):
+            j, cell = next((j, c) for j, c in enumerate(row) if _no_number(type(c)))
+            raise InputError(f"{path}: counts[{i}][{j}] is {json.dumps(cell)}, not a number")
     try:
         return ConfusionMatrix.from_counts(counts, labels)
     except ValueError as exc:

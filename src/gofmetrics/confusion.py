@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .means import _no_number, _pair_average, _past_doubles, _quiet
+from .means import _column_means, _no_number, _past_doubles, _quiet
 
 __all__ = [
     "ConfusionMatrix",
@@ -276,15 +276,15 @@ def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:
     """The paper's N: the read-only n x n matrix of geometric conditional rates.
 
     Two whole-array divisions, C / col_sums[None, :] and C / row_sums[:, None]
-    (0 where the sum is 0), averaged in place, give cell (i, j) as exactly
-    `geometric_mean((C[i, j] / col_sums[j], C[i, j] / row_sums[i]))`.
+    (0 where the sum is 0), averaged by `means._column_means`, give cell
+    (i, j) as exactly `geometric_mean((C[i, j] / col_sums[j], C[i, j] / row_sums[i]))`.
     Entries lie in [0, 1].  The construction is symmetric in the two rates,
     so transposing the counts transposes the result exactly, and scaling
     every count by a common positive factor leaves it unchanged.
     """
     by_col = _rates(cm.counts, cm.col_sums[None, :])
     by_row = _rates(cm.counts, cm.row_sums[:, None])
-    values = _pair_average(0.0, by_col, by_row)
+    values = _column_means(0.0, by_col, by_row)
     values.setflags(write=False)
     return values
 

@@ -12,8 +12,8 @@ approximate; `harmonic_mean`, `geometric_mean` and `arithmetic_mean` are
 `power_mean` at -1, 0 and 1.  Every sum is `math.fsum`, correctly rounded,
 so a mean does not depend on the order of its values or on the interpreter.
 An `AveragingSpec` is an average's name and the exponent it stands for.
-`_pair_average` is the element-wise two-term mean over two arrays of rates:
-per-class F1 and Fowlkes-Mallows, the matrix N, and the one-vs-one scores.
+`_column_means` is the kernel over the columns of arrays of rates, for
+per-class F1 and Fowlkes-Mallows, the matrix N and the one-vs-one scores.
 
 `_no_number` is the package's one rule for what counts as a number, applied
 once where a caller's number comes in: an exponent (`_exponent`), a mean's
@@ -198,8 +198,9 @@ def arithmetic_mean(values: Sequence[float]) -> float:
 def power_mean(values: Sequence[float], p: float) -> float:
     """Power mean with exponent p; accepts +-inf for the max / min limits.
 
-    Any zero entry annihilates the mean for p <= 0 (the limiting value of
-    the formula).  The generic branch rescales by the largest (p > 0) or
+    A zero entry annihilates the mean for p <= 0, and an infinite one gives
+    +inf for p >= 0 and, for p < 0, only where every entry is: the limits of
+    the formula.  The generic branch rescales by the largest (p > 0) or
     smallest (p < 0) entry so intermediate powers stay tame for large |p|,
     and averages r^p - 1 = expm1(p log r) rather than r^p: near p = 0 every
     r^p rounds to 1, and the 1/p-th power of their mean loses every bit.
@@ -231,7 +232,7 @@ def _power_mean(values: Sequence[float], p: float) -> float:
         except OverflowError:
             total = math.inf
         if total < math.inf:
-            return k / total
+            return k / total if total else math.inf  # a zero total: every entry is inf
         low = min(values)
         return low * k / math.fsum(map(low.__truediv__, values))
     if abs(p) < _TINY:  # 0 or subnormal: the geometric mean to far below an ulp
@@ -243,8 +244,8 @@ def _power_mean(values: Sequence[float], p: float) -> float:
                 return math.sqrt(values[0]) * math.sqrt(values[1])
         return math.exp(math.fsum(map(math.log, values)) / k)
     anchor = max(values) if p > 0 else min(values)
-    if anchor == 0.0:  # p > 0 and every entry 0
-        return 0.0
+    if anchor == 0.0 or anchor == math.inf:  # p > 0 and every entry 0, or the limit inf
+        return anchor
     terms = []
     for v in values:
         ratio = v / anchor
@@ -270,43 +271,33 @@ def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
     return power_mean(values, spec.exponent)
 
 
-def _pair_average(p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`_power_mean((x, y), p)` for each x of `a` and y of `b`, rates in [0, 1],
-    in place into `a`; `b` is clobbered.
+def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:
+    """`_power_mean(column, p)` for each column of equal-shaped arrays of rates
+    in [0, 1], as a new array of their shape.
 
-    The arithmetic (p = 1), harmonic (-1) and geometric (0, or a subnormal p)
-    means are whole-array and bit for bit the scalar two-term mean, its
-    fallbacks past the double range included.  Those need a positive rate
-    below the smallest normal double (harmonic) or below its square root
-    (geometric), and are computed only when the smallest positive rate is.
-    Any other p takes logs, which numpy and `math` round apart, so each pair
-    goes through the scalar kernel.
+    Two rows at p = 1, -1 or 0 (or a subnormal p) are ufuncs, the scalar's own
+    correctly rounded a + b, 1/a + 1/b and a * b.  Where those leave the double
+    range the scalar's fallback gives a mean at most 2^-511, so once a positive
+    rate is below 2^-511 such columns, both rates positive, are redone by
+    `_power_mean`.  Any other count or exponent sums more terms or takes logs,
+    which numpy rounds apart, so each column goes through `_power_mean`.
     """
-    if p == 1:  # the two-term fsum is a + b, correctly rounded
-        a += b
-        a /= 2
-        return a
-    if p != -1 and abs(p) >= _TINY:
-        a[:] = [_power_mean(pair, p) for pair in zip(a.tolist(), b.tolist())]
-        return a
-    low = np.minimum(a, b)
-    smallest = low.min(where=low > 0, initial=np.inf)
-    fix = None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
-            if smallest < _TINY:  # low * 2 / (low/a + low/b) where 1/a + 1/b overflows
-                fix = np.isinf(1.0 / a + 1.0 / b) & (low > 0)
-                low, x, y = low[fix], a[fix], b[fix]
-                fixed = low * 2 / (low / x + low / y)
-            np.divide(1.0, a, out=a)
-            a += np.divide(1.0, b, out=b)
-            np.divide(2.0, a, out=a)
-        else:
-            if smallest < _SQRT_TINY:  # sqrt(a) * sqrt(b) where a * b is not normal
-                fix = a * b < _TINY
-                fixed = np.sqrt(a[fix]) * np.sqrt(b[fix])
-            a *= b
-            np.sqrt(a, out=a)
-    if fix is not None:
-        a[fix] = fixed
-    return a
+    if len(rows) != 2 or not (p == 1 or p == -1 or abs(p) < _TINY):
+        columns = zip(*[row.ravel().tolist() for row in rows])
+        return np.array([_power_mean(column, p) for column in columns]).reshape(rows[0].shape)
+    a, b = rows
+    if p == 1:
+        return (a + b) / 2
+    means = np.minimum(a, b)  # the smaller rates, then the means in their buffer
+    positive = means > 0
+    smallest = means.min(where=positive, initial=np.inf)
+    if p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
+        with np.errstate(divide="ignore", over="ignore"):
+            np.add(1.0 / a, 1.0 / b, out=means)
+        np.divide(2.0, means, out=means)
+    else:
+        np.sqrt(np.multiply(a, b, out=means), out=means)
+    if smallest < _SQRT_TINY:
+        redo = positive & (means <= _SQRT_TINY)
+        means[redo] = [_power_mean(pair, p) for pair in zip(a[redo].tolist(), b[redo].tolist())]
+    return means

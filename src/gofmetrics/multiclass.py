@@ -27,7 +27,7 @@ import numpy as np
 
 from . import binary as _binary
 from .confusion import ConfusionMatrix, _rates
-from .means import ARITHMETIC, AveragingSpec, _check_exponent, _pair_average, _power_mean
+from .means import ARITHMETIC, AveragingSpec, _check_exponent, _column_means, _power_mean
 
 __all__ = [
     "MetricScore",
@@ -130,7 +130,10 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
 
     A signed metric takes only the means defined on negative values:
     arithmetic (1), min (-inf) and max (+inf).  Any other takes a strictly
-    monotone mean, -inf < exponent <= 1."""
+    monotone mean, -inf < exponent <= 1.  Any outer but an `AveragingSpec` is refused."""
+    if not isinstance(outer, AveragingSpec):
+        kind = type(outer).__name__
+        raise ValueError(f"outer must be an AveragingSpec, not the {kind} {outer!r}")
     exponent = outer.exponent
     if signed:
         if exponent != 1 and not math.isinf(exponent):
@@ -147,7 +150,7 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
 def _per_class_average(cm: ConfusionMatrix, inner: float, outer: AveragingSpec) -> float:
     # the inner mean, of exponent `inner`, pairs each class's precision with its recall
     _check_outer(outer, False)
-    per_class = _pair_average(inner, *_diagonal_rates(cm))
+    per_class = _column_means(inner, *_diagonal_rates(cm))
     return _power_mean(per_class.tolist(), outer.exponent)
 
 
@@ -273,7 +276,7 @@ def _one_vs_one(
     options = () if p is None else (p,)
     values = info.func(rates, *options)
     if not info.swap_invariant:
-        values = _pair_average(outer.exponent, values, info.func(rates[:, ::-1], *options))
+        values = _column_means(outer.exponent, values, info.func(rates[:, ::-1], *options))
     return _power_mean(values.tolist(), outer.exponent)
 
 

@@ -372,6 +372,18 @@ class TestParseJsonInput:
         err = self.exits_2(tmp_path, capsys, '{"counts": [[true, false], [false, true]]}')
         assert "counts[0][0] is true, not a number" in err
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ("[[1, 0], [2, [3]]]", "counts[1][1] is [3], not a number"),
+            ('[[1, "x", true], [0, 1, 2], [1, 1, 1]]', 'counts[0][1] is "x", not a number'),
+            ("[[1, 2.5, 0], [0, 1, null], [1, 1, 1]]", "counts[1][2] is null, not a number"),
+        ],
+    )
+    def test_first_refused_cell_named(self, tmp_path, capsys, counts, message):
+        err = self.exits_2(tmp_path, capsys, f'{{"counts": {counts}}}')
+        assert message in err
+
     def test_string_counts_exit_2(self, tmp_path, capsys):
         err = self.exits_2(tmp_path, capsys, '{"counts": [[3, "1"], ["1", "3"]]}')
         assert 'counts[0][1] is "1", not a number' in err

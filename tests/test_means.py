@@ -21,6 +21,7 @@ from gofmetrics.means import (
     harmonic_mean,
     power_mean,
 )
+from gofmetrics.means import _column_means, _power_mean
 
 positive_floats = st.floats(
     min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -168,6 +169,25 @@ class TestPowerMean:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             power_mean((1.0, 2.0), math.nan)
+
+    @pytest.mark.parametrize(
+        "values",
+        [(math.inf, 1.0), (math.inf, math.inf), (math.inf, 0.0), (math.inf, 1.0, 2.0)],
+    )
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    def test_infinite_entry_gives_the_limit(self, values, p):
+        # the limit as an entry grows without bound: +inf for p >= 0 unless a
+        # zero annihilates; for p < 0 the entry adds 0 to the sum of powers
+        finite = [v for v in values if v < math.inf]
+        if math.isinf(p):
+            expected = max(values) if p > 0 else min(values)
+        elif p <= 0 and 0.0 in values:
+            expected = 0.0
+        elif p >= 0 or not finite:
+            expected = math.inf
+        else:
+            expected = (math.fsum(v**p for v in finite) / len(values)) ** (1 / p)
+        assert power_mean(values, p) == pytest.approx(expected, rel=1e-12)
 
     @given(positive_tuples)
     @settings(max_examples=200)
@@ -347,3 +367,45 @@ class TestApplyAverage:
         for mean, values in cases:
             got = mean(tuple(map(np.float64, values)))
             assert type(got) is float and got == mean(values), values
+
+
+_SQRT_TINY = 2.0**-511
+# rates at the edges of the whole-array means: subnormals, the smallest normal,
+# and 2^-511 (its square root) with the double below it; the product of those
+# two is below the smallest normal but rounds up to it, that of the lower one
+# with itself rounds to a subnormal
+RATES = (
+    0.0, 5e-324, 1e-320, 1e-160, _SQRT_TINY, math.nextafter(_SQRT_TINY, 0.0),
+    sys.float_info.min, 0.5, 1.0,
+)
+COLUMN_EXPONENTS = (1.0, -1.0, 0.0, 5e-324, -5e-324, math.inf, -math.inf, 0.5, -2.0)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestColumnMeans:
+    @pytest.mark.parametrize("p", COLUMN_EXPONENTS)
+    def test_two_rows_equal_the_scalar_kernel_per_column(self, p):
+        pairs = [(x, y) for x in RATES for y in RATES]
+        rows = [np.array(row) for row in zip(*pairs)]
+        before = _hex(rows)
+        got = _column_means(p, *rows)
+        assert _hex(got) == _hex([_power_mean(pair, p) for pair in pairs])
+        assert _hex(rows) == before  # a new array; the rows are left as they were
+
+    @pytest.mark.parametrize("p", COLUMN_EXPONENTS)
+    def test_four_rows_equal_the_scalar_kernel_per_column(self, p):
+        rng = np.random.default_rng(19)
+        columns = rng.choice(RATES, size=(300, 4)).tolist()
+        got = _column_means(p, *np.array(columns).T)
+        assert _hex(got) == _hex([_power_mean(column, p) for column in columns])
+
+    def test_square_arrays_keep_their_shape(self):
+        rng = np.random.default_rng(20)
+        a, b = rng.choice(RATES, size=(2, 9, 9))
+        got = _column_means(0.0, a, b)
+        assert got.shape == (9, 9)
+        expected = [_power_mean(pair, 0.0) for pair in zip(a.ravel().tolist(), b.ravel().tolist())]
+        assert _hex(got) == _hex(expected)

@@ -32,6 +32,7 @@ from gofmetrics.multiclass import (
     BINARY_METRIC_NAMES,
     METRICS,
     cramers_phi,
+    evaluate_metric,
     generalized_f1,
     generalized_fm,
     generalized_mcc,
@@ -318,6 +319,19 @@ class TestGeneralizedF1:
         for outer in (MIN, MAX):
             with pytest.raises(ValueError, match="invalid outer spec"):
                 generalized_f1(cm, outer)
+
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda cm: generalized_f1(cm, "harmonic"),
+            lambda cm: generalized_fm(cm, "harmonic"),
+            lambda cm: evaluate_metric(cm, "generalized_f1", outer="harmonic"),
+            lambda cm: one_vs_one_average(cm, "f1", "min"),
+        ],
+    )
+    def test_outer_that_is_no_spec_refused_by_type(self, door):
+        with pytest.raises(ValueError, match="outer must be an AveragingSpec, not the str '"):
+            door(cm_of(GRID3))
 
     def test_power_outer_above_one_rejected(self):
         message = r"invalid outer spec power:1\.5: an outer exponent must be <= 1"

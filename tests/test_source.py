@@ -129,3 +129,22 @@ def test_number_rule_and_public_means_stay_in_means():
                 bindings.append(f"{path.name}: import")
     assert not calls, calls
     assert not bindings, bindings
+
+
+def test_only_means_maps_the_scalar_kernel_over_values():
+    # `means._column_means` is the one way an array of rates reaches
+    # `_power_mean`: no comprehension elsewhere calls the kernel per value
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "means.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, comprehensions):
+                for call in ast.walk(node):
+                    func = getattr(call, "func", None)
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if isinstance(call, ast.Call) and name == "_power_mean":
+                        found.append(f"{path.name}:{call.lineno}")
+    assert not found, found
