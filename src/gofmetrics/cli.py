@@ -22,6 +22,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .confusion import ConfusionMatrix, smooth
 from .means import AveragingSpec, _no_number
 from .multiclass import MetricScore, evaluate_metric
@@ -177,22 +179,20 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
         if has_label_col:
             row_labels.append(cells[0])
             cells = cells[1:]
-        values = []
-        for colno, cell in enumerate(cells, start=1):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise InputError(
-                    f"{path}: non-numeric cell at line {lineno}, column {colno}"
-                ) from None
-        grid.append(values)
+        try:
+            grid.append(list(map(float, cells)))
+        except ValueError:
+            colno = next(j for j, cell in enumerate(cells, start=1) if not _is_number(cell))
+            raise InputError(
+                f"{path}: non-numeric cell at line {lineno}, column {colno}"
+            ) from None
 
     if has_label_col and row_labels != list(labels):
         raise InputError(
             f"{path}: row labels {row_labels} do not match header {labels}"
         )
     try:
-        return ConfusionMatrix.from_counts(grid, labels)
+        return ConfusionMatrix.from_counts(np.array(grid), labels)  # a float array: no cell scan
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -200,10 +200,6 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
 def _first_line(path: str, line: str) -> int:
     """1-based number of the first line of path that reads `line`."""
     return _read(path, lambda fh: next(n for n, text in enumerate(fh, 1) if text == line))
-
-
-def _spanning(path: str, line: str) -> InputError:
-    return InputError(f"{path}: quoted label spans lines at line {_first_line(path, line)}")
 
 
 def parse_pairs_csv(path: str) -> ConfusionMatrix:
@@ -217,14 +213,13 @@ def parse_pairs_csv(path: str) -> ConfusionMatrix:
     lines = _read(path, Counter)  # keys in order of first occurrence
     tally: dict[tuple[str, ...], int] = {}
     first_row = True
-    reader = csv.reader(lines)
-    row: list[str] = []
     # an error in the k-th distinct line is reported at its first occurrence
-    rows = _csv_rows(path, reader, lambda k: _first_line(path, list(lines)[k - 1]))
+    rows = _csv_rows(path, csv.reader(lines), lambda k: _first_line(path, list(lines)[k - 1]))
     # zip draws the row first, so each row meets the line it began on
-    for key_no, (row, (line, count)) in enumerate(zip(rows, lines.items()), start=1):
-        if reader.line_num != key_no:  # its quote ran on into other lines
-            raise _spanning(path, line)
+    for row, (line, count) in zip(rows, lines.items()):
+        # a line's one "\n" ends it, so a cell holds one only if its quote ran past its line
+        if "\n" in "".join(row):
+            raise InputError(f"{path}: quoted label spans lines at line {_first_line(path, line)}")
         # interned, so the tally holds one string per label, not per line
         cells = tuple(map(sys.intern, map(str.strip, row)))
         if not any(cells):
@@ -240,8 +235,6 @@ def parse_pairs_csv(path: str) -> ConfusionMatrix:
                 count -= 1  # the header; the same line further on is data
         if count:
             tally[cells] = tally.get(cells, 0) + count
-    if row and row[-1].endswith("\n"):  # the last distinct line ends inside a quote
-        raise _spanning(path, line)
     if not tally:
         raise InputError(f"{path}: empty file")
     try:
@@ -330,6 +323,8 @@ def parse_metric_request(text: str) -> MetricRequest:
     outer: AveragingSpec | None = None
     p: float | None = None
     for key, value in options:
+        if [k for k, _ in options].count(key) > 1:
+            raise ParameterError(f"repeated metric option {key!r} in {text!r}")
         if key == "outer":
             try:
                 outer = AveragingSpec.from_string(value)

@@ -114,8 +114,8 @@ class ConfusionMatrix:
             if len(set(labels)) != side:
                 raise ValueError("duplicate labels")
         # NaN fails the min test, +inf and finite cells whose sum overflows
-        # the sum test; the scans below tell these apart
-        with np.errstate(over="ignore"):
+        # the sum test (-inf + inf is NaN); the scans below tell these apart
+        with np.errstate(over="ignore", invalid="ignore"):
             total = counts.sum()
         if not (counts.min() >= 0 and np.isfinite(total)):
             bad = ~np.isfinite(counts)

@@ -108,8 +108,10 @@ MAX = AveragingSpec("max")
 # the normal positive doubles; a product outside them has lost bits or overflowed
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 _SQRT_TINY = math.sqrt(_TINY)  # 2^-511, exact
-# types that numpy or float() would read as a number, or fail on under another name
-_NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None))
+# types that numpy or float() would read as a number, or fail on under another name;
+# an array is read through its one cell, a date or a duration as a count of its units
+_NON_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating, type(None),
+                np.ndarray, np.datetime64, np.timedelta64)
 
 
 def _no_number(kind: type) -> bool:

@@ -100,13 +100,15 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     rows, cols = cm.row_sums, cm.col_sums
     if not (rows.all() and cols.all()):
         return 0.0
-    sign, logdet = np.linalg.slogdet(cm.counts.T)
+    with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
+        sign, logdet = np.linalg.slogdet(cm.counts.T)
     logs = np.log(np.concatenate((rows, cols)))
     logdet -= 0.5 * float(logs.sum())
     # the two sums of logs round apart by up to ~ n * eps * sum |log|; a
-    # perfect fit lands within that of 0, and only its witness makes it +-1
+    # perfect fit lands within that of 0, or at -inf when a subnormal pivot
+    # flushed, and only its witness makes it +-1
     rounding = cm.n * _EPS * float(np.abs(logs).sum())
-    if abs(logdet) <= rounding:
+    if abs(logdet) <= rounding or logdet == -math.inf:
         witness = perfect_fit_permutation(cm)
         if witness is not None:
             return 1.0 if witness.parity == "even" else -1.0

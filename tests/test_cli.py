@@ -25,6 +25,7 @@ from gofmetrics.cli import (
     parse_pairs_csv,
     run,
 )
+from gofmetrics import confusion
 from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec
 
@@ -111,6 +112,18 @@ class TestParseMatrixCsv:
         path = write(tmp_path, "m.csv", ",a,b\nb,3,1\na,0,2\n")
         with pytest.raises(InputError, match="do not match header"):
             parse_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [("20,6\n2,20\n", [[20, 6], [2, 20]]), (",a,b\na,3,1.5\nb,0,2\n", [[3, 1.5], [0, 2]])],
+    )
+    def test_grid_is_not_scanned_cell_by_cell(self, tmp_path, monkeypatch, text, counts):
+        # the reader hands from_counts a float array, whose dtype alone makes it numbers
+        def scan(grid):
+            raise AssertionError("scanned cell by cell")
+
+        monkeypatch.setattr(confusion, "_check_cells", scan)
+        assert parse_matrix_csv(write(tmp_path, "m.csv", text)).counts.tolist() == counts
 
 
 class TestMatrixRoundTrip:
@@ -438,6 +451,19 @@ class TestParseMetricRequest:
     def test_empty_name(self):
         with pytest.raises(ParameterError, match="empty metric name"):
             parse_metric_request(":outer=harmonic")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("generalized_f1:outer=min:outer=harmonic", "outer"), ("lp_multiclass:p=-1:p=0.5", "p")],
+    )
+    def test_repeated_option_rejected(self, tmp_path, capsys, text, key):
+        # neither value may silently win, so the invalid outer=min is never skipped
+        with pytest.raises(ParameterError) as info:
+            parse_metric_request(text)
+        assert str(info.value) == f"repeated metric option {key!r} in {text!r}"
+        path = write(tmp_path, "m.csv", "1,0\n0,1\n")
+        assert main(["--input", path, "--metric", text]) == EXIT_PARAMS
+        assert f"repeated metric option {key!r}" in capsys.readouterr().err
 
 
 class TestRun:

@@ -98,6 +98,15 @@ class TestGeneralizedMcc:
     def test_anti_diagonal_is_minus_one(self):
         assert generalized_mcc(cm_of([[0, 3], [5, 0]])) == -1.0
 
+    @pytest.mark.parametrize(
+        "grid, expected",
+        [([[0, 5e-324], [1, 0]], -1.0), ([[0, 0, 1e-310], [1, 0, 0], [0, 1, 0]], 1.0)],
+    )
+    def test_permutation_whose_lu_flushes_a_subnormal_pivot(self, grid, expected):
+        # slogdet reads log|det C| as -inf, with a divide-by-zero warning; the
+        # witness still decides the score
+        assert generalized_mcc(cm_of(grid)) == expected
+
     def test_agrees_with_cofactor_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
@@ -607,6 +616,17 @@ class TestOneVsOneLoop:
             one_vs_one_average(cm, metric, p=p)
             assert len(checked) == (p is not None), metric
         assert built == []
+
+    @pytest.mark.parametrize(
+        "metric, twin", [("specificity", "sensitivity"), ("npv", "precision"), ("f1_zero", "f1")]
+    )
+    def test_twin_rates_are_equal(self, metric, twin):
+        # both orientations of a pair are averaged, and class i's specificity
+        # against j is the sensitivity of j against i
+        for name, cm in ONE_VS_ONE_TABLES:
+            for outer in UNSIGNED_OUTERS:
+                value = one_vs_one_average(cm, metric, outer).value
+                assert value == one_vs_one_average(cm, twin, outer).value, (name, outer.name)
 
 
 class TestOneVsOne:

@@ -17,7 +17,10 @@ CM3 = ConfusionMatrix.from_counts(GRID3)
 VIEW = BinaryView(ConfusionMatrix.from_counts([[5, 1], [2, 4]]))
 
 # each has __float__ or __index__ and is still no number, or has neither
-NON_NUMBERS = [None, b"1", 1j, np.complex128(1), "2", True, np.True_, [1], {}, object()]
+NON_NUMBERS = [
+    None, b"1", 1j, np.complex128(1), "2", True, np.True_, [1], {}, object(),
+    np.array([1.0, 2.0]), np.datetime64("2020-01-01"), np.timedelta64(5, "s"),
+]
 
 EXPONENT_ENTRIES = {
     "power_mean": lambda p: power_mean((1.0, 2.0), p),
