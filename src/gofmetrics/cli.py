@@ -217,7 +217,7 @@ def parse_pairs_csv(path: str) -> ConfusionMatrix:
     rows = _csv_rows(path, csv.reader(lines), lambda k: _first_line(path, list(lines)[k - 1]))
     # zip draws the row first, so each row meets the line it began on
     for row, (line, count) in zip(rows, lines.items()):
-        # a line's one "\n" ends it, so a cell holds one only if its quote ran past its line
+        # a line holds "\n" only at its end, so a cell holds one only if its quote ran on
         if "\n" in "".join(row):
             raise InputError(f"{path}: quoted label spans lines at line {_first_line(path, line)}")
         # interned, so the tally holds one string per label, not per line

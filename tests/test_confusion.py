@@ -94,8 +94,6 @@ class TestFromCounts:
             ([[1, np.nan], [0, 1]], "non-finite cell at row 0, column 1"),
             ([[1, 0], [np.inf, 1]], "non-finite cell at row 1, column 0"),
             ([[1, 0], [0, -np.inf]], "non-finite cell at row 1, column 1"),
-            # -inf + inf in the validating sum is NaN, which must not warn first
-            ([[-np.inf, np.inf], [0, 1]], "non-finite cell at row 0, column 0"),
             # non-finite is reported before negative, wherever the cells sit
             ([[-1, 0], [0, np.nan]], "non-finite cell at row 1, column 1"),
             ([[1, 2], [3, -1]], "negative cell at row 1, column 1: -1.0"),
@@ -112,6 +110,8 @@ class TestFromCounts:
             ([[1, 0], [0, 10**400]], "cell at row 1, column 1 is past the double range"),
             ([[1, -(10**400)], [0, 1]], "cell at row 0, column 1 is past the double range"),
             ([[Fraction(10**400), 0], [0, 1]], "cell at row 0, column 0 is past the double range"),
+            # -inf + inf in the validating sum is NaN, which must not warn first
+            ([[-np.inf, np.inf], [0, 1]], "non-finite cell at row 0, column 0"),
             # a scalar or None, which numpy reads as a 0-d array
             (5, "non-square grid: shape ()"),
             (None, "non-square grid: shape ()"),
