@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from gofmetrics import confusion
 from gofmetrics.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -25,7 +26,6 @@ from gofmetrics.cli import (
     parse_pairs_csv,
     run,
 )
-from gofmetrics import confusion
 from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec
 
