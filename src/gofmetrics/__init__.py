@@ -14,8 +14,7 @@ other scores (generalized F1 / Fowlkes-Mallows, Cramer's phi, one-vs-one
 averages, power-mean rates) share the same matrix plumbing.
 """
 
-from . import binary, confusion, means, multiclass
-from .binary import *  # noqa: F401,F403
+from . import confusion, means, multiclass
 from .confusion import *  # noqa: F401,F403
 from .means import *  # noqa: F401,F403
 from .multiclass import *  # noqa: F401,F403
@@ -23,4 +22,4 @@ from .multiclass import *  # noqa: F401,F403
 __version__ = "0.1.0"
 
 # the public names are each module's own list; none is repeated here
-__all__ = [*means.__all__, *confusion.__all__, *binary.__all__, *multiclass.__all__, "__version__"]
+__all__ = [*means.__all__, *confusion.__all__, *multiclass.__all__, "__version__"]

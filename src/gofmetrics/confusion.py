@@ -75,7 +75,8 @@ class ConfusionMatrix:
     ) -> "ConfusionMatrix":
         """Validate a square grid of non-negative cell values.
 
-        Labels default to class_0 ... class_{n-1}.  Cells may be fractional
+        Labels default to class_0 ... class_{n-1}; labels that are a str,
+        bytes or mapping are refused.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
         and not all zero, and their sum must be finite too.  A cell that is
         no number (a str, bytes, bool, complex, None, list or dict) is refused,
@@ -103,8 +104,10 @@ class ConfusionMatrix:
             raise ValueError(f"n < 2: need at least two classes, got {side}")
         if labels is None:
             labels = _default_labels(side)
-        elif isinstance(labels, str):
-            raise ValueError(f"labels must be a list of names, not the string {labels!r}")
+        elif isinstance(labels, (str, bytes, Mapping)):
+            # the grid's rule: read item by item, b"ab" would name the classes '97' and '98'
+            kind = type(labels).__name__
+            raise ValueError(f"labels must be a list of names, not the {kind} {labels!r}")
         else:
             labels = tuple(str(lab) for lab in labels)
             if len(labels) != side:

@@ -13,7 +13,8 @@ pairwise one-vs-one averages of any two-class score, and a power mean of
 the 2n diagonal rates.  One-vs-one scores every class pair in one pass of
 array operations over the pairs' cells (`_one_vs_one`).  `METRICS` names
 every score with the options it takes, and `evaluate_metric` scores a
-matrix by name.
+matrix by name; `two_class_score` scores a 2x2 table by the two-class
+metric of a one-vs-one row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import binary as _binary
-from .confusion import ConfusionMatrix, _rates
+from .confusion import ConfusionMatrix, _integer, _rates
 from .means import ARITHMETIC, AveragingSpec, _check_exponent, _column_means, _power_mean
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "METRICS",
     "BINARY_METRIC_NAMES",
     "evaluate_metric",
+    "two_class_score",
 ]
 
 # rounding slack allowed on the |det| <= 1 bound before clamping
@@ -186,7 +188,7 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     since E * N = r_i * c_j.  Both factors lie in [-1, 1], so no product leaves
     the double range at any scale of the counts.  A zero row or column sum has
     only zero cells, where O - E = 0, so it divides by 1 instead.
-    At n = 2 this equals |mcc_binary|.
+    At n = 2 this equals |two_class_score(cm, "mcc")|.
     """
     counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
     shares = cols / cm.total
@@ -298,10 +300,7 @@ def one_vs_one_average(
     options follow the `one_vs_one_<metric>` row of `METRICS`, as in
     `evaluate_metric`.
     """
-    if _OVO + metric not in METRICS:
-        raise ValueError(
-            f"unknown binary metric {metric!r}; choose from {', '.join(BINARY_METRIC_NAMES)}"
-        )
+    _lookup(metric, _OVO)
     return evaluate_metric(cm, _OVO + metric, outer, p)
 
 
@@ -317,21 +316,14 @@ def evaluate_metric(
     takes them; `outer` defaults to arithmetic.  Raises ValueError for an
     unknown name, a missing or unexpected option, or an invalid value.
     """
-    info = METRICS.get(name)
-    if info is None:
-        raise ValueError(f"unknown metric {name!r}")
+    info = _lookup(name)
     if outer is not None and not info.takes_outer:
         raise ValueError(f"{name} takes no outer average")
-    if info.needs_p and p is None:
-        raise ValueError(f"{name} needs p: it needs an exponent <= 1 (e.g. {name}:p=-1)")
-    if p is not None and not info.needs_p:
-        hint = " (use outer=power:<float> for a power outer)" if info.takes_outer else ""
-        raise ValueError(f"{name} takes no p option: it takes no exponent{hint}")
+    hint = " (use outer=power:<float> for a power outer)" if info.takes_outer else ""
+    p = _read_p(name, info.needs_p, p, hint)
     if info.takes_outer:
         outer = outer or ARITHMETIC
         _check_outer(outer, info.signed)
-    if p is not None:
-        p = _check_exponent(p)  # read once, as the float it stands for
     if name.startswith(_OVO):
         value = _one_vs_one(cm, info, outer, p)
     else:
@@ -342,6 +334,69 @@ def evaluate_metric(
     if p is not None:
         parameters["p"] = repr(p)
     return MetricScore(name, value, parameters, cm.n)
+
+
+def two_class_score(
+    cm: ConfusionMatrix, metric: str, positive_index: int = 0, p: float | None = None
+) -> float:
+    """Score a 2x2 table by a two-class metric, class `positive_index` positive.
+
+    `metric` is a name in `BINARY_METRIC_NAMES`, scored by the function of
+    its `one_vs_one_<metric>` row of `METRICS`, and p is given exactly where
+    that row needs it, as in `evaluate_metric`.  With class k positive,
+    TP = C[k][k], FN = C[k][1-k], FP = C[1-k][k] and TN = C[1-k][1-k]:
+
+    - precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity TN/(TN+FP)
+      and npv TN/(TN+FN), each 0 over a zero sum;
+    - f1 and fowlkes_mallows, the harmonic and geometric means of precision
+      and sensitivity; f1_zero, the harmonic mean of specificity and npv;
+    - lp_four_rate, the power mean of exponent p <= 1 of sensitivity,
+      specificity, precision and npv;
+    - mcc, (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FN)(TN+FP)), 0 when a
+      marginal is 0, taken from rates alone as
+      sqrt((PPV NPV)(TPR TNR)) - sqrt((FDR FOR)(FNR FPR)): bounded by
+      construction, and the same bits with either class positive.
+
+    positive_index follows `relabel`'s index rule: a bool or float is no index.
+    """
+    if cm.n != 2:
+        raise ValueError(f"two_class_score needs a 2x2 matrix, got {cm.n}x{cm.n}")
+    info = _lookup(metric, _OVO)
+    positive = _integer(positive_index)
+    if positive not in (0, 1):
+        raise ValueError("positive_index must be 0 or 1")
+    p = _read_p(metric, info.needs_p, p)
+    rates = _binary._rates(cm.counts.take(_pair_cells(2)))
+    if positive:
+        rates = rates[:, ::-1]  # the other class's rates, as `_one_vs_one` takes them
+    return info.func(rates, *(() if p is None else (p,))).item()
+
+
+def _lookup(name: object, prefix: str = "") -> MetricInfo:
+    # the METRICS row called prefix + name; a name that is no str is refused
+    # by its type before it meets the dict
+    if not isinstance(name, str):
+        raise ValueError(f"metric name must be a str, not the {type(name).__name__} {name!r}")
+    info = METRICS.get(prefix + name)
+    if info is None and prefix:
+        raise ValueError(
+            f"unknown binary metric {name!r}; choose from {', '.join(BINARY_METRIC_NAMES)}"
+        )
+    if info is None:
+        raise ValueError(f"unknown metric {name!r}")
+    return info
+
+
+def _read_p(name: str, needs_p: bool, p: object, hint: str = "") -> float | None:
+    # p is given exactly where the metric needs it, and read once, as the
+    # float it stands for
+    if p is None:
+        if needs_p:
+            raise ValueError(f"{name} needs p: it needs an exponent <= 1 (e.g. {name}:p=-1)")
+        return None
+    if not needs_p:
+        raise ValueError(f"{name} takes no p option: it takes no exponent{hint}")
+    return _check_exponent(p)
 
 
 def _parity(mapping: tuple[int, ...]) -> str:

@@ -12,19 +12,20 @@ scalar `apply_average`, as the reference its whole-array code must reproduce.
 Likewise `pairs_csv_loop` keeps the original row-at-a-time label-pairs reader
 as the reference for the streaming one, and `one_vs_one_loop` the original
 pair-at-a-time one-vs-one loop, with a 2x2 sub-table (`restrict_to_pair`,
-which the package no longer has), a `BinaryView` per pair and its own copy
-of the scalar two-class formulas (`TWO_CLASS`), as the reference for the
-whole-array one that scores every pair at once.
+which the package no longer has), a four-cell `TwoByTwo` per pair and its
+own copy of the scalar two-class formulas (`TWO_CLASS`), as the reference
+for the whole-array one that scores every pair at once and for
+`two_class_score`.
 """
 
 import csv
 import io
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from gofmetrics.binary import BinaryView
 from gofmetrics.cli import InputError
 from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.means import apply_average, power_mean
@@ -135,6 +136,25 @@ def restrict_to_pair(cm, i, j):
     return ConfusionMatrix((cm.labels[i], cm.labels[j]), sub)
 
 
+class TwoByTwo(NamedTuple):
+    """The four cells of a 2x2 table, one class positive, as Python floats."""
+
+    tp: float
+    fn: float
+    fp: float
+    tn: float
+
+    @classmethod
+    def of(cls, cm):
+        """The cells of a 2x2 `ConfusionMatrix`, class 0 positive."""
+        (a, b), (c, d) = cm.counts.tolist()
+        return cls(a, b, c, d)
+
+    def swapped(self):
+        """The same table with the other class as positive."""
+        return TwoByTwo(self.tn, self.fp, self.fn, self.tp)
+
+
 def _rate(num, denom):
     return 0.0 if denom == 0 else num / denom
 
@@ -163,7 +183,7 @@ def _npv(v):
     return _rate(v.tn, v.tn + v.fn)
 
 
-# the two-class scores of one `BinaryView`, written out with scalar floats
+# the two-class scores of one `TwoByTwo`, written out with scalar floats
 TWO_CLASS = {
     "precision": _precision,
     "sensitivity": _sensitivity,
@@ -180,10 +200,10 @@ TWO_CLASS = {
 
 
 def pair_views(cm):
-    """The `BinaryView` of each pair i < j's 2x2 sub-table, class i positive,
+    """The `TwoByTwo` of each pair i < j's 2x2 sub-table, class i positive,
     in row-major pair order."""
     return [
-        BinaryView(restrict_to_pair(cm, i, j)) for i in range(cm.n) for j in range(i + 1, cm.n)
+        TwoByTwo.of(restrict_to_pair(cm, i, j)) for i in range(cm.n) for j in range(i + 1, cm.n)
     ]
 
 
@@ -191,7 +211,7 @@ def one_vs_one_loop(cm, metric, outer, p=None, views=None):
     """`one_vs_one_average(cm, metric, outer, p).value`, one pair at a time.
 
     Each pair i < j is restricted to its 2x2 sub-table and scored through a
-    `BinaryView` by the scalar formula in `TWO_CLASS`; a score that depends
+    `TwoByTwo` by the scalar formula in `TWO_CLASS`; a score that depends
     on the positive class is averaged over both orientations, and the pair
     values then go through the outer average.  A signed score takes the
     arithmetic, min or max outer on values that may be negative.  `views`,

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import oracles
-from gofmetrics.binary import BinaryView, f1_binary, mcc_binary
 from gofmetrics.confusion import ConfusionMatrix, normalized_matrix, relabel, transpose
 from gofmetrics.means import (
     ARITHMETIC,
@@ -37,6 +36,7 @@ from gofmetrics.multiclass import (
     lp_multiclass,
     one_vs_one_average,
     perfect_fit_permutation,
+    two_class_score,
 )
 import gofmetrics
 from gofmetrics.cli import main
@@ -196,7 +196,7 @@ def test_05_cramers_matches_absolute_mcc(capsys):
             grid = random_counts(rng, 2, high=80)
             cm = ConfusionMatrix.from_counts(grid)
             assert cramers_phi(cm) == pytest.approx(
-                abs(mcc_binary(BinaryView(cm))), abs=1e-10
+                abs(two_class_score(cm, "mcc")), abs=1e-10
             )
             cases += 1
         info["detail"] = f" ({cases} matrices)"
@@ -293,14 +293,12 @@ def test_09_screening_scenario(capsys):
     # rate: every third positive call is wrong, and the correlation scores
     # say so while accuracy does not
     with verdict(capsys, 9, "imbalanced screening: correlation far below accuracy") as info:
-        from gofmetrics.binary import npv, precision, sensitivity, specificity
-
         cm = ConfusionMatrix.from_counts([[990, 10], [495, 49005]])
-        v = BinaryView(cm)
+        mcc, f1 = two_class_score(cm, "mcc"), two_class_score(cm, "f1")
         accuracy = float(np.trace(cm.counts)) / cm.total
-        assert abs(precision(v) - 2 / 3) <= 0.01
-        assert sensitivity(v) == pytest.approx(0.99, abs=1e-12)
-        assert specificity(v) == pytest.approx(0.99, abs=1e-12)
+        assert abs(two_class_score(cm, "precision") - 2 / 3) <= 0.01
+        assert two_class_score(cm, "sensitivity") == pytest.approx(0.99, abs=1e-12)
+        assert two_class_score(cm, "specificity") == pytest.approx(0.99, abs=1e-12)
         assert accuracy == pytest.approx(0.99, abs=1e-12)
 
         # direct evaluation of the closed forms on the four cells
@@ -309,16 +307,14 @@ def test_09_screening_scenario(capsys):
             (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
         )
         f1_direct = 2 * tp / (2 * tp + fp + fn)
-        assert mcc_binary(v) == pytest.approx(mcc_direct, abs=1e-12)
-        assert mcc_binary(v) == pytest.approx(0.8081666873480289, abs=1e-12)
-        assert f1_binary(v) == pytest.approx(f1_direct, abs=1e-12)
+        assert mcc == pytest.approx(mcc_direct, abs=1e-12)
+        assert mcc == pytest.approx(0.8081666873480289, abs=1e-12)
+        assert f1 == pytest.approx(f1_direct, abs=1e-12)
 
-        assert mcc_binary(v) < accuracy - 0.1
-        assert f1_binary(v) < accuracy - 0.1
-        assert npv(v) > 0.999
-        info["detail"] = (
-            f" (accuracy {accuracy:.4f}, mcc {mcc_binary(v):.4f}, f1 {f1_binary(v):.4f})"
-        )
+        assert mcc < accuracy - 0.1
+        assert f1 < accuracy - 0.1
+        assert two_class_score(cm, "npv") > 0.999
+        info["detail"] = f" (accuracy {accuracy:.4f}, mcc {mcc:.4f}, f1 {f1:.4f})"
 
 
 CLI_GOLDENS = [

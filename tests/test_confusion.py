@@ -240,6 +240,16 @@ class TestFromCounts:
         with pytest.raises(ValueError, match="labels must be a list of names"):
             ConfusionMatrix.from_counts([[1, 0], [0, 1]], "ab")
 
+    @pytest.mark.parametrize(
+        "labels, kind",
+        [(b"ab", "bytes"), ({"a": 1, "b": 2}, "dict")],
+    )
+    def test_bytes_and_mapping_labels_rejected(self, labels, kind):
+        # bytes would read as the classes '97' and '98', a mapping by its keys
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_counts([[1, 0], [0, 1]], labels)
+        assert str(info.value) == f"labels must be a list of names, not the {kind} {labels!r}"
+
     @given(small_grids())
     @settings(max_examples=100)
     def test_marginals_match_manual_sums(self, grid):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gofmetrics import binary, means, multiclass
-from gofmetrics.binary import BinaryView, f1_binary, lp_four_rate_score, mcc_binary
+from gofmetrics import means, multiclass
 from gofmetrics.confusion import (
     ConfusionMatrix,
     normalized_matrix,
@@ -39,6 +38,7 @@ from gofmetrics.multiclass import (
     lp_multiclass,
     one_vs_one_average,
     perfect_fit_permutation,
+    two_class_score,
 )
 from helpers import (
     pair_mean_tables,
@@ -52,6 +52,7 @@ from helpers import (
 
 GRID3 = [[20, 6, 0], [2, 20, 0], [12, 12, 8]]
 GRID3B = [[5, 6, 2], [2, 8, 11], [8, 2, 10]]
+CM2 = ConfusionMatrix.from_counts([[7, 2], [3, 5]])
 
 
 def cm_of(grid, labels=None):
@@ -121,7 +122,7 @@ class TestGeneralizedMcc:
             grid = random_counts(rng, 2)
             cm = cm_of(grid)
             assert generalized_mcc(cm) == pytest.approx(
-                mcc_binary(BinaryView(cm)), abs=1e-10
+                two_class_score(cm, "mcc"), abs=1e-10
             )
 
     def test_zero_column_forces_exact_zero(self):
@@ -440,7 +441,7 @@ class TestCramersPhi:
             grid = random_counts(rng, 2)
             cm = cm_of(grid)
             assert cramers_phi(cm) == pytest.approx(
-                abs(mcc_binary(BinaryView(cm))), abs=1e-10
+                abs(two_class_score(cm, "mcc")), abs=1e-10
             )
 
     def test_matches_reference_at_200(self):
@@ -537,7 +538,7 @@ class TestCramersPhi:
             value = cramers_phi(cm)
             assert value == pytest.approx(oracles.cramers_phi_exact(grid), abs=1e-12)
             if n == 2:
-                assert value == pytest.approx(abs(mcc_binary(BinaryView(cm))), abs=1e-12)
+                assert value == pytest.approx(abs(two_class_score(cm, "mcc")), abs=1e-12)
             checked += 1
 
     def test_zero_marginal_cells_contribute_nothing(self):
@@ -591,7 +592,7 @@ class TestOneVsOneLoop:
 
     def test_no_matrix_per_pair(self, monkeypatch):
         # the pairs are scored from the table's own cells in one pass: no 2x2
-        # sub-table and no BinaryView per pair, and p is read once per call
+        # sub-table per pair, and p is read once per call
         cm = cm_of(random_counts(np.random.default_rng(12), 12))
         built, checked = [], []
 
@@ -602,13 +603,10 @@ class TestOneVsOneLoop:
 
             return wrapper
 
-        for cls, attr in [
-            (ConfusionMatrix, "__init__"), (BinaryView, "__init__"), (BinaryView, "swapped")
-        ]:
-            wrapper = counted(built, f"{cls.__name__}.{attr}", getattr(cls, attr))
-            monkeypatch.setattr(cls, attr, wrapper)
+        init = counted(built, "ConfusionMatrix.__init__", ConfusionMatrix.__init__)
+        monkeypatch.setattr(ConfusionMatrix, "__init__", init)
         check = counted(checked, "_check_exponent", means._check_exponent)
-        for module in (means, multiclass, binary):
+        for module in (means, multiclass):
             monkeypatch.setattr(module, "_check_exponent", check)
         for metric in BINARY_METRIC_NAMES:
             p = -1.0 if METRICS["one_vs_one_" + metric].needs_p else None
@@ -640,9 +638,9 @@ class TestOneVsOne:
 
     def test_pair_values_directly(self):
         cm = cm_of(GRID3)
-        pair01 = mcc_binary(BinaryView(cm_of([[20, 6], [2, 20]])))
-        pair02 = mcc_binary(BinaryView(cm_of([[20, 0], [12, 8]])))
-        pair12 = mcc_binary(BinaryView(cm_of([[20, 0], [12, 8]])))
+        pair01 = two_class_score(cm_of([[20, 6], [2, 20]]), "mcc")
+        pair02 = two_class_score(cm_of([[20, 0], [12, 8]]), "mcc")
+        pair12 = two_class_score(cm_of([[20, 0], [12, 8]]), "mcc")
         expected = (pair01 + pair02 + pair12) / 3
         assert one_vs_one_average(cm, "mcc").value == pytest.approx(
             expected, abs=1e-12
@@ -658,7 +656,7 @@ class TestOneVsOne:
         rng = np.random.default_rng(31)
         for _ in range(100):
             cm = cm_of(random_counts(rng, 2))
-            assert one_vs_one_average(cm, "mcc").value == mcc_binary(BinaryView(cm))
+            assert one_vs_one_average(cm, "mcc").value == two_class_score(cm, "mcc")
 
     def test_min_max_outer_on_signed_metric(self):
         cm = cm_of(GRID3)
@@ -705,9 +703,10 @@ class TestOneVsOne:
                         [GRID3[j][i], GRID3[j][j]],
                     ]
                 )
-                v = BinaryView(sub)
                 per_pair.append(
-                    apply_average(outer, (f1_binary(v), f1_binary(v.swapped())))
+                    apply_average(
+                        outer, (two_class_score(sub, "f1"), two_class_score(sub, "f1", 1))
+                    )
                 )
             scores[outer.to_string()] = apply_average(outer, per_pair)
         assert one_vs_one_average(cm, "f1", ARITHMETIC).value == pytest.approx(
@@ -731,14 +730,24 @@ class TestOneVsOne:
             one_vs_one_average(cm, "lp_four_rate")
         with pytest.raises(ValueError, match="p must be <= 1"):
             one_vs_one_average(cm, "lp_four_rate", p=2.0)
+        # the same rule, with the two-class name, for one 2x2 table
+        with pytest.raises(ValueError, match="lp_four_rate needs p: it needs an exponent"):
+            two_class_score(CM2, "lp_four_rate")
+        with pytest.raises(ValueError, match="p must be <= 1"):
+            two_class_score(CM2, "lp_four_rate", p=2.0)
 
     def test_p_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="takes no exponent"):
             one_vs_one_average(cm_of(GRID3), "f1", p=-1.0)
+        with pytest.raises(ValueError) as info:
+            two_class_score(CM2, "f1", p=-1.0)
+        assert str(info.value) == "f1 takes no p option: it takes no exponent"
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="unknown binary metric"):
             one_vs_one_average(cm_of(GRID3), "accuracy")
+        with pytest.raises(ValueError, match="unknown binary metric 'accuracy'; choose from"):
+            two_class_score(CM2, "accuracy")
 
     def test_subnormal_count_in_a_pair(self):
         # the pair's product of marginals underflows; its mcc is still 1
@@ -814,7 +823,7 @@ class TestLpMulticlass:
         for _ in range(100):
             cm = cm_of(random_counts(rng, 2))
             a = lp_multiclass(cm, -1.0)
-            b = lp_four_rate_score(BinaryView(cm), -1.0)
+            b = two_class_score(cm, "lp_four_rate", p=-1.0)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_p_above_one_rejected(self):
@@ -969,3 +978,21 @@ class TestScoreBounds:
             assert 0.0 <= cramers_phi(cm) <= 1.0
             assert 0.0 <= lp_multiclass(cm, -1.0) <= 1.0 + 1e-12
             assert -1.0 <= one_vs_one_average(cm, "mcc").value <= 1.0
+
+
+# every entry that looks a metric up by name in METRICS
+NAME_DOORS = {
+    "evaluate_metric": lambda name: evaluate_metric(cm_of(GRID3), name),
+    "one_vs_one_average": lambda name: one_vs_one_average(cm_of(GRID3), name),
+    "two_class_score": lambda name: two_class_score(CM2, name),
+}
+
+
+@pytest.mark.parametrize("door", NAME_DOORS)
+@pytest.mark.parametrize("name", [None, ["x"], 1, b"mcc", ("mcc",)], ids=repr)
+def test_metric_name_that_is_no_str_refused_by_name(door, name):
+    # a list is unhashable and None cannot be prefixed: each is named instead
+    with pytest.raises(ValueError) as info:
+        NAME_DOORS[door](name)
+    kind = type(name).__name__
+    assert str(info.value) == f"metric name must be a str, not the {kind} {name!r}"

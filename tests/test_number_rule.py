@@ -7,14 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gofmetrics.binary import BinaryView, lp_four_rate_score
 from gofmetrics.confusion import ConfusionMatrix, smooth
 from gofmetrics.means import AveragingSpec, power_mean
-from gofmetrics.multiclass import METRICS, evaluate_metric, lp_multiclass
+from gofmetrics.multiclass import METRICS, evaluate_metric, lp_multiclass, two_class_score
 
 GRID3 = [[20, 6, 0], [2, 20, 0], [12, 12, 8]]
 CM3 = ConfusionMatrix.from_counts(GRID3)
-VIEW = BinaryView(ConfusionMatrix.from_counts([[5, 1], [2, 4]]))
+CM2 = ConfusionMatrix.from_counts([[5, 1], [2, 4]])
 
 # each has __float__ or __index__ and is still no number, or has neither
 NON_NUMBERS = [
@@ -26,7 +25,8 @@ EXPONENT_ENTRIES = {
     "power_mean": lambda p: power_mean((1.0, 2.0), p),
     "AveragingSpec.power": AveragingSpec.power,
     "lp_multiclass": lambda p: lp_multiclass(CM3, p),
-    "lp_four_rate_score": lambda p: lp_four_rate_score(VIEW, p),
+    # the lp_four_rate score of one 2x2 table
+    "lp_four_rate_score": lambda p: two_class_score(CM2, "lp_four_rate", p=p),
     "evaluate_metric lp_multiclass": lambda p: evaluate_metric(CM3, "lp_multiclass", p=p),
     "evaluate_metric one_vs_one_lp_four_rate": lambda p: evaluate_metric(
         CM3, "one_vs_one_lp_four_rate", p=p
@@ -51,8 +51,9 @@ ENTRIES = {**EXPONENT_ENTRIES, **VALUE_ENTRIES}
 def test_non_number_refused_by_name(name, value):
     with pytest.raises(ValueError) as info:
         ENTRIES[name](value)
-    if value is None and name.startswith("evaluate_metric"):
-        # evaluate_metric reads p=None as no p given, and names the option
+    if value is None and (name.startswith("evaluate_metric") or name == "lp_four_rate_score"):
+        # evaluate_metric and two_class_score read p=None as no p given, and
+        # name the option
         assert "needs p" in str(info.value)
     else:
         assert repr(value) in str(info.value)
@@ -71,7 +72,9 @@ def test_exponent_past_the_double_range_reads_as_infinity():
     assert power_mean(values, -(10**400)) == min(values)
     assert power_mean(values, Fraction(-(10**400))) == min(values)
     assert lp_multiclass(CM3, -(10**400)) == lp_multiclass(CM3, -math.inf)
-    assert lp_four_rate_score(VIEW, -(10**400)) == lp_four_rate_score(VIEW, -math.inf)
+    assert two_class_score(CM2, "lp_four_rate", p=-(10**400)) == two_class_score(
+        CM2, "lp_four_rate", p=-math.inf
+    )
     score = evaluate_metric(CM3, "lp_multiclass", p=-(10**400))
     assert score.parameters == {"p": "-inf"}
     assert score.value == lp_multiclass(CM3, -math.inf)

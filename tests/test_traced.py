@@ -1,8 +1,8 @@
 """Scores under perfbench's call tracer equal the untraced ones.
 
-The tracer rebinds every public name of the package, a counted class
-included, to a wrapper function while it is installed, so a code path that
-looks such a name up at call time must still work through the wrapper.
+The tracer rebinds every public function of the package to a wrapper
+function while it is installed, so a code path that looks such a name up
+at call time must still work through the wrapper.
 """
 
 import importlib.util
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gofmetrics import binary
+from gofmetrics import multiclass
 from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.multiclass import METRICS, evaluate_metric
 
@@ -31,14 +31,13 @@ def _scores(cm):
     }
 
 
-def _binary_scores(cm2):
-    # through the module's names, which the tracer rebinds
-    view = binary.BinaryView(cm2, 1)
+def _two_class_scores(cm2):
+    # through the module's name, which the tracer rebinds
     return [
-        binary.mcc_binary(view.swapped()),
-        binary.f1_binary(view),
-        binary.fowlkes_mallows_binary(view.swapped()),
-        binary.lp_four_rate_score(view, -1.0),
+        multiclass.two_class_score(cm2, "mcc", 0),
+        multiclass.two_class_score(cm2, "f1", 1),
+        multiclass.two_class_score(cm2, "fowlkes_mallows", 0),
+        multiclass.two_class_score(cm2, "lp_four_rate", 1, -1.0),
     ]
 
 
@@ -46,16 +45,15 @@ def test_traced_scores_equal_untraced():
     grid = np.array([[9, 2, 0, 1], [3, 7, 1, 0], [0, 2, 8, 4], [1, 0, 3, 6]])
     cm = ConfusionMatrix.from_counts(grid)
     cm2 = ConfusionMatrix.from_counts([[7, 2], [3, 5]])
-    expected, expected_binary = _scores(cm), _binary_scores(cm2)
+    expected, expected_two_class = _scores(cm), _two_class_scores(cm2)
     tracer = _tracer()
-    tracer.install("gofmetrics", counted_classes=("binary.BinaryView",))
+    tracer.install("gofmetrics")
     try:
-        assert not isinstance(binary.BinaryView, type)  # a wrapper function now
-        traced, traced_binary = _scores(cm), _binary_scores(cm2)
+        traced, traced_two_class = _scores(cm), _two_class_scores(cm2)
     finally:
         tracer.uninstall()
     assert traced == expected
-    assert traced_binary == expected_binary
-    # the counted class went through its wrapper
-    views = [node for node in tracer.nodes() if node.name == "binary.BinaryView"]
-    assert sum(node.calls for node in views) >= 1
+    assert traced_two_class == expected_two_class
+    # the two-class entry went through its wrapper
+    calls = [node.calls for node in tracer.nodes() if node.name == "multiclass.two_class_score"]
+    assert sum(calls) >= 1
