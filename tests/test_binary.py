@@ -35,6 +35,38 @@ CLINIC = dict(tp=990, fn=10, fp=495, tn=49005)
 
 class TestView:
     # which class of the 2x2 table is positive
+    def test_cell_mapping(self):
+        # class 0 positive reads tp, fn, fp, tn = 1, 2, 3, 4; class 1 reads 4, 3, 2, 1
+        assert score("sensitivity", 1, 2, 3, 4) == 1 / 3
+        assert score("precision", 1, 2, 3, 4) == 1 / 4
+        assert score("specificity", 1, 2, 3, 4) == 4 / 7
+        assert score("npv", 1, 2, 3, 4) == 4 / 6
+        assert score("sensitivity", 1, 2, 3, 4, positive=1) == 4 / 7
+        assert score("precision", 1, 2, 3, 4, positive=1) == 4 / 6
+        assert score("specificity", 1, 2, 3, 4, positive=1) == 1 / 3
+        assert score("npv", 1, 2, 3, 4, positive=1) == 1 / 4
+        # the scores are Python floats
+        for metric in BINARY_METRIC_NAMES:
+            for positive in (0, 1):
+                for p in exponents(metric):
+                    assert type(score(metric, 1, 2, 3, 4, positive, p)) is float, (metric, p)
+
+    def test_swapped_exchanges_roles(self):
+        # making the other class positive exchanges sensitivity with specificity
+        # and precision with npv; swapping twice gives back the table
+        cm = table(1, 2, 3, 4)
+        for a, b in (("sensitivity", "specificity"), ("precision", "npv")):
+            assert two_class_score(cm, a, 1) == two_class_score(cm, b, 0)
+            assert two_class_score(cm, b, 1) == two_class_score(cm, a, 0)
+        twice = relabel(relabel(cm, [1, 0]), [1, 0])
+        assert np.array_equal(twice.counts, cm.counts)
+        for metric in BINARY_METRIC_NAMES:
+            for positive in (0, 1):
+                for p in exponents(metric):
+                    assert two_class_score(twice, metric, positive, p) == two_class_score(
+                        cm, metric, positive, p
+                    ), (metric, positive, p)
+
     def test_other_class_positive_is_the_relabeled_table(self):
         # class 1 positive reads the table with its classes swapped, bit for bit
         rng = np.random.default_rng(16)
