@@ -366,7 +366,7 @@ def run(config: RunConfig) -> tuple[ConfusionMatrix, list[MetricScore]]:
         if config.smoothing is not None:
             score = dataclasses.replace(
                 score,
-                parameters={**score.parameters, "alpha": repr(float(config.smoothing))},
+                parameters={**score.parameters, "alpha": repr(float(config.smoothing) + 0.0)},
             )
         scores.append(score)
     return cm, scores

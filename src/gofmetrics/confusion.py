@@ -35,6 +35,9 @@ __all__ = [
     "relabel",
 ]
 
+# read item by item, these give characters, byte values or keys, not names or rows
+_NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping)
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -76,12 +79,12 @@ class ConfusionMatrix:
         """Validate a square grid of non-negative cell values.
 
         Labels default to class_0 ... class_{n-1}; labels that are a str,
-        bytes or mapping are refused.  Cells may be fractional
+        byte buffer or mapping are refused.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
         and not all zero, and their sum must be finite too.  A cell that is
         no number (a str, bytes, bool, complex, None, list or dict) is refused,
-        and so is a grid or a row that is a str, bytes or mapping.  A grid or
-        row that is an iterator is read once, as its list would be.  A
+        and so is a grid or a row that is a str, byte buffer or mapping.  A
+        grid or row that is an iterator is read once, as its list would be.  A
         signalling NaN is a NaN cell, and a -0.0 cell is stored as 0.0.
         """
         # a float or int array is numbers by its dtype alone
@@ -104,7 +107,7 @@ class ConfusionMatrix:
             raise ValueError(f"n < 2: need at least two classes, got {side}")
         if labels is None:
             labels = _default_labels(side)
-        elif isinstance(labels, (str, bytes, Mapping)):
+        elif isinstance(labels, _NOT_A_LIST):
             # the grid's rule: read item by item, b"ab" would name the classes '97' and '98'
             kind = type(labels).__name__
             raise ValueError(f"labels must be a list of names, not the {kind} {labels!r}")
@@ -218,13 +221,13 @@ def _check_cells(grid: object) -> object:
     # since numpy refuses one as ragged.  A grid or row that is not iterable is left
     # to the shape checks, and one whose items are no rows or cells (the
     # characters of a string, the keys of a mapping) is named
-    if isinstance(grid, (str, bytes, Mapping)):
+    if isinstance(grid, _NOT_A_LIST):
         raise ValueError(f"grid is a {type(grid).__name__}, not a sequence of rows")
     if not isinstance(grid, Iterable):
         return grid
     rows = list(grid)
     for i, row in enumerate(rows):
-        if isinstance(row, (str, bytes, Mapping)):
+        if isinstance(row, _NOT_A_LIST):
             raise ValueError(
                 f"row {i} is a {type(row).__name__}, not a sequence of numbers"
             )

@@ -145,7 +145,7 @@ def _exponent(p: object) -> float:
         p = (math.inf if p > 0 else -math.inf) if _past_doubles(p) else float(p)
     if math.isnan(p):
         raise ValueError("NaN exponent")
-    return p
+    return p + 0.0  # -0.0 reads as 0.0
 
 
 def _validate(values: Sequence[float]) -> Sequence[float]:

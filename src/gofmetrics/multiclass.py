@@ -10,11 +10,11 @@ classifier is perfect up to a relabeling of its outputs
 The rest of the family: per-class F1 / Fowlkes-Mallows rolled up by a
 caller-chosen average, the chi-square association score `cramers_phi`,
 pairwise one-vs-one averages of any two-class score, and a power mean of
-the 2n diagonal rates.  One-vs-one scores every class pair in one pass of
-array operations over the pairs' cells (`_one_vs_one`).  `METRICS` names
-every score with the options it takes, and `evaluate_metric` scores a
-matrix by name; `two_class_score` scores a 2x2 table by the two-class
-metric of a one-vs-one row.
+the 2n diagonal rates.  Every two-class score is an array function of the
+rates of many 2x2 tables (`_pair_rates`, 0 over a zero sum): one-vs-one
+scores all class pairs in one pass (`_one_vs_one`), `two_class_score` one
+2x2 table.  `METRICS` names every score with the options it takes, and
+`evaluate_metric` scores a matrix by name.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from . import binary as _binary
 from .confusion import ConfusionMatrix, _integer, _rates
 from .means import ARITHMETIC, AveragingSpec, _check_exponent, _column_means, _power_mean
 
@@ -220,13 +220,58 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     return _power_mean(np.concatenate(_diagonal_rates(cm)).tolist(), p)
 
 
+@lru_cache(maxsize=32)
+def _pair_cells(n: int) -> np.ndarray:
+    # flat indices into an n x n table of the four cells of each class pair
+    # i < j, in `_pair_rates`' order and row-major pair order: 4 * 8 bytes a
+    # pair, so a cache entry at n = 1000 holds 16 MB
+    i, j = np.triu_indices(n, 1)
+    return np.stack((i * (n + 1), i * n + j, j * n + i, j * (n + 1)))
+
+
+def _pair_rates(cm: ConfusionMatrix) -> np.ndarray:
+    """The (2, 4, m) rates of the m class pairs i < j of `cm`, class i positive.
+
+    With TP = C[i][i], FN = C[i][j], FP = C[j][i] and TN = C[j][j], rates[0]
+    is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity TN/(TN+FP)
+    and npv TN/(TN+FN), and rates[1] holds FP, FN, FP and FN over the same
+    sums: one division, 0 over a zero sum.  With class j positive the rates
+    are the same rows reversed, `rates[:, ::-1]`.
+    """
+    cells = cm.counts.take(_pair_cells(cm.n))
+    numerators = cells.take([0, 0, 3, 3, 2, 1, 2, 1], axis=0).reshape(2, 4, -1)
+    return _rates(numerators, numerators[0] + numerators[1])
+
+
+def _two_term(p: float, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
+    # the array score that is the two-term mean of exponent p of rates[0, i] and rates[0, j]
+    return lambda rates: _column_means(p, rates[0, i], rates[0, j])
+
+
+# the two-class scores as array functions of `_pair_rates`
+_precision, _sensitivity, _specificity, _npv = (itemgetter((0, k)) for k in range(4))
+_f1 = _two_term(-1.0, 0, 1)  # of precision and sensitivity
+_f1_zero = _two_term(-1.0, 2, 3)  # of specificity and npv
+_fowlkes_mallows = _two_term(0.0, 0, 1)
+
+
+def _mcc(rates: np.ndarray) -> np.ndarray:
+    halves = rates[:, :2] * rates[:, :1:-1]  # PPV NPV, TPR TNR and FDR FOR, FNR FPR
+    roots = np.sqrt(halves[:, 0] * halves[:, 1])
+    return roots[0] - roots[1]
+
+
+def _lp_four_rate(rates: np.ndarray, p: float) -> np.ndarray:
+    return _column_means(p, *(rates[0, k] for k in (1, 2, 0, 3)))
+
+
 @dataclass(frozen=True)
 class MetricInfo:
     """One row of `METRICS`: a metric's function and the options it takes.
 
     A one-vs-one row holds the two-class score as an array function of the
-    rates of many tables (`binary._rates`), which `one_vs_one_average`
-    applies to all class pairs at once."""
+    rates of many 2x2 tables (`_pair_rates`), which `one_vs_one_average`
+    applies to all class pairs at once and `two_class_score` to one table."""
 
     func: Callable
     takes_outer: bool = False  # an outer average, arithmetic by default
@@ -245,29 +290,20 @@ METRICS: dict[str, MetricInfo] = {
     "generalized_fm": MetricInfo(generalized_fm, takes_outer=True),
     "cramers_phi": MetricInfo(cramers_phi),
     "lp_multiclass": MetricInfo(lp_multiclass, needs_p=True),
-    _OVO + "precision": MetricInfo(_binary._precision, takes_outer=True),
-    _OVO + "sensitivity": MetricInfo(_binary._sensitivity, takes_outer=True),
-    _OVO + "specificity": MetricInfo(_binary._specificity, takes_outer=True),
-    _OVO + "npv": MetricInfo(_binary._npv, takes_outer=True),
-    _OVO + "f1": MetricInfo(_binary._f1, takes_outer=True),
-    _OVO + "f1_zero": MetricInfo(_binary._f1_zero, takes_outer=True),
-    _OVO + "fowlkes_mallows": MetricInfo(_binary._fowlkes_mallows, takes_outer=True),
-    _OVO + "mcc": MetricInfo(_binary._mcc, takes_outer=True, signed=True, swap_invariant=True),
+    _OVO + "precision": MetricInfo(_precision, takes_outer=True),
+    _OVO + "sensitivity": MetricInfo(_sensitivity, takes_outer=True),
+    _OVO + "specificity": MetricInfo(_specificity, takes_outer=True),
+    _OVO + "npv": MetricInfo(_npv, takes_outer=True),
+    _OVO + "f1": MetricInfo(_f1, takes_outer=True),
+    _OVO + "f1_zero": MetricInfo(_f1_zero, takes_outer=True),
+    _OVO + "fowlkes_mallows": MetricInfo(_fowlkes_mallows, takes_outer=True),
+    _OVO + "mcc": MetricInfo(_mcc, takes_outer=True, signed=True, swap_invariant=True),
     _OVO + "lp_four_rate": MetricInfo(
-        _binary._lp_four_rate, takes_outer=True, needs_p=True, swap_invariant=True
+        _lp_four_rate, takes_outer=True, needs_p=True, swap_invariant=True
     ),
 }
 
 BINARY_METRIC_NAMES = tuple(name[len(_OVO):] for name in METRICS if name.startswith(_OVO))
-
-
-@lru_cache(maxsize=32)
-def _pair_cells(n: int) -> np.ndarray:
-    # flat indices into an n x n table of the cells TP, FN, FP, TN of each
-    # class pair i < j, class i positive, in row-major pair order: 4 * 8 bytes
-    # a pair, so a cache entry at n = 1000 holds 16 MB
-    i, j = np.triu_indices(n, 1)
-    return np.stack((i * (n + 1), i * n + j, j * n + i, j * (n + 1)))
 
 
 def _one_vs_one(
@@ -276,7 +312,7 @@ def _one_vs_one(
     # `one_vs_one_average` for a METRICS row whose options `evaluate_metric`
     # has checked: the score of every pair, and of every pair with its other
     # class positive, then the outer mean over both and over the pairs
-    rates = _binary._rates(cm.counts.take(_pair_cells(cm.n)))
+    rates = _pair_rates(cm)
     options = () if p is None else (p,)
     values = info.func(rates, *options)
     if not info.swap_invariant:
@@ -366,7 +402,7 @@ def two_class_score(
     if positive not in (0, 1):
         raise ValueError("positive_index must be 0 or 1")
     p = _read_p(metric, info.needs_p, p)
-    rates = _binary._rates(cm.counts.take(_pair_cells(2)))
+    rates = _pair_rates(cm)
     if positive:
         rates = rates[:, ::-1]  # the other class's rates, as `_one_vs_one` takes them
     return info.func(rates, *(() if p is None else (p,))).item()

@@ -1,0 +1,132 @@
+"""The paired-run summary of `tools/bench_summary.py`, on small synthetic run records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_summary.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_summary = _load()
+
+RATE = {"name": "matrices_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+LATENCY = {"name": "matrix_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}
+
+
+def record(**values):
+    return {
+        "attempted": 10,
+        "failed": 0,
+        "correct": True,
+        "metrics": {name: {"value": value} for name, value in values.items()},
+    }
+
+
+def runs(name, values):
+    # seed -> record, seeds 1, 2, ... in the order of `values`
+    return {seed: record(**{name: v}) for seed, v in enumerate(values, start=1)}
+
+
+class TestSpread:
+    def test_quartiles_are_inclusive(self):
+        # the exclusive method would put the quartiles of 1..4 at 1.25 and 3.75
+        assert bench_summary.spread([4.0, 1.0, 3.0, 2.0]) == {
+            "median": 2.5, "q1": 1.75, "q3": 3.25
+        }
+        assert bench_summary.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == {
+            "median": 3.0, "q1": 2.0, "q3": 4.0
+        }
+
+    def test_single_run_is_its_own_quartiles(self):
+        assert bench_summary.spread([7.5]) == {"median": 7.5, "q1": 7.5, "q3": 7.5}
+
+
+class TestSummarize:
+    def test_rows_hold_the_spreads_and_the_median_ratio(self):
+        parent = runs("matrices_per_s", [1.0, 2.0, 3.0, 4.0])
+        change = runs("matrices_per_s", [2.0, 4.0, 6.0, 8.0])
+        row = bench_summary.summarize(parent, change, [RATE])["metrics"]["matrices_per_s"]
+        assert row["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+        assert row["change"] == {"median": 5.0, "q1": 3.5, "q3": 6.5}
+        assert row["median_ratio"] == 2.0
+        assert (row["unit"], row["better"], row["bound"]) == ("1/s", "higher", 0.25)
+
+    def test_single_run_per_side(self):
+        out = bench_summary.summarize(
+            runs("matrices_per_s", [3.0]), runs("matrices_per_s", [6.0]), [RATE]
+        )
+        row = out["metrics"]["matrices_per_s"]
+        assert row["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+        assert row["change"] == {"median": 6.0, "q1": 6.0, "q3": 6.0}
+        assert (row["wins"], row["pairs"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "metric, wins",
+        # change against parent, seed by seed: higher, equal, lower, higher
+        [(RATE, 2), (LATENCY, 1)],
+    )
+    def test_wins_respect_better_and_ties_count_for_neither(self, metric, wins):
+        name = metric["name"]
+        parent = runs(name, [1.0, 2.0, 3.0, 4.0])
+        change = runs(name, [1.5, 2.0, 2.5, 5.0])
+        row = bench_summary.summarize(parent, change, [metric])["metrics"][name]
+        assert (row["wins"], row["pairs"]) == (wins, 4)
+
+    def test_wins_count_only_the_seeds_both_sides_ran(self):
+        parent = runs("matrices_per_s", [1.0, 1.0, 1.0])
+        change = {2: record(matrices_per_s=2.0), 3: record(matrices_per_s=2.0)}
+        out = bench_summary.summarize(parent, change, [RATE])
+        assert out["seeds"] == {"parent": [1, 2, 3], "change": [2, 3], "paired": [2, 3]}
+        row = out["metrics"]["matrices_per_s"]
+        assert (row["wins"], row["pairs"]) == (2, 2)
+
+    def test_metric_missing_on_one_side_is_skipped(self):
+        parent = {1: record(matrices_per_s=1.0, matrix_ms_p50=2.0)}
+        change = {1: record(matrices_per_s=1.5)}
+        out = bench_summary.summarize(parent, change, [RATE, LATENCY])
+        assert list(out["metrics"]) == ["matrices_per_s"]
+
+    def test_run_missing_a_metric_is_left_out_of_its_spread_and_pairs(self):
+        parent = {1: record(matrices_per_s=1.0), 2: record(matrices_per_s=3.0)}
+        change = {1: record(matrices_per_s=2.0), 2: record()}
+        row = bench_summary.summarize(parent, change, [RATE])["metrics"]["matrices_per_s"]
+        assert row["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+        assert (row["wins"], row["pairs"]) == (1, 1)
+
+    def test_runs_keep_their_counts_and_values(self):
+        parent = {1: record(matrices_per_s=1.0)}
+        change = {1: {**record(matrices_per_s=2.0), "failed": 3, "correct": False}}
+        out = bench_summary.summarize(parent, change, [RATE])
+        assert out["runs"]["change"] == [
+            {
+                "seed": 1,
+                "attempted": 10,
+                "failed": 3,
+                "correct": False,
+                "metrics": {"matrices_per_s": 2.0},
+            }
+        ]
+
+
+def test_read_runs_takes_the_untraced_records(tmp_path):
+    folder = tmp_path / ".perfbench"
+    folder.mkdir()
+    for name, value in [
+        ("run-small_panel-seed2-trace0.json", 2.0),
+        ("run-small_panel-seed10-trace0.json", 10.0),
+        ("run-small_panel-seed2-trace1.json", -1.0),
+    ]:
+        (folder / name).write_text(json.dumps(record(matrices_per_s=value)), encoding="utf-8")
+    read = bench_summary.read_runs(tmp_path)
+    assert list(read) == ["small_panel"]
+    assert sorted(read["small_panel"]) == [2, 10]
+    assert read["small_panel"][10]["metrics"]["matrices_per_s"]["value"] == 10.0

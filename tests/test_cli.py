@@ -724,6 +724,25 @@ class TestReports:
         assert report["total"] == 4
         assert report["scores"][0]["params"] == {"alpha": "0.5"}
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_negative_zero_options_read_as_zero(self, tmp_path, capsys, output):
+        # p=-0 and --smooth -0.0 are the options p=0 and --smooth 0, and the
+        # report spells them so
+        path = write(tmp_path, "m.csv", "20,6,0\n2,20,0\n12,12,8\n")
+        reports = []
+        for p, alpha in (("-0", "-0.0"), ("0", "0")):
+            argv = [
+                "--input", path,
+                "--metric", f"lp_multiclass:p={p}",
+                "--metric", f"one_vs_one_lp_four_rate:p={p}",
+                "--smooth", alpha,
+                "--output", output,
+            ]
+            assert main(argv) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "-0.0" not in reports[0]
+
     def test_text_report_lists_all_metrics(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "20,6,0\n2,20,0\n12,12,8\n")
         main(

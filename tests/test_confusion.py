@@ -159,6 +159,14 @@ class TestFromCounts:
             ),
             ("ab", "grid is a str, not a sequence of rows"),
             (b"ab", "grid is a bytes, not a sequence of rows"),
+            # byte buffers, read as their byte values: these rows built the identity table
+            (
+                [bytearray(b"\x01\x00"), bytearray(b"\x00\x01")],
+                "row 0 is a bytearray, not a sequence of numbers",
+            ),
+            ([[1, 0], memoryview(b"\x00\x01")], "row 1 is a memoryview, not a sequence of numbers"),
+            (bytearray(b"ab"), "grid is a bytearray, not a sequence of rows"),
+            (memoryview(b"ab"), "grid is a memoryview, not a sequence of rows"),
         ],
     )
     def test_non_number_cells_rejected(self, grid, message):
@@ -242,10 +250,15 @@ class TestFromCounts:
 
     @pytest.mark.parametrize(
         "labels, kind",
-        [(b"ab", "bytes"), ({"a": 1, "b": 2}, "dict")],
+        [
+            (b"ab", "bytes"),
+            ({"a": 1, "b": 2}, "dict"),
+            (bytearray(b"ab"), "bytearray"),
+            (memoryview(b"ab"), "memoryview"),
+        ],
     )
     def test_bytes_and_mapping_labels_rejected(self, labels, kind):
-        # bytes would read as the classes '97' and '98', a mapping by its keys
+        # a byte buffer would read as the classes '97' and '98', a mapping by its keys
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_counts([[1, 0], [0, 1]], labels)
         assert str(info.value) == f"labels must be a list of names, not the {kind} {labels!r}"

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import gofmetrics
-from gofmetrics import binary, confusion, means, multiclass
+from gofmetrics import confusion, means, multiclass
 
 MODULES = (means, confusion, multiclass)
 PACKAGE = Path(gofmetrics.__file__).resolve().parent
@@ -27,13 +27,6 @@ def test_package_names_are_the_modules_lists():
     expected = [name for module in MODULES for name in module.__all__] + ["__version__"]
     assert gofmetrics.__all__ == expected
     assert len(set(expected)) == len(expected), expected
-
-
-def test_binary_has_no_public_name():
-    # its array functions are scored through `multiclass.two_class_score`
-    tree = ast.parse(Path(binary.__file__).read_text(encoding="utf-8"))
-    public = [name for name in _module_level_names(tree) if not _is_private(name)]
-    assert not public, public
 
 
 def test_package_names_resolve_to_their_modules_objects():
