@@ -70,6 +70,16 @@ class ConfusionMatrix:
     def total(self) -> float:
         return float(self.counts.sum())
 
+    @cached_property
+    def _diagonal_rates(self) -> tuple[np.ndarray, np.ndarray]:
+        # per-class precision C[i,i] / col_sum(i) and recall C[i,i] / row_sum(i),
+        # once per table for every score that reads them, so read-only
+        diag = self.counts.diagonal()
+        rates = _rates(diag, self.col_sums), _rates(diag, self.row_sums)
+        for r in rates:
+            r.setflags(write=False)
+        return rates
+
     @classmethod
     def from_counts(
         cls,
@@ -275,7 +285,7 @@ def smooth(cm: ConfusionMatrix, alpha: float) -> ConfusionMatrix:
 
 def _rates(counts: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """counts / sums, broadcast, with 0 wherever the sum is 0."""
-    return np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+    return np.divide(counts, sums, out=np.zeros(counts.shape), where=sums > 0)
 
 
 def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:

@@ -13,7 +13,10 @@ approximate; `harmonic_mean`, `geometric_mean` and `arithmetic_mean` are
 so a mean does not depend on the order of its values or on the interpreter.
 An `AveragingSpec` is an average's name and the exponent it stands for.
 `_column_means` is the kernel over the columns of arrays of rates, for
-per-class F1 and Fowlkes-Mallows, the matrix N and the one-vs-one scores.
+per-class F1 and Fowlkes-Mallows, the matrix N and the one-vs-one scores,
+`_power_mean`'s bits in every column: two rows are ufuncs where they round
+as the scalar does, and more rows at p = 1 or -1 sum each column with the
+same `math.fsum`, called from C.
 
 `_no_number` is the package's one rule for what counts as a number, applied
 once where a caller's number comes in: an exponent (`_exponent`), a mean's
@@ -281,10 +284,17 @@ def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:
     correctly rounded a + b, 1/a + 1/b and a * b.  Where those leave the double
     range the scalar's fallback gives a mean at most 2^-511, so once a positive
     rate is below 2^-511 such columns, both rates positive, are redone by
-    `_power_mean`.  Any other count or exponent sums more terms or takes logs,
-    which numpy rounds apart, so each column goes through `_power_mean`.
+    `_power_mean`.  More rows at p = 1 or -1 sum each column's values or
+    reciprocals with the scalar's own `math.fsum`, mapped from C (`_fsum_means`).
+    Any other exponent takes logs, which numpy rounds apart from `math`, and a
+    single row is its own mean, so each column goes through `_power_mean`.
     """
     if len(rows) != 2 or not (p == 1 or p == -1 or abs(p) < _TINY):
+        if len(rows) > 2 and (p == 1 or p == -1):
+            try:
+                return _fsum_means(p, rows)
+            except OverflowError:  # a finite sum past the double range: the scalar's fallbacks
+                pass
         columns = zip(*[row.ravel().tolist() for row in rows])
         return np.array([_power_mean(column, p) for column in columns]).reshape(rows[0].shape)
     a, b = rows
@@ -303,3 +313,27 @@ def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:
         redo = positive & (means <= _SQRT_TINY)
         means[redo] = [_power_mean(pair, p) for pair in zip(a[redo].tolist(), b[redo].tolist())]
     return means
+
+
+def _fsum_means(p: float, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    # `_column_means` of k > 2 rows at p = 1 or -1, each column's values or
+    # reciprocals summed by `math.fsum` as the scalar sums them, so the means are
+    # its bits by construction; the reciprocals are one IEEE division, which rounds
+    # as the scalar's 1.0 / v does.  Raises fsum's OverflowError where a column's
+    # finite terms sum past the doubles
+    k, shape = len(rows), rows[0].shape
+    terms = np.array(rows).reshape(k, -1)
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0 and a subnormal's 1/v are inf
+        summands = terms if p == 1 else 1.0 / terms
+        # fsum called from C with no frame per column; zip gathers each column
+        # from the rows' lists, reusing one tuple
+        totals = np.fromiter(map(math.fsum, zip(*summands.tolist())), float, terms.shape[1])
+        if p == 1:
+            return (totals / k).reshape(shape)
+        # a zero rate gives k / inf = 0.0, the scalar's value; a zero total, every rate inf, inf
+        means = k / totals
+    # an inf total with every rate positive has a subnormal's reciprocal: the scalar rescales
+    redo = (totals == math.inf) & (terms.min(axis=0) > 0)
+    if redo.any():
+        means[redo] = [_power_mean(column, p) for column in terms[:, redo].T.tolist()]
+    return means.reshape(shape)

@@ -123,12 +123,6 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     return min(_BELOW_ONE, max(-_BELOW_ONE, det)) + 0.0
 
 
-def _diagonal_rates(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class precision C[i,i] / col_sum(i) and recall C[i,i] / row_sum(i)."""
-    diag = cm.counts.diagonal()
-    return _rates(diag, cm.col_sums), _rates(diag, cm.row_sums)
-
-
 def _check_outer(outer: AveragingSpec, signed: bool) -> None:
     """The outer rules, as ranges of the outer average's exponent.
 
@@ -154,7 +148,7 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
 def _per_class_average(cm: ConfusionMatrix, inner: float, outer: AveragingSpec) -> float:
     # the inner mean, of exponent `inner`, pairs each class's precision with its recall
     _check_outer(outer, False)
-    per_class = _column_means(inner, *_diagonal_rates(cm))
+    per_class = _column_means(inner, *cm._diagonal_rates)
     return _power_mean(per_class.tolist(), outer.exponent)
 
 
@@ -217,7 +211,7 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     reward lopsided class performance instead of penalizing it.
     """
     p = _check_exponent(p)
-    return _power_mean(np.concatenate(_diagonal_rates(cm)).tolist(), p)
+    return _power_mean(np.concatenate(cm._diagonal_rates).tolist(), p)
 
 
 @lru_cache(maxsize=32)

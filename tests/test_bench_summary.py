@@ -102,6 +102,15 @@ class TestSummarize:
         assert row["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
         assert (row["wins"], row["pairs"]) == (1, 1)
 
+    def test_zero_parent_median_writes_a_row_with_a_null_ratio(self):
+        out = bench_summary.summarize(
+            runs("matrices_per_s", [0.0]), runs("matrices_per_s", [1.0]), [RATE]
+        )
+        row = out["metrics"]["matrices_per_s"]
+        assert row["median_ratio"] is None
+        assert (row["wins"], row["pairs"]) == (1, 1)
+        assert '"median_ratio": null' in json.dumps(row)
+
     def test_runs_keep_their_counts_and_values(self):
         parent = {1: record(matrices_per_s=1.0)}
         change = {1: {**record(matrices_per_s=2.0), "failed": 3, "correct": False}}
@@ -130,3 +139,18 @@ def test_read_runs_takes_the_untraced_records(tmp_path):
     assert list(read) == ["small_panel"]
     assert sorted(read["small_panel"]) == [2, 10]
     assert read["small_panel"][10]["metrics"]["matrices_per_s"]["value"] == 10.0
+
+
+def test_main_writes_and_prints_a_zero_parent_median(tmp_path, capsys):
+    for side, value in (("parent", 0.0), ("change", 1.0)):
+        folder = tmp_path / side / ".perfbench"
+        folder.mkdir(parents=True)
+        run = {**record(matrices_per_s=value), "environment": {"python": "3"}}
+        (folder / "run-small_panel-seed1-trace0.json").write_text(json.dumps(run), encoding="utf-8")
+    output = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--parent-commit", "a",
+            "--change", str(tmp_path / "change"), "--change-commit", "b", "--output", str(output)]
+    assert bench_summary.main(argv) == 0
+    rows = json.loads(output.read_text(encoding="utf-8"))["workloads"]["small_panel"]["metrics"]
+    assert rows["matrices_per_s"]["median_ratio"] is None
+    assert "x-  wins 1/1" in capsys.readouterr().out

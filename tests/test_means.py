@@ -21,6 +21,7 @@ from gofmetrics.means import (
     harmonic_mean,
     power_mean,
 )
+from gofmetrics import means
 from gofmetrics.means import _column_means, _power_mean
 
 positive_floats = st.floats(
@@ -409,3 +410,38 @@ class TestColumnMeans:
         assert got.shape == (9, 9)
         expected = [_power_mean(pair, 0.0) for pair in zip(a.ravel().tolist(), b.ravel().tolist())]
         assert _hex(got) == _hex(expected)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    def test_fsum_rows_equal_the_scalar_kernel_per_column(self, k, p):
+        rng = np.random.default_rng(23)
+        tiny = sys.float_info.min
+        edges = [
+            [0.0, 5e-324] + [0.5] * (k - 2),  # a zero rate beside an inf reciprocal
+            [5e-324] + [0.5] * (k - 1),  # an inf total of positive rates, redone by the scalar
+            [1e-320, 1.0] + [0.25] * (k - 2),
+        ]
+        # rationals a / b: their reciprocals b / a round, and the sums round only as fsum rounds
+        rationals = (rng.integers(1, 12, size=(200, k)) / rng.integers(12, 40, size=(200, k))).tolist()
+        # reciprocals 2^1022 (past k = 3) and 2^1023 whose sum fsum finds past the doubles
+        overflows = [[tiny] * k, [tiny / 2] * k, [0.5] * k]
+        for columns in (edges + rationals, overflows):
+            got = _column_means(p, *np.array(columns).T)
+            assert _hex(got) == _hex([_power_mean(column, p) for column in columns])
+
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    def test_fsum_rows_take_the_scalar_kernel_only_where_it_rescales(self, monkeypatch, p):
+        redone = []
+
+        def counted(values, q):
+            redone.append(values)
+            return _power_mean(values, q)
+
+        monkeypatch.setattr(means, "_power_mean", counted)
+        rng = np.random.default_rng(24)
+        rows = rng.integers(1, 12, size=(4, 50)) / rng.integers(12, 40, size=(4, 50))
+        _column_means(p, *rows)
+        assert redone == []
+        rows[:, 7] = [5e-324, 0.5, 0.5, 0.5]
+        _column_means(p, *rows)
+        assert redone == ([] if p == 1 else [[5e-324, 0.5, 0.5, 0.5]])

@@ -13,6 +13,7 @@ from gofmetrics.confusion import (
     ConfusionMatrix,
     normalized_matrix,
     relabel,
+    smooth,
     transpose,
 )
 from gofmetrics.means import (
@@ -787,6 +788,38 @@ class TestDiagonalRateScores:
                 assert generalized_fm(cm, outer) == apply_average(outer, fm)
             for p in (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0):
                 assert lp_multiclass(cm, p) == power_mean(tuple(precision + recall), p)
+
+    def test_rates_are_computed_once_per_table_and_read_only(self):
+        cm = cm_of(GRID3)
+        first = cm._diagonal_rates
+        second = cm._diagonal_rates
+        assert len(first) == 2 and all(a is b for a, b in zip(first, second))
+        for rates in first:
+            assert not rates.flags.writeable
+            with pytest.raises(ValueError):
+                rates[0] = 0.5
+
+    def test_derived_tables_do_not_inherit_the_cache(self):
+        cm = cm_of(GRID3)
+        cm._diagonal_rates
+        for derived in (smooth(cm, 0.5), transpose(cm), relabel(cm, [2, 0, 1])):
+            assert "_diagonal_rates" not in vars(derived)
+            precision, recall = oracles.diagonal_rates_loop(derived.counts)
+            assert [r.tolist() for r in derived._diagonal_rates] == [precision, recall]
+
+    def test_scores_on_a_reused_table_equal_those_on_a_fresh_one(self):
+        rng = np.random.default_rng(23)
+        outers = (ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec.power(0.5))
+        scores = [
+            *(lambda cm, outer=outer: generalized_f1(cm, outer) for outer in outers),
+            *(lambda cm, outer=outer: generalized_fm(cm, outer) for outer in outers),
+            *(lambda cm, p=p: lp_multiclass(cm, p) for p in (-math.inf, -1.0, 0.0, 0.5, 1.0)),
+        ]
+        for _ in range(30):
+            grid = random_counts_with_empty_classes(rng, int(rng.integers(2, 12)))
+            reused = cm_of(grid)
+            for score in scores + scores[::-1]:
+                assert score(reused).hex() == score(cm_of(grid)).hex()
 
 
 class TestLpMulticlass:

@@ -8,8 +8,9 @@ Each DIR is the root of a checkout in which `perfbench/run.py` ran with
 records are read.  For each workload the output holds the two commits, the
 seeds each side ran, every run's end-to-end metrics with its `attempted` and
 `failed` counts, and for each end-to-end metric of BENCHMARK.json the median
-and quartiles of each side, the ratio of the medians, and how many of the
-seeds both sides ran the change won (ties count for neither).
+and quartiles of each side, the ratio of the medians (null where the
+parent's median is 0), and how many of the seeds both sides ran the change
+won (ties count for neither).
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def summarize(parent: dict[int, dict], change: dict[int, dict], metrics: list[di
             continue
         row = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
         row.update({side: spread(values) for side, values in sides.items()})
-        row["median_ratio"] = row["change"]["median"] / row["parent"]["median"]
+        base = row["parent"]["median"]
+        row["median_ratio"] = row["change"]["median"] / base if base else None  # null over 0
         pairs = [(value(parent[s]), value(change[s])) for s in both]
         pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         row["wins"] = sum((c > p) if higher else (c < p) for p, c in pairs)
@@ -113,11 +115,12 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for w in workloads:
         for name, row in summary["workloads"][w]["metrics"].items():
-            p, c = row["parent"], row["change"]
+            p, c, ratio = row["parent"], row["change"], row["median_ratio"]
+            ratio = "x-" if ratio is None else f"x{ratio:.3f}"
             print(
                 f"{w:<12} {name:<15} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                 f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                f"  x{row['median_ratio']:.3f}  wins {row['wins']}/{row['pairs']}"
+                f"  {ratio}  wins {row['wins']}/{row['pairs']}"
             )
     return 0
 
