@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gofmetrics import means
 from gofmetrics.means import (
     ARITHMETIC,
     GEOMETRIC,
@@ -21,7 +22,6 @@ from gofmetrics.means import (
     harmonic_mean,
     power_mean,
 )
-from gofmetrics import means
 from gofmetrics.means import _column_means, _power_mean
 
 positive_floats = st.floats(

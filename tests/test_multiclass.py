@@ -801,7 +801,7 @@ class TestDiagonalRateScores:
 
     def test_derived_tables_do_not_inherit_the_cache(self):
         cm = cm_of(GRID3)
-        cm._diagonal_rates
+        cm._diagonal_rates  # fills the source's cache
         for derived in (smooth(cm, 0.5), transpose(cm), relabel(cm, [2, 0, 1])):
             assert "_diagonal_rates" not in vars(derived)
             precision, recall = oracles.diagonal_rates_loop(derived.counts)
