@@ -14,9 +14,10 @@ so a mean does not depend on the order of its values or on the interpreter.
 An `AveragingSpec` is an average's name and the exponent it stands for.
 `_column_means` is the kernel over the columns of arrays of rates, for
 per-class F1 and Fowlkes-Mallows, the matrix N and the one-vs-one scores,
-`_power_mean`'s bits in every column: two rows are ufuncs where they round
-as the scalar does, and more rows at p = 1 or -1 sum each column with the
-same `math.fsum`, called from C.
+`_power_mean`'s bits in every column: at p = 1 or -1, and at p = 0 for two
+rows, it is whole-array, summing each column by one ufunc add for two rows
+and by the same `math.fsum`, called from C, for more, with one rule for the
+columns the scalar must redo.
 
 `_no_number` is the package's one rule for what counts as a number, applied
 once where a caller's number comes in: an exponent (`_exponent`), a mean's
@@ -277,63 +278,56 @@ def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
 
 
 def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:
-    """`_power_mean(column, p)` for each column of equal-shaped arrays of rates
-    in [0, 1], as a new array of their shape.
+    """`_power_mean(column, p)` for each column of k equal-shaped arrays of
+    rates in [0, 1], as a new array of their shape.
 
-    Two rows at p = 1, -1 or 0 (or a subnormal p) are ufuncs, the scalar's own
-    correctly rounded a + b, 1/a + 1/b and a * b.  Where those leave the double
-    range the scalar's fallback gives a mean at most 2^-511, so once a positive
-    rate is below 2^-511 such columns, both rates positive, are redone by
-    `_power_mean`.  More rows at p = 1 or -1 sum each column's values or
-    reciprocals with the scalar's own `math.fsum`, mapped from C (`_fsum_means`).
-    Any other exponent takes logs, which numpy rounds apart from `math`, and a
-    single row is its own mean, so each column goes through `_power_mean`.
+    At p = 1 or -1, and at p = 0 (or a subnormal p) for k = 2, the means are
+    whole-array in the scalar's roundings: a * b, 1/v, and a correctly rounded
+    sum, one ufunc add for k = 2 and the scalar's `math.fsum` for more.  Past
+    the double range the scalar's fallback gives a mean at most 2^-511, so once
+    a positive rate is below 2^-511 the columns whose rates are all positive and
+    whose mean is at most 2^-511 are redone by `_power_mean`.  Other exponents
+    take logs, which numpy rounds apart from `math`; a single row is its own
+    mean; and a sum that fsum finds past the doubles has no per-column value:
+    each column then goes through `_power_mean`.
     """
-    if len(rows) != 2 or not (p == 1 or p == -1 or abs(p) < _TINY):
-        if len(rows) > 2 and (p == 1 or p == -1):
-            try:
-                return _fsum_means(p, rows)
-            except OverflowError:  # a finite sum past the double range: the scalar's fallbacks
-                pass
-        columns = zip(*[row.ravel().tolist() for row in rows])
-        return np.array([_power_mean(column, p) for column in columns]).reshape(rows[0].shape)
-    a, b = rows
-    if p == 1:
-        return (a + b) / 2
-    means = np.minimum(a, b)  # the smaller rates, then the means in their buffer
-    positive = means > 0
-    smallest = means.min(where=positive, initial=np.inf)
-    if p == -1:  # a zero rate gives 2/inf = 0, as in the scalar
-        with np.errstate(divide="ignore", over="ignore"):
-            np.add(1.0 / a, 1.0 / b, out=means)
-        np.divide(2.0, means, out=means)
-    else:
-        np.sqrt(np.multiply(a, b, out=means), out=means)
-    if smallest < _SQRT_TINY:
-        redo = positive & (means <= _SQRT_TINY)
-        means[redo] = [_power_mean(pair, p) for pair in zip(a[redo].tolist(), b[redo].tolist())]
-    return means
+    k, a = len(rows), rows[0]
+    if k == 2 and p == 1:
+        return (a + rows[1]) / 2
+    if k > 1 and (p == 1 or p == -1 or (k == 2 and abs(p) < _TINY)):
+        try:
+            if p == 1:  # a sum of rates stays in range: nothing to redo
+                return _fsum_columns(rows) / k
+            if p == -1:  # a zero rate gives k/inf = 0, as in the scalar
+                with np.errstate(divide="ignore", over="ignore"):  # 1/0, a subnormal's 1/v
+                    if k == 2:  # rounds as fsum of two values, and is inf past the doubles
+                        totals = np.add(1.0 / a, 1.0 / rows[1])
+                    else:
+                        totals = _fsum_columns([1.0 / row for row in rows])
+        except OverflowError:  # a finite sum past the double range: the scalar's fallbacks
+            pass
+        else:
+            means = np.minimum(a, rows[1])  # the smallest rates, then the means in their buffer
+            for row in rows[2:]:
+                np.minimum(means, row, out=means)
+            positive = means > 0
+            smallest = means.min(where=positive, initial=np.inf)
+            if p == -1:
+                np.divide(k, totals, out=means)
+            else:
+                np.sqrt(np.multiply(a, rows[1], out=means), out=means)
+            if smallest < _SQRT_TINY:
+                redo = positive & (means <= _SQRT_TINY)
+                columns = zip(*[row[redo].tolist() for row in rows])
+                means[redo] = [_power_mean(column, p) for column in columns]
+            return means
+    columns = zip(*[row.ravel().tolist() for row in rows])
+    return np.array([_power_mean(column, p) for column in columns]).reshape(a.shape)
 
 
-def _fsum_means(p: float, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-    # `_column_means` of k > 2 rows at p = 1 or -1, each column's values or
-    # reciprocals summed by `math.fsum` as the scalar sums them, so the means are
-    # its bits by construction; the reciprocals are one IEEE division, which rounds
-    # as the scalar's 1.0 / v does.  Raises fsum's OverflowError where a column's
-    # finite terms sum past the doubles
-    k, shape = len(rows), rows[0].shape
-    terms = np.array(rows).reshape(k, -1)
-    with np.errstate(divide="ignore", over="ignore"):  # 1/0 and a subnormal's 1/v are inf
-        summands = terms if p == 1 else 1.0 / terms
-        # fsum called from C with no frame per column; zip gathers each column
-        # from the rows' lists, reusing one tuple
-        totals = np.fromiter(map(math.fsum, zip(*summands.tolist())), float, terms.shape[1])
-        if p == 1:
-            return (totals / k).reshape(shape)
-        # a zero rate gives k / inf = 0.0, the scalar's value; a zero total, every rate inf, inf
-        means = k / totals
-    # an inf total with every rate positive has a subnormal's reciprocal: the scalar rescales
-    redo = (totals == math.inf) & (terms.min(axis=0) > 0)
-    if redo.any():
-        means[redo] = [_power_mean(column, p) for column in terms[:, redo].T.tolist()]
-    return means.reshape(shape)
+def _fsum_columns(terms: Sequence[np.ndarray]) -> np.ndarray:
+    # each column's `math.fsum` over equal-shaped arrays, mapped from C with no
+    # frame per column, zip gathering each column from the arrays' lists; raises
+    # fsum's OverflowError where a column's finite terms sum past the doubles
+    columns = zip(*[term.ravel().tolist() for term in terms])
+    return np.fromiter(map(math.fsum, columns), float, terms[0].size).reshape(terms[0].shape)

@@ -216,11 +216,13 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
 
 @lru_cache(maxsize=32)
 def _pair_cells(n: int) -> np.ndarray:
-    # flat indices into an n x n table of the four cells of each class pair
-    # i < j, in `_pair_rates`' order and row-major pair order: 4 * 8 bytes a
-    # pair, so a cache entry at n = 1000 holds 16 MB
+    # flat indices into an n x n table of the (2, 4, m) numerators of `_pair_rates`
+    # for the m class pairs i < j, in row-major pair order: TP, TP, TN, TN over FP,
+    # FN, FP, FN.  8 * 8 bytes a pair, so a cache entry at n = 1000 holds 32 MB;
+    # 32 entries keep every class count of a panel of tables of 2 to 20 classes
     i, j = np.triu_indices(n, 1)
-    return np.stack((i * (n + 1), i * n + j, j * n + i, j * (n + 1)))
+    tp, fn, fp, tn = i * (n + 1), i * n + j, j * n + i, j * (n + 1)
+    return np.stack((tp, tp, tn, tn, fp, fn, fp, fn)).reshape(2, 4, -1)
 
 
 def _pair_rates(cm: ConfusionMatrix) -> np.ndarray:
@@ -232,8 +234,7 @@ def _pair_rates(cm: ConfusionMatrix) -> np.ndarray:
     sums: one division, 0 over a zero sum.  With class j positive the rates
     are the same rows reversed, `rates[:, ::-1]`.
     """
-    cells = cm.counts.take(_pair_cells(cm.n))
-    numerators = cells.take([0, 0, 3, 3, 2, 1, 2, 1], axis=0).reshape(2, 4, -1)
+    numerators = cm.counts.take(_pair_cells(cm.n))
     return _rates(numerators, numerators[0] + numerators[1])
 
 

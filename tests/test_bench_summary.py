@@ -125,6 +125,25 @@ class TestSummarize:
             }
         ]
 
+    @pytest.mark.parametrize(
+        "metric, parent, change, resolved",
+        [
+            # parent quartiles 1.75 and 3.25: a spread of 1.5 past 0.25 of the median 2.5
+            (RATE, [1.0, 2.0, 3.0, 4.0], [3.5, 4.5, 5.5, 6.5], False),  # the runs overlap
+            (RATE, [1.0, 2.0, 3.0, 4.0], [4.5, 5.0, 5.5, 6.0], True),  # every change run better
+            (LATENCY, [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.9], True),
+            (LATENCY, [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 1.0], False),  # a tie is not better
+            # quartiles 9.9 and 10.1: a spread of 0.2 within 0.25 of the median 10
+            (RATE, [9.8, 9.9, 10.0, 10.1, 10.2], [1.0, 9.0, 11.0, 30.0, 40.0], True),
+        ],
+    )
+    def test_a_spread_wider_than_the_bound_is_unresolved_unless_the_runs_are_apart(
+        self, metric, parent, change, resolved
+    ):
+        name = metric["name"]
+        row = bench_summary.summarize(runs(name, parent), runs(name, change), [metric])
+        assert row["metrics"][name]["resolved"] is resolved
+
 
 def test_read_runs_takes_the_untraced_records(tmp_path):
     folder = tmp_path / ".perfbench"
@@ -153,4 +172,21 @@ def test_main_writes_and_prints_a_zero_parent_median(tmp_path, capsys):
     assert bench_summary.main(argv) == 0
     rows = json.loads(output.read_text(encoding="utf-8"))["workloads"]["small_panel"]["metrics"]
     assert rows["matrices_per_s"]["median_ratio"] is None
-    assert "x-  wins 1/1" in capsys.readouterr().out
+    assert "x-  wins 1/1\n" in capsys.readouterr().out
+
+
+def test_main_prints_unresolved_on_the_metric_line(tmp_path, capsys):
+    for side, values in (("parent", [1.0, 2.0, 3.0, 4.0]), ("change", [3.5, 4.5, 5.5, 6.5])):
+        folder = tmp_path / side / ".perfbench"
+        folder.mkdir(parents=True)
+        for seed, value in enumerate(values, start=1):
+            run = {**record(matrices_per_s=value, matrix_ms_p50=1.0), "environment": {}}
+            name = f"run-small_panel-seed{seed}-trace0.json"
+            (folder / name).write_text(json.dumps(run), encoding="utf-8")
+    argv = ["--parent", str(tmp_path / "parent"), "--parent-commit", "a",
+            "--change", str(tmp_path / "change"), "--change-commit", "b",
+            "--output", str(tmp_path / "BENCH.json")]
+    assert bench_summary.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith("unresolved") for line in lines] == [True, False]
+    assert lines[0].startswith("small_panel  matrices_per_s")

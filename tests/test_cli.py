@@ -407,6 +407,124 @@ class TestParseJsonInput:
         assert "cell at row 1, column 1 is past the double range" in err
 
 
+
+# JSON documents built from text, so that the number rule's non-numbers and the
+# double range's edges appear in the forms a JSON file holds them
+_JSON_NUMBERS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.floats(0, 1e6).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e300"]),
+)
+# the double range's edges past the finite non-negative doubles, and the JSON forms
+# of the number rule's non-numbers
+_JSON_EDGES = st.sampled_from(["1e400", "NaN", "Infinity", "-Infinity", "-1", "1" + "0" * 399])
+_JSON_NON_NUMBERS = st.sampled_from(
+    ['"3"', '"x"', "true", "false", "null", "[1]", "[]", "{}", '{"a": 1}']
+)
+_NO_ROWS = st.sampled_from(['"ab"', '{"a": 1}', "3", "null", "true"])
+
+
+def _json_list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+@st.composite
+def json_documents(draw):
+    # a labelled grid of numbers, then none, one or two of these faults
+    faults = ["edges", "non-numbers", "rows", "counts", "labels", "document"]
+    faults = draw(st.sets(st.sampled_from(faults), max_size=2))
+    n = draw(st.sampled_from([2, 3, 4, 1]))
+    cells = _JSON_NUMBERS
+    for fault, odd in (("edges", _JSON_EDGES), ("non-numbers", _JSON_NON_NUMBERS)):
+        if fault in faults:  # now and then among the numbers
+            cells = st.one_of(cells, cells, odd)
+    rows = st.lists(cells, min_size=n, max_size=n).map(_json_list)
+    if "rows" in faults:  # ragged, no lists, or too few or many
+        rows = st.one_of(rows, st.lists(cells, max_size=n + 1).map(_json_list), _NO_ROWS)
+    counts = draw(st.lists(rows, min_size=n, max_size=n + ("rows" in faults)).map(_json_list))
+    if "counts" in faults:
+        counts = draw(st.sampled_from(['{"a": 1}', '"x"', "5", "null", "[]"]))
+    names = st.text(max_size=3).map(json.dumps)
+    labels = st.lists(names, min_size=n, max_size=n, unique=True).map(_json_list)
+    labels = st.one_of(st.none(), labels)  # no "labels" field, or n names
+    if "labels" in faults:  # a wrong count, duplicated, no strings, or no list
+        labels = st.one_of(
+            st.lists(names, max_size=n + 1).map(_json_list),
+            st.lists(st.sampled_from(['"a"', "1", "null", "true", "[1]", '{"b": 2}']),
+                     max_size=n + 1).map(_json_list),
+            st.sampled_from(['"ab"', "5", "null", '{"a": "b"}']),
+        )
+    labels = draw(labels)
+    labels = "" if labels is None else f'"labels": {labels}, '
+    document = "{" + labels + f'"counts": {counts}' + "}"
+    if "document" in faults:  # cut short, no object, or no "counts" field
+        document = draw(st.one_of(
+            st.integers(0, len(document) - 1).map(lambda cut: document[:cut]),
+            st.sampled_from(["[]", "[[1, 0], [0, 1]]", "3", '"counts"', "null", "true", "{}",
+                             '{"labels": ["a", "b"]}']),
+        ))
+    return document
+
+
+# what a refusal says after "<path>: ": a cell, row or label by its place, or a
+# condition of the whole document
+JSON_REFUSALS = [
+    r"invalid JSON: .+",
+    r'expected an object with a "counts" field',
+    r"labels must be a list of names, got .+",
+    r"labels\[(?P<label>\d+)\] is (?P<value>.+), not a string",
+    r"label count \d+ does not match grid side \d+",
+    r"duplicate labels",
+    r"counts must be a list of rows, got .+",
+    r"counts\[(?P<row>\d+)\] is (?P<value>.+), not a list of numbers",
+    r"counts\[(?P<row>\d+)\]\[(?P<column>\d+)\] is (?P<value>.+), not a number",
+    r"cell at row (?P<row>\d+), column (?P<column>\d+) is past the double range",
+    r"non-finite cell at row (?P<row>\d+), column (?P<column>\d+)",
+    r"negative cell at row (?P<row>\d+), column (?P<column>\d+): -\S+",
+    r"non-square grid: rows have unequal lengths",
+    r"non-square grid: shape \([\d, ]*\)",
+    r"n < 2: need at least two classes, got [01]",
+    r"sum of (row|column) \d+ overflows",
+    r"all cells are zero",
+]
+
+
+class TestJsonInputProperty:
+    @given(json_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_document_is_from_counts_or_refused_by_name(self, tmp_path_factory, text):
+        path = str(tmp_path_factory.mktemp("json") / "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            cm = parse_json_input(path)
+        except InputError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: "), message
+            reason = message[len(path) + 2:]
+            match = next(filter(None, (re.fullmatch(form, reason) for form in JSON_REFUSALS)), None)
+            assert match, message
+            place = match.groupdict()
+            if place:  # the named label, row or cell is there, and reads as named
+                payload = json.loads(text)
+                if place.get("label"):
+                    item = payload["labels"][int(place["label"])]
+                else:
+                    item = payload["counts"][int(place["row"])]
+                    if place.get("column"):
+                        item = item[int(place["column"])]
+                if place.get("value"):
+                    assert json.dumps(item) == place["value"], message
+            return
+        payload = json.loads(text)
+        # only JSON numbers and strings get through, which from_counts reads as they are
+        assert all(type(cell) in (int, float) for row in payload["counts"] for cell in row)
+        assert all(type(label) is str for label in payload.get("labels") or ())
+        expected = ConfusionMatrix.from_counts(payload["counts"], payload.get("labels"))
+        assert cm.labels == expected.labels
+        hexes = [[cell.hex() for cell in row] for row in cm.counts.tolist()]
+        assert hexes == [[cell.hex() for cell in row] for row in expected.counts.tolist()]
+
 class TestParseMetricRequest:
     def test_bare_name(self):
         req = parse_metric_request("generalized_mcc")

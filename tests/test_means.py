@@ -434,7 +434,7 @@ class TestColumnMeans:
         redone = []
 
         def counted(values, q):
-            redone.append(values)
+            redone.append(list(values))
             return _power_mean(values, q)
 
         monkeypatch.setattr(means, "_power_mean", counted)
@@ -445,3 +445,33 @@ class TestColumnMeans:
         rows[:, 7] = [5e-324, 0.5, 0.5, 0.5]
         _column_means(p, *rows)
         assert redone == ([] if p == 1 else [[5e-324, 0.5, 0.5, 0.5]])
+
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    def test_four_rows_take_the_two_row_gate_and_redo_rule(self, monkeypatch, p):
+        # at p = -1 a call with a positive rate below 2^-511 redoes the columns whose
+        # rates are all positive and whose mean is at most 2^-511; p = 1 redoes none
+        edge = 2.0**-511
+        columns = [
+            [edge] * 4,  # a mean of exactly 2^-511: redone
+            [math.nextafter(edge, 0.0), 0.5, 0.5, 0.5],  # fires the gate, a mean near 2^-509: kept
+            [5e-324, 0.5, 0.5, 0.5],  # 1/v is inf, so 4/inf = 0, where the scalar rescales: redone
+            [0.0, 5e-324, 0.5, 0.5],  # a zero rate: 0.0, kept
+            [0.25, 0.5, 0.75, 1.0],
+        ]
+        # 1/0 is inf, and fsum still raises on 2^1023 + 2^1023: every column is mapped
+        overflow = [0.0, 2.0**-1023, 2.0**-1023, 0.5]
+        redone = []
+
+        def counted(values, q):
+            redone.append(list(values))
+            return _power_mean(values, q)
+
+        monkeypatch.setattr(means, "_power_mean", counted)
+        for call, mapped in ((columns, [columns[0], columns[2]]), (columns + [overflow], None)):
+            redone.clear()
+            got = _column_means(p, *np.array(call).T)
+            assert got.tolist() == [_power_mean(column, p) for column in call]
+            if p == 1:
+                assert redone == []
+            else:
+                assert redone == (call if mapped is None else mapped)

@@ -9,8 +9,11 @@ records are read.  For each workload the output holds the two commits, the
 seeds each side ran, every run's end-to-end metrics with its `attempted` and
 `failed` counts, and for each end-to-end metric of BENCHMARK.json the median
 and quartiles of each side, the ratio of the medians (null where the
-parent's median is 0), and how many of the seeds both sides ran the change
-won (ties count for neither).
+parent's median is 0), how many of the seeds both sides ran the change
+won (ties count for neither), and whether the metric is resolved: it is not
+where the parent's interquartile spread exceeds the metric's bound times the
+parent's median, unless every change run is better than every parent run.
+Such a metric reads `unresolved` on its printed line.
 """
 
 from __future__ import annotations
@@ -85,6 +88,12 @@ def summarize(parent: dict[int, dict], change: dict[int, dict], metrics: list[di
         pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         row["wins"] = sum((c > p) if higher else (c < p) for p, c in pairs)
         row["pairs"] = len(pairs)
+        wide = row["parent"]["q3"] - row["parent"]["q1"] > metric["bound"] * abs(base)
+        if higher:
+            apart = min(sides["change"]) > max(sides["parent"])
+        else:
+            apart = max(sides["change"]) < min(sides["parent"])
+        row["resolved"] = not wide or apart
         out["metrics"][name] = row
     return out
 
@@ -121,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{w:<12} {name:<15} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                 f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
                 f"  {ratio}  wins {row['wins']}/{row['pairs']}"
+                + ("" if row["resolved"] else "  unresolved")
             )
     return 0
 
