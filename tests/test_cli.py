@@ -431,8 +431,8 @@ def _json_list(items):
 @st.composite
 def json_documents(draw):
     # a labelled grid of numbers, then none, one or two of these faults
-    faults = ["edges", "non-numbers", "rows", "counts", "labels", "document"]
-    faults = draw(st.sets(st.sampled_from(faults), max_size=2))
+    kinds = ["edges", "non-numbers", "rows", "counts", "labels", "document"]
+    faults = draw(st.sets(st.sampled_from(kinds), max_size=2))
     n = draw(st.sampled_from([2, 3, 4, 1]))
     cells = _JSON_NUMBERS
     for fault, odd in (("edges", _JSON_EDGES), ("non-numbers", _JSON_NON_NUMBERS)):
@@ -447,16 +447,16 @@ def json_documents(draw):
     names = st.text(max_size=3).map(json.dumps)
     labels = st.lists(names, min_size=n, max_size=n, unique=True).map(_json_list)
     labels = st.one_of(st.none(), labels)  # no "labels" field, or n names
-    if "labels" in faults:  # a wrong count, duplicated, no strings, or no list
+    if "labels" in faults:  # a wrong count or duplicated, n that are not all strings, or no list
         labels = st.one_of(
             st.lists(names, max_size=n + 1).map(_json_list),
             st.lists(st.sampled_from(['"a"', "1", "null", "true", "[1]", '{"b": 2}']),
-                     max_size=n + 1).map(_json_list),
+                     min_size=n, max_size=n, unique=True).map(_json_list),
             st.sampled_from(['"ab"', "5", "null", '{"a": "b"}']),
         )
     labels = draw(labels)
-    labels = "" if labels is None else f'"labels": {labels}, '
-    document = "{" + labels + f'"counts": {counts}' + "}"
+    field = "" if labels is None else f'"labels": {labels}, '
+    document = "{" + field + f'"counts": {counts}' + "}"
     if "document" in faults:  # cut short, no object, or no "counts" field
         document = draw(st.one_of(
             st.integers(0, len(document) - 1).map(lambda cut: document[:cut]),
