@@ -327,7 +327,7 @@ def parse_metric_request(text: str) -> MetricRequest:
             raise ParameterError(f"repeated metric option {key!r} in {text!r}")
         if key == "outer":
             try:
-                outer = AveragingSpec.from_string(value)
+                outer = AveragingSpec(value)
             except ValueError as exc:
                 raise ParameterError(str(exc)) from None
         elif key == "p":

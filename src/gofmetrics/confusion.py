@@ -292,9 +292,9 @@ def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:
     """The paper's N: the read-only n x n matrix of geometric conditional rates.
 
     Two whole-array divisions, C / col_sums[None, :] and C / row_sums[:, None]
-    (0 where the sum is 0), averaged by `means._column_means`, give cell
-    (i, j) as exactly `geometric_mean((C[i, j] / col_sums[j], C[i, j] / row_sums[i]))`.
-    Entries lie in [0, 1].  The construction is symmetric in the two rates,
+    (0 where the sum is 0), averaged by `means._column_means`, give cell (i, j)
+    as exactly their geometric mean, `power_mean((C[i, j] / col_sums[j],
+    C[i, j] / row_sums[i]), 0.0)`.  Entries lie in [0, 1].  The construction is symmetric in the two rates,
     so transposing the counts transposes the result exactly, and scaling
     every count by a common positive factor leaves it unchanged.
     """

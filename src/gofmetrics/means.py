@@ -8,10 +8,10 @@ which collapses to the arithmetic mean at p = 1, the geometric mean as
 p -> 0, the harmonic mean at p = -1, and the max / min in the limits
 p -> +inf / -inf.  One kernel, `_power_mean`, holds every case, and gives
 the named ones their own branch so the collapse is exact rather than
-approximate; `harmonic_mean`, `geometric_mean` and `arithmetic_mean` are
-`power_mean` at -1, 0 and 1.  Every sum is `math.fsum`, correctly rounded,
-so a mean does not depend on the order of its values or on the interpreter.
-An `AveragingSpec` is an average's name and the exponent it stands for.
+approximate; `power_mean(values, p)` is its one public door.  Every sum is
+`math.fsum`, correctly rounded, so a mean does not depend on the order of
+its values or on the interpreter.  An `AveragingSpec` is an average's name
+and the exponent it stands for; its mean is `power_mean(values, spec.exponent)`.
 `_column_means` is the kernel over the columns of arrays of rates, for
 per-class F1 and Fowlkes-Mallows, the matrix N and the one-vs-one scores,
 `_power_mean`'s bits in every column: at p = 1 or -1, and at p = 0 for two
@@ -41,11 +41,7 @@ __all__ = [
     "ARITHMETIC",
     "MIN",
     "MAX",
-    "harmonic_mean",
-    "geometric_mean",
-    "arithmetic_mean",
     "power_mean",
-    "apply_average",
 ]
 
 
@@ -93,14 +89,6 @@ class AveragingSpec:
     @classmethod
     def power(cls, p: float) -> "AveragingSpec":
         return cls(f"power:{_exponent(p)!r}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "AveragingSpec":
-        """Parse 'harmonic', 'geometric', 'arithmetic', 'min', 'max', or 'power:<float>'."""
-        return cls(text.strip())
-
-    def to_string(self) -> str:
-        return self.name
 
 
 HARMONIC = AveragingSpec("harmonic")
@@ -176,40 +164,21 @@ def _validate(values: Sequence[float]) -> Sequence[float]:
         raise ValueError(f"value {i} is past the double range") from None
 
 
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean; returns 0.0 if any entry is 0 (the limiting value).
-
-    Where a reciprocal overflows, the smallest entry low scales them all:
-    k * low / sum(low / v).
-    """
-    return power_mean(values, -1.0)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; returns 0.0 if any entry is 0.
-
-    Short tuples multiply directly while the product is a normal double (a
-    pair is then sqrt(a * b), correctly rounded: the two-class
-    Fowlkes-Mallows score); past that a pair is sqrt(a) * sqrt(b), and
-    longer tuples go through log space.
-    """
-    return power_mean(values, 0.0)
-
-
-def arithmetic_mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; scales each entry down by a power of two where their sum overflows."""
-    return power_mean(values, 1.0)
-
-
 def power_mean(values: Sequence[float], p: float) -> float:
     """Power mean with exponent p; accepts +-inf for the max / min limits.
 
     A zero entry annihilates the mean for p <= 0, and an infinite one gives
     +inf for p >= 0 and, for p < 0, only where every entry is: the limits of
-    the formula.  The generic branch rescales by the largest (p > 0) or
-    smallest (p < 0) entry so intermediate powers stay tame for large |p|,
-    and averages r^p - 1 = expm1(p log r) rather than r^p: near p = 0 every
-    r^p rounds to 1, and the 1/p-th power of their mean loses every bit.
+    the formula.  Where an intermediate leaves the double range, the harmonic
+    mean (p = -1) rescales by its smallest entry, k * low / sum(low / v); the
+    geometric mean (p = 0) takes the product of up to three entries (a pair's
+    correctly rounded sqrt(a * b) is the two-class Fowlkes-Mallows score),
+    then sqrt(a) * sqrt(b) for a pair, then logs; and the arithmetic mean
+    (p = 1) scales each entry down by a power of two.  The generic branch
+    rescales by the largest (p > 0) or smallest (p < 0) entry so intermediate
+    powers stay tame for large |p|, and averages r^p - 1 = expm1(p log r)
+    rather than r^p: near p = 0 every r^p rounds to 1, and the 1/p-th power
+    of their mean loses every bit.
     """
     return _power_mean(_validate(values), _exponent(p))
 
@@ -270,11 +239,6 @@ def _check_exponent(p: float) -> float:
     if exponent > 1:
         raise ValueError(f"p must be <= 1, got {p}")
     return exponent
-
-
-def apply_average(spec: AveragingSpec, values: Sequence[float]) -> float:
-    """Evaluate the average selected by `spec` on `values`."""
-    return power_mean(values, spec.exponent)
 
 
 def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:

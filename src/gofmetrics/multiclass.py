@@ -137,11 +137,11 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
         if exponent != 1 and not math.isinf(exponent):
             raise ValueError(
                 "average undefined on negative values: "
-                f"{outer.to_string()} outer cannot aggregate a signed metric"
+                f"{outer.name} outer cannot aggregate a signed metric"
             )
     elif not -math.inf < exponent <= 1:
         raise ValueError(
-            f"invalid outer spec {outer.to_string()}: an outer exponent must be <= 1 and not -inf"
+            f"invalid outer spec {outer.name}: an outer exponent must be <= 1 and not -inf"
         )
 
 
@@ -361,7 +361,7 @@ def evaluate_metric(
         # past the checks, exactly the options this metric takes are set
         value = info.func(cm, *(option for option in (outer, p) if option is not None))
     # the options that shaped the score
-    parameters = {} if outer is None else {"outer": outer.to_string()}
+    parameters = {} if outer is None else {"outer": outer.name}
     if p is not None:
         parameters["p"] = repr(p)
     return MetricScore(name, value, parameters, cm.n)

@@ -8,7 +8,7 @@ confusion matrix back into label vectors.
 
 The exceptions are the scalar loops (`normalized_loop`, `diagonal_rates_loop`):
 they keep the package's original one-cell-at-a-time construction, with its
-scalar `apply_average`, as the reference its whole-array code must reproduce.
+scalar `power_mean`, as the reference its whole-array code must reproduce.
 Likewise `pairs_csv_loop` keeps the original row-at-a-time label-pairs reader
 as the reference for the streaming one, and `one_vs_one_loop` the original
 pair-at-a-time one-vs-one loop, with a 2x2 sub-table (`restrict_to_pair`,
@@ -28,7 +28,7 @@ import numpy as np
 
 from gofmetrics.cli import InputError
 from gofmetrics.confusion import ConfusionMatrix
-from gofmetrics.means import apply_average, power_mean
+from gofmetrics.means import power_mean
 from gofmetrics.multiclass import METRICS
 
 
@@ -61,7 +61,8 @@ def ratio_matrix(counts):
 
 
 def normalized_loop(counts, averaging):
-    """Normalized matrix cell by cell: apply_average of (col rate, row rate)."""
+    """Normalized matrix cell by cell: the power mean of (col rate, row rate)
+    at the averaging spec's exponent."""
     c = np.asarray(counts, dtype=float)
     rows = c.sum(axis=1)
     cols = c.sum(axis=0)
@@ -71,7 +72,7 @@ def normalized_loop(counts, averaging):
         for j in range(n):
             by_col = float(c[i, j] / cols[j]) if cols[j] != 0 else 0.0
             by_row = float(c[i, j] / rows[i]) if rows[i] != 0 else 0.0
-            out[i, j] = apply_average(averaging, (by_col, by_row))
+            out[i, j] = power_mean((by_col, by_row), averaging.exponent)
     return out
 
 
@@ -225,7 +226,7 @@ def one_vs_one_loop(cm, metric, outer, p=None, views=None):
 
     def average(values):
         if not info.signed:
-            return apply_average(outer, values)
+            return power_mean(values, outer.exponent)
         if outer.exponent == 1:
             return math.fsum(values) / len(values)
         return float(min(values) if outer.exponent < 0 else max(values))

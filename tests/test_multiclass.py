@@ -23,9 +23,6 @@ from gofmetrics.means import (
     MAX,
     MIN,
     AveragingSpec,
-    apply_average,
-    geometric_mean,
-    harmonic_mean,
     power_mean,
 )
 from gofmetrics.multiclass import (
@@ -296,7 +293,7 @@ class TestGeneralizedF1:
         cm = cm_of([[3, 0, 0], [0, 4, 0], [1, 2, 0]])
         assert generalized_f1(cm, HARMONIC) == 0.0
 
-    def test_per_class_f1_equals_scalar_harmonic_mean_bitwise(self, monkeypatch):
+    def test_per_class_f1_equals_scalar_power_mean_bitwise(self, monkeypatch):
         # each class's F1, the values the outer average receives, is the
         # scalar harmonic mean of its two diagonal rates, its fallback for a
         # reciprocal that overflows (an F1 of 2e-310) included
@@ -311,7 +308,7 @@ class TestGeneralizedF1:
         for cm in pair_mean_tables(10):
             generalized_f1(cm)
             precision, recall = oracles.diagonal_rates_loop(cm.counts)
-            ref = [harmonic_mean(pair) for pair in zip(precision, recall)]
+            ref = [power_mean(pair, -1.0) for pair in zip(precision, recall)]
             assert per_class.pop() == ref
             f1_values += ref
         assert 2e-310 in f1_values  # the fallback ran
@@ -361,7 +358,7 @@ class TestGeneralizedFm:
             cm = random_matrix(rng, int(rng.integers(2, 6)))
             diag = tuple(normalized_matrix(cm).diagonal())
             for outer in (ARITHMETIC, GEOMETRIC):
-                assert generalized_fm(cm, outer) == apply_average(outer, diag)
+                assert generalized_fm(cm, outer) == power_mean(diag, outer.exponent)
 
     def test_dominates_f1_with_matching_outer(self):
         rng = np.random.default_rng(28)
@@ -589,7 +586,7 @@ class TestOneVsOneLoop:
                 for p in exponents:
                     value = one_vs_one_average(cm, metric, outer, p).value
                     expected = oracles.one_vs_one_loop(cm, metric, outer, p, views)
-                    assert value == expected, (name, outer.to_string(), p)
+                    assert value == expected, (name, outer.name, p)
 
     def test_no_matrix_per_pair(self, monkeypatch):
         # the pairs are scored from the table's own cells in one pass: no 2x2
@@ -704,12 +701,9 @@ class TestOneVsOne:
                         [GRID3[j][i], GRID3[j][j]],
                     ]
                 )
-                per_pair.append(
-                    apply_average(
-                        outer, (two_class_score(sub, "f1"), two_class_score(sub, "f1", 1))
-                    )
-                )
-            scores[outer.to_string()] = apply_average(outer, per_pair)
+                both = (two_class_score(sub, "f1"), two_class_score(sub, "f1", 1))
+                per_pair.append(power_mean(both, outer.exponent))
+            scores[outer.name] = power_mean(per_pair, outer.exponent)
         assert one_vs_one_average(cm, "f1", ARITHMETIC).value == pytest.approx(
             scores["arithmetic"], abs=1e-14
         )
@@ -781,11 +775,11 @@ class TestDiagonalRateScores:
         for grid in grids:
             cm = cm_of(grid)
             precision, recall = oracles.diagonal_rates_loop(cm.counts)
-            f1 = tuple(harmonic_mean((r, s)) for r, s in zip(recall, precision))
-            fm = tuple(geometric_mean((r, s)) for r, s in zip(recall, precision))
+            f1 = tuple(power_mean((r, s), -1.0) for r, s in zip(recall, precision))
+            fm = tuple(power_mean((r, s), 0.0) for r, s in zip(recall, precision))
             for outer in outers:
-                assert generalized_f1(cm, outer) == apply_average(outer, f1)
-                assert generalized_fm(cm, outer) == apply_average(outer, fm)
+                assert generalized_f1(cm, outer) == power_mean(f1, outer.exponent)
+                assert generalized_fm(cm, outer) == power_mean(fm, outer.exponent)
             for p in (-math.inf, -1.0, -0.5, 0.0, 0.5, 1.0):
                 assert lp_multiclass(cm, p) == power_mean(tuple(precision + recall), p)
 
@@ -965,7 +959,7 @@ class TestInvariances:
 
     ORDER_FREE = {
         **{
-            f"generalized_{kind}:{outer.to_string()}": (
+            f"generalized_{kind}:{outer.name}": (
                 lambda cm, score=score, outer=outer: score(cm, outer)
             )
             for kind, score in (("f1", generalized_f1), ("fm", generalized_fm))

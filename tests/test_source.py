@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import gofmetrics
@@ -108,9 +109,7 @@ def test_number_rule_and_public_means_stay_in_means():
     # the number rule is bound once, in `means`, and the package calls the
     # public means only from there: every other module has checked its floats
     # and hands them to `means._power_mean`
-    public_means = {
-        "power_mean", "harmonic_mean", "geometric_mean", "arithmetic_mean", "apply_average"
-    }
+    public_means = {"power_mean"}
     calls, bindings = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "means.py":
@@ -129,6 +128,16 @@ def test_number_rule_and_public_means_stay_in_means():
                 bindings.append(f"{path.name}: import")
     assert not calls, calls
     assert not bindings, bindings
+
+
+def test_means_has_one_public_mean():
+    # every mean is `power_mean` at an exponent, a spec's at `spec.exponent`; a
+    # named wrapper around it, or a spec method that restates `.name` or the
+    # constructor, would be a second door to the same call
+    functions = [name for name in means.__all__ if inspect.isfunction(getattr(means, name))]
+    assert functions == ["power_mean"], functions
+    methods = [name for name in vars(means.AveragingSpec) if not name.startswith("_")]
+    assert methods == ["power"], methods
 
 
 def test_only_means_maps_the_scalar_kernel_over_values():
