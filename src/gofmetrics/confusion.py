@@ -89,7 +89,7 @@ class ConfusionMatrix:
         """Validate a square grid of non-negative cell values.
 
         Labels default to class_0 ... class_{n-1}; labels that are a str,
-        byte buffer or mapping are refused.  Cells may be fractional
+        byte buffer, mapping or no iterable at all are refused.  Cells may be fractional
         (smoothing produces such tables); they must be finite, non-negative,
         and not all zero, and their sum must be finite too.  A cell that is
         no number (a str, bytes, bool, complex, None, list or dict) is refused,
@@ -117,11 +117,8 @@ class ConfusionMatrix:
             raise ValueError(f"n < 2: need at least two classes, got {side}")
         if labels is None:
             labels = _default_labels(side)
-        elif isinstance(labels, _NOT_A_LIST):
-            # the grid's rule: read item by item, b"ab" would name the classes '97' and '98'
-            kind = type(labels).__name__
-            raise ValueError(f"labels must be a list of names, not the {kind} {labels!r}")
         else:
+            _check_list(labels, "labels must be a list of names")
             labels = tuple(str(lab) for lab in labels)
             if len(labels) != side:
                 raise ValueError(
@@ -162,9 +159,13 @@ class ConfusionMatrix:
     ) -> "ConfusionMatrix":
         """Tally paired (true, predicted) label sequences.
 
-        The pairs are counted with `Counter` and the counts go through
-        `from_pair_counts`, whose label rules apply.
+        Each argument is refused by name where `from_counts` refuses its
+        `labels`: a str, byte buffer, mapping or non-iterable.  The pairs are
+        counted with `Counter` and the counts go through `from_pair_counts`,
+        whose label rules apply.
         """
+        _check_list(true_labels, "true_labels must be a list of labels")
+        _check_list(predicted_labels, "predicted_labels must be a list of labels")
         truths = list(true_labels)
         preds = list(predicted_labels)
         if len(truths) != len(preds):
@@ -186,8 +187,18 @@ class ConfusionMatrix:
         so a class that is never predicted still gets a column and vice versa.
         Classes are named by `str(label)`.  Labels of different types with the
         same name, such as 1 and "1", are rejected rather than merged; labels
-        that compare equal, such as 1 and 1.0, are one class.
+        that compare equal, such as 1 and 1.0, are one class.  A key that is
+        not a tuple of two items, such as the str "ab", is refused by name.
         """
+        for key in pair_counts:  # distinct by construction
+            if not isinstance(key, tuple):
+                kind = type(key).__name__
+                what = f"is {'an' if kind[0] in 'aeiou' else 'a'} {kind}"
+            elif len(key) != 2:
+                what = f"has length {len(key)}"
+            else:
+                continue
+            raise ValueError(f"key {key!r} {what}, not a (true, predicted) pair")
         distinct = {t for t, _ in pair_counts} | {p for _, p in pair_counts}
         # one str() per distinct label, not per pair
         names: dict[str, object] = {}
@@ -222,6 +233,13 @@ class ConfusionMatrix:
 def _default_labels(n: int) -> tuple[str, ...]:
     # built once per class count, and distinct by construction
     return tuple(f"class_{i}" for i in range(n))
+
+
+def _check_list(items: object, refusal: str) -> None:
+    # read item by item, a str, byte buffer or mapping gives characters, byte
+    # values or keys rather than names or entries, and a non-iterable nothing
+    if isinstance(items, _NOT_A_LIST) or not isinstance(items, Iterable):
+        raise ValueError(f"{refusal}, not the {type(items).__name__} {items!r}")
 
 
 def _check_cells(grid: object) -> object:
@@ -294,9 +312,10 @@ def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:
     Two whole-array divisions, C / col_sums[None, :] and C / row_sums[:, None]
     (0 where the sum is 0), averaged by `means._column_means`, give cell (i, j)
     as exactly their geometric mean, `power_mean((C[i, j] / col_sums[j],
-    C[i, j] / row_sums[i]), 0.0)`.  Entries lie in [0, 1].  The construction is symmetric in the two rates,
-    so transposing the counts transposes the result exactly, and scaling
-    every count by a common positive factor leaves it unchanged.
+    C[i, j] / row_sums[i]), 0.0)`.  Entries lie in [0, 1].  The construction
+    is symmetric in the two rates, so transposing the counts transposes the
+    result exactly, and scaling every count by a common positive factor
+    leaves it unchanged.
     """
     by_col = _rates(cm.counts, cm.col_sums[None, :])
     by_row = _rates(cm.counts, cm.row_sums[:, None])
@@ -321,8 +340,10 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
 
     Rows and columns move together, so the table still describes the same
     classifier; only the presentation order changes.  Entries are Python or
-    numpy integers; a bool or a float is refused.
+    numpy integers; a bool or a float is refused, and so is a permutation
+    that `from_counts` would refuse as labels.
     """
+    _check_list(permutation, "permutation must be a sequence of integers")
     entries = list(permutation)
     perm = list(map(_integer, entries))
     if None in perm:

@@ -1,5 +1,6 @@
 """Unit tests for confusion-matrix construction and transforms."""
 
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
@@ -255,10 +256,13 @@ class TestFromCounts:
             ({"a": 1, "b": 2}, "dict"),
             (bytearray(b"ab"), "bytearray"),
             (memoryview(b"ab"), "memoryview"),
+            (5, "int"),
+            (2.5, "float"),
         ],
     )
     def test_bytes_and_mapping_labels_rejected(self, labels, kind):
-        # a byte buffer would read as the classes '97' and '98', a mapping by its keys
+        # a byte buffer would read as the classes '97' and '98', a mapping by
+        # its keys, and a non-iterable has no items to read
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_counts([[1, 0], [0, 1]], labels)
         assert str(info.value) == f"labels must be a list of names, not the {kind} {labels!r}"
@@ -318,6 +322,12 @@ class TestFromLabelPairs:
         assert direct.labels == via_pairs.labels == ("a", "b", "c")
         assert direct.counts.tolist() == via_pairs.counts.tolist()
         assert direct.counts.tolist() == [[0, 1, 0], [0, 2, 0], [1, 0, 0]]
+        # a key is any tuple of two labels, a named one too
+        Pair = namedtuple("Pair", "true predicted")
+        named = ConfusionMatrix.from_pair_counts(
+            {Pair("b", "b"): 2, Pair("a", "b"): 1, Pair("c", "a"): 1}
+        )
+        assert named.counts.tolist() == direct.counts.tolist()
 
     @pytest.mark.parametrize("count", ["3", True, None])
     def test_pair_count_that_is_no_number_rejected(self, count):
@@ -325,6 +335,43 @@ class TestFromLabelPairs:
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_pair_counts({("a", "b"): count, ("b", "b"): 2})
         assert str(info.value) == f"count of ('a', 'b') is {count!r}, not a number"
+
+    @pytest.mark.parametrize(
+        "true_labels, predicted_labels, message",
+        [
+            (5, 6, "true_labels must be a list of labels, not the int 5"),
+            ("aab", "abb", "true_labels must be a list of labels, not the str 'aab'"),
+            (["a"], "a", "predicted_labels must be a list of labels, not the str 'a'"),
+            ([97, 98], b"ab", "predicted_labels must be a list of labels, not the bytes b'ab'"),
+            (["a", "b"], {"a": 1, "b": 2},
+             "predicted_labels must be a list of labels, not the dict {'a': 1, 'b': 2}"),
+            (["a"], None, "predicted_labels must be a list of labels, not the NoneType None"),
+        ],
+    )
+    def test_label_sequence_that_is_no_list_rejected(
+        self, true_labels, predicted_labels, message
+    ):
+        # the rule `from_counts` applies to its labels: a str would be read as
+        # its characters, bytes as byte values, a mapping as its keys
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_label_pairs(true_labels, predicted_labels)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "key, what",
+        [
+            ("ab", "is a str"),
+            (frozenset("ab"), "is a frozenset"),
+            (("a", "b", "c"), "has length 3"),
+            (("a",), "has length 1"),
+            (5, "is an int"),
+        ],
+    )
+    def test_pair_count_key_that_is_no_pair_rejected(self, key, what):
+        # a str or a frozenset of two labels would be unpacked as a pair
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_pair_counts({("a", "a"): 1, key: 2})
+        assert str(info.value) == f"key {key!r} {what}, not a (true, predicted) pair"
 
     def test_pair_count_past_the_double_range_rejected(self):
         with pytest.raises(ValueError) as info:
@@ -477,10 +524,16 @@ class TestRelabel:
             ([1.7, 0.2], "permutation[0] is 1.7, not an integer"),
             ([1, True], "permutation[1] is True, not an integer"),
             ([np.float64(1.0), 0], f"permutation[0] is {np.float64(1.0)!r}, not an integer"),
+            (5, "permutation must be a sequence of integers, not the int 5"),
+            (None, "permutation must be a sequence of integers, not the NoneType None"),
+            ("10", "permutation must be a sequence of integers, not the str '10'"),
+            (b"\x01\x00", r"permutation must be a sequence of integers, not the bytes b'\x01\x00'"),
+            ({1: 0, 0: 1}, "permutation must be a sequence of integers, not the dict {1: 0, 0: 1}"),
         ],
     )
     def test_non_integer_entries_rejected(self, permutation, message):
-        # int() would truncate these to the order [1, 0]
+        # int() would truncate the floats to the order [1, 0], and bytes or a
+        # mapping read item by item would give it too
         cm = ConfusionMatrix.from_counts([[1, 2], [3, 4]])
         with pytest.raises(ValueError) as info:
             relabel(cm, permutation)
