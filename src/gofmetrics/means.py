@@ -80,7 +80,9 @@ class AveragingSpec:
             except ValueError:
                 raise ValueError(f"bad power exponent {raw!r}") from None
             if not math.isfinite(exponent):
-                raise ValueError("power exponent must be finite; use min or max for the limits")
+                raise ValueError(
+                    f"power exponent {raw!r} must be finite; use min or max for the limits"
+                )
             object.__setattr__(self, "name", f"power:{exponent!r}")  # frozen
         else:
             raise ValueError(f"unknown averaging spec {name!r}")

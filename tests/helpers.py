@@ -66,13 +66,3 @@ def random_permutation_counts(rng, n, high=50):
 
 def random_matrix(rng, n, high=50):
     return ConfusionMatrix.from_counts(random_counts(rng, n, high))
-
-
-def random_tuple(rng, k=None, low=0.0, high=10.0, allow_zero=True):
-    """Random tuple of non-negative floats, sometimes with exact zeros."""
-    if k is None:
-        k = int(rng.integers(1, 7))
-    values = rng.uniform(low, high, size=k)
-    if allow_zero and rng.random() < 0.25:
-        values[rng.integers(0, k)] = 0.0
-    return tuple(float(v) for v in values)

@@ -349,25 +349,3 @@ def gen_fm_ref(counts, outer):
 
 def arithmetic(values):
     return sum(values) / len(values)
-
-
-def exact_ratio_matrix(counts):
-    """Eq.-7 entries as exact squared rationals: sign-free, for cross-checks.
-
-    Returns the matrix of M[i][j]**2 as Fractions (geometric means square to
-    rationals), which lets small determinant cross-checks run without float
-    noise where all entries share rational squares.
-    """
-    c = [[Fraction(int(x)) for x in row] for row in counts]
-    n = len(c)
-    rows = [sum(c[i][j] for j in range(n)) for i in range(n)]
-    cols = [sum(c[i][j] for i in range(n)) for j in range(n)]
-    return [
-        [
-            (c[i][j] * c[i][j]) / (rows[i] * cols[j])
-            if rows[i] > 0 and cols[j] > 0
-            else Fraction(0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]

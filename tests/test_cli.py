@@ -28,6 +28,7 @@ from gofmetrics.cli import (
 )
 from gofmetrics.confusion import ConfusionMatrix
 from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec
+from gofmetrics.multiclass import METRICS, evaluate_metric
 
 
 def write(tmp_path, name, text):
@@ -582,6 +583,49 @@ class TestParseMetricRequest:
         path = write(tmp_path, "m.csv", "1,0\n0,1\n")
         assert main(["--input", path, "--metric", text]) == EXIT_PARAMS
         assert f"repeated metric option {key!r}" in capsys.readouterr().err
+
+
+# a metric request's pieces: names from METRICS and unknown ones, known,
+# unknown and repeated option keys, and values that are spec names, power
+# specs, floats, their non-finite spellings and junk
+REQUEST_NAMES = st.sampled_from([*METRICS, "mcc", "one_vs_one_", "generalized_MCC"])
+REQUEST_KEYS = st.sampled_from(["outer", "p", "inner", "P", ""])
+REQUEST_VALUES = st.one_of(
+    st.sampled_from(
+        ["harmonic", "geometric", "arithmetic", "min", "max", "median", "power", "power:",
+         "power:x", "nan", "inf", "-inf", "junk", ""]
+    ),
+    st.floats().map(repr),
+    st.floats().map(lambda x: f"power:{x!r}"),
+)
+# a key of None is a token with no "=", which glues onto the option before it
+REQUEST_OPTIONS = st.lists(st.tuples(st.none() | REQUEST_KEYS, REQUEST_VALUES), max_size=3)
+REQUEST_TABLES = [[[20, 6, 0], [2, 20, 0], [12, 12, 8]], [[7, 2], [3, 5]], [[3, 0], [2, 0]]]
+
+
+class TestMetricRequestProperty:
+    @given(REQUEST_NAMES, REQUEST_OPTIONS, st.sampled_from(REQUEST_TABLES))
+    @settings(max_examples=200, deadline=None)
+    def test_scored_in_range_or_refused_by_name(self, name, options, grid):
+        # the CLI's path for a --metric: each request scores within its row's
+        # range, or is refused with a message that names its metric, an option
+        # key, an option value, or quotes a piece of the request
+        text = name + "".join(f":{v}" if k is None else f":{k}={v}" for k, v in options)
+        cm = ConfusionMatrix.from_counts(grid)
+        try:
+            req = parse_metric_request(text)
+            score = evaluate_metric(cm, req.name, req.outer, req.p)
+        except (ParameterError, ValueError) as exc:
+            message = str(exc)
+            assert (
+                name in message
+                or any(re.search(rf"(?<!\w){re.escape(k)}(?!\w)", message) for k, _ in options if k)
+                or any(v and v.lower() in message.lower() for _, v in options)
+                or any(quoted in text for quoted in re.findall(r"'([^']*)'", message))
+            ), (text, message)
+        else:
+            low = -1.0 if METRICS[name].signed else 0.0
+            assert low <= score.value <= 1.0, (text, score.value)
 
 
 class TestRun:

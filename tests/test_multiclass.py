@@ -1,6 +1,8 @@
 """Unit tests for the multi-class scores."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,8 +359,15 @@ class TestGeneralizedFm:
         for _ in range(100):
             cm = random_matrix(rng, int(rng.integers(2, 6)))
             diag = tuple(normalized_matrix(cm).diagonal())
-            for outer in (ARITHMETIC, GEOMETRIC):
-                assert generalized_fm(cm, outer) == power_mean(diag, outer.exponent)
+            # and the closed-form ratio matrix's diagonal, averaged apart from the package
+            references = {
+                ARITHMETIC: oracles.arithmetic,
+                GEOMETRIC: lambda values: math.prod(values) ** (1 / len(values)),
+            }
+            for outer, reference in references.items():
+                value = generalized_fm(cm, outer)
+                assert value == power_mean(diag, outer.exponent)
+                assert value == pytest.approx(oracles.gen_fm_ref(cm.counts, reference), abs=1e-12)
 
     def test_dominates_f1_with_matching_outer(self):
         rng = np.random.default_rng(28)
@@ -1005,6 +1014,34 @@ class TestScoreBounds:
             assert 0.0 <= cramers_phi(cm) <= 1.0
             assert 0.0 <= lp_multiclass(cm, -1.0) <= 1.0 + 1e-12
             assert -1.0 <= one_vs_one_average(cm, "mcc").value <= 1.0
+
+    def test_determinant_invariants_on_wide_benchmark_tables(self):
+        # the benchmark's five small-table kinds at ImageNet-like class counts,
+        # where ordinary tables underflow to 0.0: the score stays in [-1, 1], is
+        # +0.0 over an empty row or column, and is +-1 exactly where a witness is
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        rng = np.random.default_rng(300)
+        empty = witnessed = 0
+        for n in (300, 1000):
+            for kind in workloads.SMALL_KINDS * 2:
+                cm = cm_of(workloads._small_table(rng, n, kind))
+                value = generalized_mcc(cm)
+                assert -1.0 <= value <= 1.0, (n, kind)
+                if (cm.row_sums == 0).any() or (cm.col_sums == 0).any():
+                    assert value == 0.0 and math.copysign(1.0, value) == 1.0, (n, kind)
+                    empty += 1
+                witness = perfect_fit_permutation(cm)
+                if witness is None:
+                    assert abs(value) < 1.0, (n, kind)
+                else:
+                    assert value == (1.0 if witness.parity == "even" else -1.0), (n, kind)
+                    witnessed += 1
+        # each branch ran: on the four permutation tables, and on the four
+        # never_predicted ones and any other with an empty class
+        assert empty >= 4 and witnessed == 4
 
 
 # every entry that looks a metric up by name in METRICS
