@@ -237,8 +237,10 @@ def _default_labels(n: int) -> tuple[str, ...]:
 
 def _check_list(items: object, refusal: str) -> None:
     # read item by item, a str, byte buffer or mapping gives characters, byte
-    # values or keys rather than names or entries, and a non-iterable nothing
-    if isinstance(items, _NOT_A_LIST) or not isinstance(items, Iterable):
+    # values or keys rather than names or entries, and a non-iterable (a 0-d
+    # array among them) nothing
+    no_items = not isinstance(items, Iterable) or getattr(items, "ndim", 1) == 0
+    if isinstance(items, _NOT_A_LIST) or no_items:
         raise ValueError(f"{refusal}, not the {type(items).__name__} {items!r}")
 
 

@@ -258,6 +258,7 @@ class TestFromCounts:
             (memoryview(b"ab"), "memoryview"),
             (5, "int"),
             (2.5, "float"),
+            (np.array(5), "ndarray"),
         ],
     )
     def test_bytes_and_mapping_labels_rejected(self, labels, kind):
@@ -346,6 +347,7 @@ class TestFromLabelPairs:
             (["a", "b"], {"a": 1, "b": 2},
              "predicted_labels must be a list of labels, not the dict {'a': 1, 'b': 2}"),
             (["a"], None, "predicted_labels must be a list of labels, not the NoneType None"),
+            (np.array(5), ["a"], "true_labels must be a list of labels, not the ndarray array(5)"),
         ],
     )
     def test_label_sequence_that_is_no_list_rejected(
@@ -526,6 +528,7 @@ class TestRelabel:
             ([np.float64(1.0), 0], f"permutation[0] is {np.float64(1.0)!r}, not an integer"),
             (5, "permutation must be a sequence of integers, not the int 5"),
             (None, "permutation must be a sequence of integers, not the NoneType None"),
+            (np.array(1), "permutation must be a sequence of integers, not the ndarray array(1)"),
             ("10", "permutation must be a sequence of integers, not the str '10'"),
             (b"\x01\x00", r"permutation must be a sequence of integers, not the bytes b'\x01\x00'"),
             ({1: 0, 0: 1}, "permutation must be a sequence of integers, not the dict {1: 0, 0: 1}"),
