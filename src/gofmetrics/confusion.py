@@ -89,13 +89,14 @@ class ConfusionMatrix:
         """Validate a square grid of non-negative cell values.
 
         Labels default to class_0 ... class_{n-1}; labels that are a str,
-        byte buffer, mapping or no iterable at all are refused.  Cells may be fractional
-        (smoothing produces such tables); they must be finite, non-negative,
-        and not all zero, and their sum must be finite too.  A cell that is
-        no number (a str, bytes, bool, complex, None, list or dict) is refused,
-        and so is a grid or a row that is a str, byte buffer or mapping.  A
-        grid or row that is an iterator is read once, as its list would be.  A
-        signalling NaN is a NaN cell, and a -0.0 cell is stored as 0.0.
+        byte buffer, mapping or no iterable at all are refused.  Cells may be
+        fractional (smoothing produces such tables); they must be finite,
+        non-negative, and not all zero, and their sum must be finite too.  A
+        cell that is no number (a str, bytes, bool, complex, None, list or
+        dict) is refused, and so is a grid or a row that is a str, byte buffer
+        or mapping.  A grid or row that is an iterator is read once, as its
+        list would be.  A signalling NaN is a NaN cell, and a -0.0 cell is
+        stored as 0.0.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
@@ -191,14 +192,9 @@ class ConfusionMatrix:
         not a tuple of two items, such as the str "ab", is refused by name.
         """
         for key in pair_counts:  # distinct by construction
-            if not isinstance(key, tuple):
+            if not (isinstance(key, tuple) and len(key) == 2):
                 kind = type(key).__name__
-                what = f"is {'an' if kind[0] in 'aeiou' else 'a'} {kind}"
-            elif len(key) != 2:
-                what = f"has length {len(key)}"
-            else:
-                continue
-            raise ValueError(f"key {key!r} {what}, not a (true, predicted) pair")
+                raise ValueError(f"key must be a (true, predicted) pair, not the {kind} {key!r}")
         distinct = {t for t, _ in pair_counts} | {p for _, p in pair_counts}
         # one str() per distinct label, not per pair
         names: dict[str, object] = {}

@@ -359,21 +359,13 @@ class TestFromLabelPairs:
             ConfusionMatrix.from_label_pairs(true_labels, predicted_labels)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "key, what",
-        [
-            ("ab", "is a str"),
-            (frozenset("ab"), "is a frozenset"),
-            (("a", "b", "c"), "has length 3"),
-            (("a",), "has length 1"),
-            (5, "is an int"),
-        ],
-    )
-    def test_pair_count_key_that_is_no_pair_rejected(self, key, what):
+    @pytest.mark.parametrize("key", ["ab", frozenset("ab"), ("a", "b", "c"), ("a",), 5], ids=repr)
+    def test_pair_count_key_that_is_no_pair_rejected(self, key):
         # a str or a frozenset of two labels would be unpacked as a pair
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_pair_counts({("a", "a"): 1, key: 2})
-        assert str(info.value) == f"key {key!r} {what}, not a (true, predicted) pair"
+        kind = type(key).__name__
+        assert str(info.value) == f"key must be a (true, predicted) pair, not the {kind} {key!r}"
 
     def test_pair_count_past_the_double_range_rejected(self):
         with pytest.raises(ValueError) as info:
