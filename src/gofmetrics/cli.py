@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .confusion import ConfusionMatrix, smooth
-from .means import AveragingSpec, _no_number
+from .confusion import ConfusionMatrix, _CellError, smooth
+from .means import AveragingSpec
 from .multiclass import MetricScore, evaluate_metric
 
 __all__ = [
@@ -260,16 +259,12 @@ def parse_json_input(path: str) -> ConfusionMatrix:
     counts = payload["counts"]
     if not isinstance(counts, list):
         raise InputError(f"{path}: counts must be a list of rows, got {json.dumps(counts)}")
-    for i, row in enumerate(counts):
-        if isinstance(row, (dict, str)):  # whose keys or characters are no cells
-            raise InputError(f"{path}: counts[{i}] is {json.dumps(row)}, not a list of numbers")
-        # only JSON numbers pass the number rule, which refuses a bool; the
-        # row's set of types is checked, and a refused cell then located
-        if isinstance(row, list) and any(map(_no_number, set(map(type, row)))):
-            j, cell = next((j, c) for j, c in enumerate(row) if _no_number(type(c)))
-            raise InputError(f"{path}: counts[{i}][{j}] is {json.dumps(cell)}, not a number")
     try:
         return ConfusionMatrix.from_counts(counts, labels)
+    except _CellError as exc:  # a row that is no list of numbers, or a cell that is no number
+        item = "a list of numbers" if len(exc.place) == 1 else "a number"
+        place = "".join(f"[{k}]" for k in exc.place)
+        raise InputError(f"{path}: counts{place} is {json.dumps(exc.value)}, not {item}") from None
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -364,7 +359,7 @@ def run(config: RunConfig) -> tuple[ConfusionMatrix, list[MetricScore]]:
         except ValueError as exc:
             raise ParameterError(str(exc)) from None
         if config.smoothing is not None:
-            score = dataclasses.replace(
+            score = replace(
                 score,
                 parameters={**score.parameters, "alpha": repr(float(config.smoothing) + 0.0)},
             )

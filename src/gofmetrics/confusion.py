@@ -39,6 +39,14 @@ __all__ = [
 _NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping)
 
 
+class _CellError(ValueError):
+    # a grid's refused row or cell, with its place, (row,) or (row, column), and
+    # value, for a front end to name in its own notation
+    def __init__(self, message: str, place: tuple[int, ...], value: object) -> None:
+        super().__init__(message)
+        self.place, self.value = place, value
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """A square table of class-vs-class counts with its label order.
@@ -93,10 +101,10 @@ class ConfusionMatrix:
         fractional (smoothing produces such tables); they must be finite,
         non-negative, and not all zero, and their sum must be finite too.  A
         cell that is no number (a str, bytes, bool, complex, None, list or
-        dict) is refused, and so is a grid or a row that is a str, byte buffer
-        or mapping.  A grid or row that is an iterator is read once, as its
-        list would be.  A signalling NaN is a NaN cell, and a -0.0 cell is
-        stored as 0.0.
+        dict) is refused, and so is a grid or a row that is a str, byte buffer,
+        mapping, 0-d array or, for a row, no iterable at all.  A grid or row
+        that is an iterator is read once, as its list would be.  A signalling
+        NaN is a NaN cell, and a -0.0 cell is stored as 0.0.
         """
         # a float or int array is numbers by its dtype alone
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
@@ -189,8 +197,15 @@ class ConfusionMatrix:
         Classes are named by `str(label)`.  Labels of different types with the
         same name, such as 1 and "1", are rejected rather than merged; labels
         that compare equal, such as 1 and 1.0, are one class.  A key that is
-        not a tuple of two items, such as the str "ab", is refused by name.
+        not a tuple of two items, such as the str "ab", is refused by name, and
+        so is an argument that is no mapping, such as a list of (pair, count).
         """
+        if not isinstance(pair_counts, Mapping):
+            kind = type(pair_counts).__name__
+            raise ValueError(
+                "pair_counts must be a mapping of (true, predicted) pairs to counts, "
+                f"not the {kind} {pair_counts!r}"
+            )
         for key in pair_counts:  # distinct by construction
             if not (isinstance(key, tuple) and len(key) == 2):
                 kind = type(key).__name__
@@ -231,12 +246,16 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"class_{i}" for i in range(n))
 
 
-def _check_list(items: object, refusal: str) -> None:
+def _no_list(items: object) -> bool:
     # read item by item, a str, byte buffer or mapping gives characters, byte
-    # values or keys rather than names or entries, and a non-iterable (a 0-d
+    # values or keys rather than names, rows or cells, and a non-iterable (a 0-d
     # array among them) nothing
     no_items = not isinstance(items, Iterable) or getattr(items, "ndim", 1) == 0
-    if isinstance(items, _NOT_A_LIST) or no_items:
+    return isinstance(items, _NOT_A_LIST) or no_items
+
+
+def _check_list(items: object, refusal: str) -> None:
+    if _no_list(items):
         raise ValueError(f"{refusal}, not the {type(items).__name__} {items!r}")
 
 
@@ -244,27 +263,28 @@ def _check_cells(grid: object) -> object:
     # the grid as a list of rows, any row that is an iterator read into a list
     # once, so numpy gets the cells this scan saw.  Names the first cell that
     # is no number (`_no_number`), and reads a signalling NaN as NaN (`_quiet`),
-    # since numpy refuses one as ragged.  A grid or row that is not iterable is left
-    # to the shape checks, and one whose items are no rows or cells (the
-    # characters of a string, the keys of a mapping) is named
-    if isinstance(grid, _NOT_A_LIST):
-        raise ValueError(f"grid is a {type(grid).__name__}, not a sequence of rows")
+    # since numpy refuses one as ragged.  A grid that is not iterable is refused
+    # as the 0-d array numpy would read it as, without numpy's cast of it; a grid
+    # or row that is no list (`_no_list`) is named, so every row numpy reads is
+    # a list of numbers
     if not isinstance(grid, Iterable):
-        return grid
+        raise ValueError("non-square grid: shape ()")
+    if _no_list(grid):
+        raise ValueError(f"grid is a {type(grid).__name__}, not a sequence of rows")
     rows = list(grid)
     for i, row in enumerate(rows):
-        if isinstance(row, _NOT_A_LIST):
-            raise ValueError(
-                f"row {i} is a {type(row).__name__}, not a sequence of numbers"
+        if _no_list(row):
+            raise _CellError(
+                f"row {i} is a {type(row).__name__}, not a sequence of numbers", (i,), row
             )
         if isinstance(row, Iterator):
             row = rows[i] = list(row)
-        kinds = set(map(type, row)) if isinstance(row, Iterable) else ()
+        kinds = set(map(type, row))
         refused = set(filter(_no_number, kinds))
         if refused:
             # only a refused type takes a second pass, to name its cell
             j, cell = next((j, c) for j, c in enumerate(row) if type(c) in refused)
-            raise ValueError(f"non-number cell at row {i}, column {j}: {cell!r}")
+            raise _CellError(f"non-number cell at row {i}, column {j}: {cell!r}", (i, j), cell)
         if any(hasattr(kind, "is_snan") for kind in kinds):
             rows[i] = list(map(_quiet, row))
     return rows

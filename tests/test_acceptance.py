@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gofmetrics.confusion import ConfusionMatrix, normalized_matrix, relabel, transpose
+from gofmetrics.confusion import ConfusionMatrix, relabel, transpose
 from gofmetrics.means import (
     ARITHMETIC,
     GEOMETRIC,

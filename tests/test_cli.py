@@ -27,7 +27,7 @@ from gofmetrics.cli import (
     run,
 )
 from gofmetrics.confusion import ConfusionMatrix
-from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec
+from gofmetrics.means import GEOMETRIC, HARMONIC, AveragingSpec
 from gofmetrics.multiclass import METRICS, evaluate_metric
 
 
@@ -375,10 +375,13 @@ class TestParseJsonInput:
         [
             ('{"a": 1}', 'counts[1] is {"a": 1}, not a list of numbers'),
             ('"ab"', 'counts[1] is "ab", not a list of numbers'),
+            ("3", "counts[1] is 3, not a list of numbers"),
+            ("null", "counts[1] is null, not a list of numbers"),
         ],
     )
     def test_non_list_row_exit_2(self, tmp_path, capsys, row, message):
-        # from_counts would read the keys or characters as cells
+        # numpy would read the keys or characters as cells, and a number or null
+        # as a cell of a 1-d grid
         err = self.exits_2(tmp_path, capsys, f'{{"counts": [[1, 0], {row}]}}')
         assert message in err
 

@@ -116,6 +116,9 @@ class TestFromCounts:
             # a scalar or None, which numpy reads as a 0-d array
             (5, "non-square grid: shape ()"),
             (None, "non-square grid: shape ()"),
+            # refused as one too, before numpy's cast warns or overflows
+            (np.complex128(1), "non-square grid: shape ()"),
+            pytest.param(10**400, "non-square grid: shape ()", id="int-past-the-double-range"),
         ],
     )
     def test_cell_messages(self, grid, message):
@@ -168,6 +171,13 @@ class TestFromCounts:
             ([[1, 0], memoryview(b"\x00\x01")], "row 1 is a memoryview, not a sequence of numbers"),
             (bytearray(b"ab"), "grid is a bytearray, not a sequence of rows"),
             (memoryview(b"ab"), "grid is a memoryview, not a sequence of rows"),
+            # 0-d arrays, which numpy cannot iterate
+            (np.array(None), "grid is a ndarray, not a sequence of rows"),
+            ([[1, 0], np.array(2.0)], "row 1 is a ndarray, not a sequence of numbers"),
+            # rows that are no iterable, which numpy reads as the cells of a 1-d grid
+            ([[1, 0], 3], "row 1 is a int, not a sequence of numbers"),
+            ([[1, 0], None], "row 1 is a NoneType, not a sequence of numbers"),
+            ([1.0, np.complex128(1)], "row 0 is a float, not a sequence of numbers"),
         ],
     )
     def test_non_number_cells_rejected(self, grid, message):
@@ -371,6 +381,22 @@ class TestFromLabelPairs:
         with pytest.raises(ValueError) as info:
             ConfusionMatrix.from_pair_counts({("a", "a"): 1, ("a", "b"): 10**400})
         assert str(info.value) == "count of ('a', 'b') is past the double range"
+
+    @pytest.mark.parametrize(
+        "pair_counts",
+        [[(("a", "b"), 1)], (("a", "b"), 1), 5, None, "ab", b"ab"],
+        ids=repr,
+    )
+    def test_pair_counts_that_are_no_mapping_rejected(self, pair_counts):
+        # a list has no values, a str's characters are no pairs, and an int or
+        # None no keys at all
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_pair_counts(pair_counts)
+        kind = type(pair_counts).__name__
+        assert str(info.value) == (
+            "pair_counts must be a mapping of (true, predicted) pairs to counts, "
+            f"not the {kind} {pair_counts!r}"
+        )
 
 
 class TestSmoothing:

@@ -1,11 +1,27 @@
-"""The one number rule, `means._no_number`, at every entry that takes a caller's number."""
+"""The one number rule, `means._no_number`, at every entry that takes a caller's number.
+
+Three bounded properties hold the library's table doors to the contract that
+`test_cli.py::TestJsonInputProperty` holds the JSON door to: an input either
+builds a table whose counts are the float of its cells, -0.0 read as 0.0, or is
+refused by a `ValueError` whose message matches one of a fixed list of forms,
+each naming a cell, a pair, an argument or a condition of the whole table.
+
+- `test_grid_is_its_cells_or_refused_by_name`: `ConfusionMatrix.from_counts`'
+  grids;
+- `test_tally_is_its_counts_or_refused_by_name`: `ConfusionMatrix.from_pair_counts`'
+  tallies, arguments that are no mapping included;
+- `test_alpha_smooths_or_is_refused_by_name`: `smooth`'s alpha.
+"""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gofmetrics.confusion import ConfusionMatrix, smooth
 from gofmetrics.means import AveragingSpec, power_mean
@@ -136,3 +152,127 @@ def test_negative_zero_cell_is_zero():
             value = evaluate_metric(cm, name, p=p).value
             assert value == evaluate_metric(zeros, name, p=p).value, (grid, name)
             assert math.copysign(1.0, value) == 1.0 or value < 0, (grid, name)
+
+
+# the edges past changes found: a signed zero, the least and two large doubles, a
+# signalling NaN, the infinities, an int past the double range, byte buffers and
+# 0-d arrays; those that are cells of a table are among the numbers
+EDGES = [
+    -0.0, 5e-324, 1e300, 1e308, Decimal("sNaN"), math.inf, -math.inf, 10**400, -1,
+    bytearray(b"1"), memoryview(b"1"), np.array(2.0), np.array(None),
+]
+NUMBERS = st.one_of(
+    st.integers(0, 40),
+    st.floats(0, 1e6),
+    st.sampled_from([-0.0, 5e-324, 1e300, Fraction(1, 3), Decimal("2.5"), np.float32(0.5)]),
+)
+ODD = st.sampled_from(EDGES + NON_NUMBERS)
+CELLS = st.one_of(NUMBERS, NUMBERS, NUMBERS, ODD)
+
+# a refusal's message: a cell, pair or argument by its place, or a condition of
+# the whole table
+TABLE_REFUSALS = [
+    r"non-finite cell at row (?P<row>\d+), column (?P<column>\d+)",
+    r"negative cell at row (?P<row>\d+), column (?P<column>\d+): -\S+",
+    r"sum of (row|column) \d+ overflows",
+    r"n < 2: need at least two classes, got [01]",
+    r"all cells are zero",
+]
+GRID_REFUSALS = TABLE_REFUSALS + [
+    r"grid is a \w+, not a sequence of rows",
+    r"row (?P<row>\d+) is a \w+, not a sequence of numbers",
+    r"non-number cell at row (?P<row>\d+), column (?P<column>\d+): (?P<value>.+)",
+    r"cell at row (?P<row>\d+), column (?P<column>\d+) is past the double range",
+    r"non-square grid: rows have unequal lengths",
+    r"non-square grid: shape \([\d, ]*\)",
+]
+TALLY_REFUSALS = TABLE_REFUSALS + [
+    r"pair_counts must be a mapping of \(true, predicted\) pairs to counts, not the \w+ .+",
+    r"key must be a \(true, predicted\) pair, not the \w+ .+",
+    r"count of \(.+\) is .+, not a number",
+    r"count of \(.+\) is past the double range",
+    r"labels .+ and .+ both read '.+'",
+]
+ALPHA_REFUSALS = [
+    r"alpha is .+, not a number",
+    r"alpha must be finite",
+    r"alpha must be non-negative",
+    r"sum of (row|column) \d+ overflows",
+]
+
+
+def table_or_refusal(build, refusals):
+    # the table build() returns, or its refusal's match to one of the forms
+    try:
+        return build()
+    except ValueError as exc:
+        match = next(filter(None, (re.fullmatch(f, str(exc), re.DOTALL) for f in refusals)), None)
+        assert match, str(exc)
+        return match
+
+
+def hexes(rows):
+    return [[cell.hex() for cell in row] for row in rows]
+
+
+def read(rows):
+    # each cell as its double, -0.0 as 0.0
+    return hexes([float(cell) + 0.0 for cell in row] for row in rows)
+
+
+@st.composite
+def grids(draw):
+    n = draw(st.sampled_from([2, 3, 1]))
+    row = st.lists(CELLS, min_size=n, max_size=n)
+    rows = st.one_of(row, row, row, st.lists(CELLS, max_size=n + 1), ODD)  # ragged, or no row
+    return draw(st.one_of(st.lists(rows, min_size=n, max_size=n), st.just(draw(ODD))))
+
+
+@given(grids())
+@settings(max_examples=80, deadline=None)
+def test_grid_is_its_cells_or_refused_by_name(grid):
+    result = table_or_refusal(lambda: ConfusionMatrix.from_counts(grid), GRID_REFUSALS)
+    if isinstance(result, ConfusionMatrix):
+        assert hexes(result.counts.tolist()) == read(grid)
+        return
+    place = result.groupdict()
+    if place.get("row"):  # the named row or cell is there, and reads as named
+        item = grid[int(place["row"])]
+        if place.get("column"):
+            item = item[int(place["column"])]
+        if place.get("value"):
+            assert repr(item) == place["value"]
+    if result.string.endswith("unequal lengths"):
+        assert len({len(row) for row in grid}) > 1
+
+
+LABELS = st.sampled_from(["a", "b", "c", 1, "1"])
+KEYS = st.one_of(st.tuples(LABELS, LABELS), st.sampled_from(["ab", 5, ("a",), ("a", "b", "c")]))
+TALLIES = st.dictionaries(KEYS, CELLS, max_size=5)
+NO_MAPPINGS = st.one_of(
+    TALLIES.map(lambda tally: list(tally.items())),
+    TALLIES.map(set),
+    st.sampled_from([None, 5, "ab", b"ab", np.array(3)]),
+)
+
+
+@given(st.one_of(TALLIES, TALLIES, NO_MAPPINGS))
+@settings(max_examples=80, deadline=None)
+def test_tally_is_its_counts_or_refused_by_name(tally):
+    cm = table_or_refusal(lambda: ConfusionMatrix.from_pair_counts(tally), TALLY_REFUSALS)
+    if isinstance(cm, ConfusionMatrix):
+        assert cm.labels == tuple(sorted({str(label) for pair in tally for label in pair}))
+        where = {label: i for i, label in enumerate(cm.labels)}
+        expected = [[0.0] * cm.n for _ in cm.labels]
+        for (true, predicted), count in tally.items():
+            expected[where[str(true)]][where[str(predicted)]] = count
+        assert hexes(cm.counts.tolist()) == read(expected)
+
+
+@given(st.one_of(NUMBERS, st.floats(), ODD))
+@settings(max_examples=100, deadline=None)
+def test_alpha_smooths_or_is_refused_by_name(alpha):
+    cm = table_or_refusal(lambda: smooth(CM3, alpha), ALPHA_REFUSALS)
+    if isinstance(cm, ConfusionMatrix):
+        assert cm.labels == CM3.labels
+        assert hexes(cm.counts.tolist()) == read(CM3.counts + float(alpha))

@@ -9,6 +9,7 @@ from gofmetrics import confusion, means, multiclass
 
 MODULES = (means, confusion, multiclass)
 PACKAGE = Path(gofmetrics.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_statements():
@@ -157,3 +158,50 @@ def test_only_means_maps_the_scalar_kernel_over_values():
                     if isinstance(call, ast.Call) and name == "_power_mean":
                         found.append(f"{path.name}:{call.lineno}")
     assert not found, found
+
+
+def _imports(tree):
+    # (line, name) for each name an import binds, bar __future__ and star imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if alias.name != "*":  # `import a.b` binds a
+                    yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def _exported(tree):
+    # the strings a module's `__all__` lists, literally or beside other modules' lists
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and "__all__" in targets:
+            yield from (c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+
+
+def test_no_unused_imports():
+    # an imported name that nothing loads or exports is left over from a deleted use
+    paths = sorted(p for d in (PACKAGE, REPO / "tests", REPO / "tools") for p in d.rglob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        kept = loaded | set(_exported(tree))
+        found += [
+            f"{path.relative_to(REPO)}:{line}: {name}"
+            for line, name in _imports(tree)
+            if name not in kept
+        ]
+    assert not found, found
+
+
+def test_cli_holds_no_copy_of_the_number_rule():
+    # a JSON table's cells are checked by `from_counts` alone, and the CLI names
+    # a refused row or cell from the place `from_counts` gives
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    copied = set(_references(tree)) & {"_no_number", "_quiet", "_past_doubles"}
+    assert not copied, copied
