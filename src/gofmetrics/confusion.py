@@ -88,6 +88,32 @@ class ConfusionMatrix:
             r.setflags(write=False)
         return rates
 
+    def _per_class_means(self, p: float) -> np.ndarray:
+        # each class's mean of exponent p of its precision and recall (F1 at p = -1,
+        # Fowlkes-Mallows at p = 0), once per table and exponent, so read-only
+        cache = vars(self).setdefault("_per_class_cache", {})
+        means = cache.get(p)
+        if means is None:
+            means = cache[p] = _column_means(p, *self._diagonal_rates)
+            means.setflags(write=False)
+        return means
+
+    @cached_property
+    def _pair_rates(self) -> np.ndarray:
+        """The (2, 4, m) rates of the m class pairs i < j, class i positive.
+
+        With TP = C[i][i], FN = C[i][j], FP = C[j][i] and TN = C[j][j], rates[0]
+        is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity TN/(TN+FP)
+        and npv TN/(TN+FN), and rates[1] holds FP, FN, FP and FN over the same
+        sums: one division, 0 over a zero sum.  With class j positive the rates
+        are the same rows reversed, `rates[:, ::-1]`.  64 bytes a pair, once per
+        table for every one-vs-one and two-class score, so read-only.
+        """
+        numerators = self.counts.take(_pair_cells(self.n))
+        rates = _rates(numerators, numerators[0] + numerators[1])
+        rates.setflags(write=False)
+        return rates
+
     @classmethod
     def from_counts(
         cls,
@@ -140,9 +166,14 @@ class ConfusionMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             total = counts.sum()
         if not (counts.min() >= 0 and np.isfinite(total)):
-            bad = ~np.isfinite(counts)
-            if bad.any():
-                i, j = map(int, np.argwhere(bad)[0])
+            bad = np.argwhere(~np.isfinite(counts)).tolist()
+            if bad:
+                # a Decimal past the largest double reads as inf; it is named as an int is
+                past = [(i, j) for i, j in bad if _past_doubles(grid[i][j])]
+                if past:
+                    i, j = past[0]
+                    raise ValueError(f"cell at row {i}, column {j} is past the double range")
+                i, j = bad[0]
                 raise ValueError(f"non-finite cell at row {i}, column {j}")
             neg = counts < 0
             if neg.any():
@@ -234,10 +265,25 @@ class ConfusionMatrix:
             weights = list(map(_quiet, weights))
         try:
             counts = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
-        except OverflowError:
-            pair = next(pair for pair, c in pair_counts.items() if _past_doubles(c))
+            return cls.from_counts(counts, labels)
+        except (OverflowError, ValueError):
+            # the tally refuses an int or Fraction past the largest double, and the
+            # table the inf a Decimal there reads as; either is named by its pair
+            pair = next((pair for pair, c in zip(pair_counts, weights) if _past_doubles(c)), None)
+            if pair is None:
+                raise
             raise ValueError(f"count of {pair!r} is past the double range") from None
-        return cls.from_counts(counts, labels)
+
+
+@lru_cache(maxsize=32)
+def _pair_cells(n: int) -> np.ndarray:
+    # flat indices into an n x n table of the (2, 4, m) numerators of `_pair_rates`
+    # for the m class pairs i < j, in row-major pair order: TP, TP, TN, TN over FP,
+    # FN, FP, FN.  8 * 8 bytes a pair, so a cache entry at n = 1000 holds 32 MB;
+    # 32 entries keep every class count of a panel of tables of 2 to 20 classes
+    i, j = np.triu_indices(n, 1)
+    tp, fn, fp, tn = i * (n + 1), i * n + j, j * n + i, j * (n + 1)
+    return np.stack((tp, tp, tn, tn, fp, fn, fp, fn)).reshape(2, 4, -1)
 
 
 @lru_cache(maxsize=64)

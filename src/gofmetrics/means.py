@@ -121,12 +121,12 @@ def _quiet(number: object) -> object:
 
 
 def _past_doubles(number: object) -> bool:
-    # an int or Fraction that float() cannot read, being past the largest double
+    # a finite number past the largest double: float() refuses an int or Fraction
+    # there, and reads a Decimal there as an infinity it is not
     try:
-        float(number)
+        return math.isinf(float(number)) and number not in (math.inf, -math.inf)
     except OverflowError:
         return True
-    return False
 
 
 def _exponent(p: object) -> float:
@@ -159,11 +159,17 @@ def _validate(values: Sequence[float]) -> Sequence[float]:
             raise ValueError("NaN input")
         if v < 0:
             raise ValueError("negative input")
+    if floats:
+        return values
     try:
-        return values if floats else [float(v) for v in values]
+        converted = [float(v) for v in values]
     except OverflowError:  # an int or Fraction past the largest double
-        i = next(i for i, v in enumerate(values) if _past_doubles(v))
-        raise ValueError(f"value {i} is past the double range") from None
+        converted = [math.inf]
+    if math.inf in converted:  # an infinity, or a number past the largest double
+        i = next((i for i, v in enumerate(values) if _past_doubles(v)), None)
+        if i is not None:
+            raise ValueError(f"value {i} is past the double range")
+    return converted
 
 
 def power_mean(values: Sequence[float], p: float) -> float:

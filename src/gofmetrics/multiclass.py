@@ -11,23 +11,23 @@ The rest of the family: per-class F1 / Fowlkes-Mallows rolled up by a
 caller-chosen average, the chi-square association score `cramers_phi`,
 pairwise one-vs-one averages of any two-class score, and a power mean of
 the 2n diagonal rates.  Every two-class score is an array function of the
-rates of many 2x2 tables (`_pair_rates`, 0 over a zero sum): one-vs-one
-scores all class pairs in one pass (`_one_vs_one`), `two_class_score` one
-2x2 table.  `METRICS` names every score with the options it takes, and
-`evaluate_metric` scores a matrix by name.
+rates of many 2x2 tables (`ConfusionMatrix._pair_rates`, 0 over a zero
+sum, built once per table): one-vs-one scores all class pairs in one pass
+(`_one_vs_one`), `two_class_score` one 2x2 table.  `METRICS` names every
+score with the options it takes, and `evaluate_metric` scores a matrix by
+name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
 import numpy as np
 
-from .confusion import ConfusionMatrix, _integer, _rates
+from .confusion import ConfusionMatrix, _integer
 from .means import ARITHMETIC, AveragingSpec, _check_exponent, _column_means, _power_mean
 
 __all__ = [
@@ -148,8 +148,7 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
 def _per_class_average(cm: ConfusionMatrix, inner: float, outer: AveragingSpec) -> float:
     # the inner mean, of exponent `inner`, pairs each class's precision with its recall
     _check_outer(outer, False)
-    per_class = _column_means(inner, *cm._diagonal_rates)
-    return _power_mean(per_class.tolist(), outer.exponent)
+    return _power_mean(cm._per_class_means(inner).tolist(), outer.exponent)
 
 
 def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -214,36 +213,12 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     return _power_mean(np.concatenate(cm._diagonal_rates).tolist(), p)
 
 
-@lru_cache(maxsize=32)
-def _pair_cells(n: int) -> np.ndarray:
-    # flat indices into an n x n table of the (2, 4, m) numerators of `_pair_rates`
-    # for the m class pairs i < j, in row-major pair order: TP, TP, TN, TN over FP,
-    # FN, FP, FN.  8 * 8 bytes a pair, so a cache entry at n = 1000 holds 32 MB;
-    # 32 entries keep every class count of a panel of tables of 2 to 20 classes
-    i, j = np.triu_indices(n, 1)
-    tp, fn, fp, tn = i * (n + 1), i * n + j, j * n + i, j * (n + 1)
-    return np.stack((tp, tp, tn, tn, fp, fn, fp, fn)).reshape(2, 4, -1)
-
-
-def _pair_rates(cm: ConfusionMatrix) -> np.ndarray:
-    """The (2, 4, m) rates of the m class pairs i < j of `cm`, class i positive.
-
-    With TP = C[i][i], FN = C[i][j], FP = C[j][i] and TN = C[j][j], rates[0]
-    is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity TN/(TN+FP)
-    and npv TN/(TN+FN), and rates[1] holds FP, FN, FP and FN over the same
-    sums: one division, 0 over a zero sum.  With class j positive the rates
-    are the same rows reversed, `rates[:, ::-1]`.
-    """
-    numerators = cm.counts.take(_pair_cells(cm.n))
-    return _rates(numerators, numerators[0] + numerators[1])
-
-
 def _two_term(p: float, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
     # the array score that is the two-term mean of exponent p of rates[0, i] and rates[0, j]
     return lambda rates: _column_means(p, rates[0, i], rates[0, j])
 
 
-# the two-class scores as array functions of `_pair_rates`
+# the two-class scores as array functions of `ConfusionMatrix._pair_rates`
 _precision, _sensitivity, _specificity, _npv = (itemgetter((0, k)) for k in range(4))
 _f1 = _two_term(-1.0, 0, 1)  # of precision and sensitivity
 _f1_zero = _two_term(-1.0, 2, 3)  # of specificity and npv
@@ -265,8 +240,9 @@ class MetricInfo:
     """One row of `METRICS`: a metric's function and the options it takes.
 
     A one-vs-one row holds the two-class score as an array function of the
-    rates of many 2x2 tables (`_pair_rates`), which `one_vs_one_average`
-    applies to all class pairs at once and `two_class_score` to one table."""
+    rates of many 2x2 tables (`ConfusionMatrix._pair_rates`), which
+    `one_vs_one_average` applies to all class pairs at once and
+    `two_class_score` to one table."""
 
     func: Callable
     takes_outer: bool = False  # an outer average, arithmetic by default
@@ -307,11 +283,17 @@ def _one_vs_one(
     # `one_vs_one_average` for a METRICS row whose options `evaluate_metric`
     # has checked: the score of every pair, and of every pair with its other
     # class positive, then the outer mean over both and over the pairs
-    rates = _pair_rates(cm)
+    rates = cm._pair_rates
     options = () if p is None else (p,)
-    values = info.func(rates, *options)
-    if not info.swap_invariant:
-        values = _column_means(outer.exponent, values, info.func(rates[:, ::-1], *options))
+    if info.swap_invariant:
+        values = info.func(rates, *options)
+    else:
+        # both orientations in one call: the kernels are element-wise, and
+        # `_column_means` gives each column the scalar's bits whichever half
+        # opens its redo gate
+        m = rates.shape[2]
+        both = info.func(np.concatenate((rates, rates[:, ::-1]), axis=2), *options)
+        values = _column_means(outer.exponent, both[:m], both[m:])
     return _power_mean(values.tolist(), outer.exponent)
 
 
@@ -397,7 +379,7 @@ def two_class_score(
     if positive not in (0, 1):
         raise ValueError("positive_index must be 0 or 1")
     p = _read_p(metric, info.needs_p, p)
-    rates = _pair_rates(cm)
+    rates = cm._pair_rates
     if positive:
         rates = rates[:, ::-1]  # the other class's rates, as `_one_vs_one` takes them
     return info.func(rates, *(() if p is None else (p,))).item()

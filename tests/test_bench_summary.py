@@ -190,3 +190,77 @@ def test_main_prints_unresolved_on_the_metric_line(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.endswith("unresolved") for line in lines] == [True, False]
     assert lines[0].startswith("small_panel  matrices_per_s")
+
+
+def write_pairs(root, parent, change, **extra):
+    # one trace-0 small_panel run per seed and side, matrices_per_s as given
+    for side, values in (("parent", parent), ("change", change)):
+        folder = root / side / ".perfbench"
+        folder.mkdir(parents=True)
+        for seed, value in enumerate(values, start=1):
+            run = {**record(matrices_per_s=value, **extra), "environment": {}}
+            name = f"run-small_panel-seed{seed}-trace0.json"
+            (folder / name).write_text(json.dumps(run), encoding="utf-8")
+    return ["--parent", str(root / "parent"), "--parent-commit", "a",
+            "--change", str(root / "change"), "--change-commit", "b",
+            "--output", str(root / "BENCH.json")]
+
+
+PARENT_RATES = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+@pytest.mark.parametrize(
+    "change, wins, gap, met",
+    [
+        # parent quartiles 102.25 and 106.75: an IQR of 4.5 around the median 104.5
+        ([v + 10.0 for v in PARENT_RATES], 10, 10.0, True),
+        # 8 of 10 pairs won, by a gap past the IQR: too few wins
+        ([v + 10.0 for v in PARENT_RATES[:8]] + [100.0, 101.0], 8, 8.0, False),
+        # every pair won, by a gap inside the IQR
+        ([v + 1.0 for v in PARENT_RATES], 10, 1.0, False),
+    ],
+    ids=["met", "8 wins of 10", "gap inside the IQR"],
+)
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_iqr(
+    tmp_path, capsys, change, wins, gap, met
+):
+    argv = write_pairs(tmp_path, PARENT_RATES, change)
+    assert bench_summary.main(argv + ["--claim", "small_panel/matrices_per_s"]) == 0
+    claim = json.loads((tmp_path / "BENCH.json").read_text(encoding="utf-8"))["claim"]
+    assert claim == {
+        "workload": "small_panel",
+        "metric": "matrices_per_s",
+        "pairs": 10,
+        "wins": wins,
+        "parent_iqr": 4.5,
+        "median_gap": pytest.approx(gap),
+        "met": met,
+    }
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"claim small_panel/matrices_per_s: wins {wins}/10, median gap ")
+    assert last.endswith(" met") and ("not met" in last) is not met
+
+
+def test_claim_on_a_lower_is_better_metric_reads_the_gap_downward():
+    row = {"better": "lower", "wins": 10, "pairs": 10,
+           "parent": {"median": 2.0, "q1": 1.9, "q3": 2.1},
+           "change": {"median": 1.5, "q1": 1.4, "q3": 1.6}}
+    claim = bench_summary.judge_claim("small_panel", "matrix_ms_p50", row)
+    assert claim["median_gap"] == 0.5 and claim["met"]
+
+
+@pytest.mark.parametrize(
+    "claim, named",
+    [("wide_gmcc/matrices_per_s", "'wide_gmcc'"), ("small_panel/tables_per_s", "'tables_per_s'")],
+)
+def test_claim_on_an_unknown_workload_or_metric_exits_2_naming_it(tmp_path, capsys, claim, named):
+    argv = write_pairs(tmp_path, [1.0], [2.0])
+    assert bench_summary.main(argv + ["--claim", claim]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_without_a_claim_the_output_has_no_claim(tmp_path):
+    argv = write_pairs(tmp_path, PARENT_RATES, PARENT_RATES)
+    assert bench_summary.main(argv) == 0
+    assert "claim" not in json.loads((tmp_path / "BENCH.json").read_text(encoding="utf-8"))

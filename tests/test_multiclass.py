@@ -825,6 +825,136 @@ class TestDiagonalRateScores:
                 assert score(reused).hex() == score(cm_of(grid)).hex()
 
 
+def _cache_tables():
+    # the bit-identity sweep's kinds at n = 2..20: integer counts, permutation
+    # tables, cells drawn from 0, 5e-324, 1e-310, 2^-511 and 1e300, counts
+    # scaled by 10^300 and 10^-300, and smoothed ones
+    rng = np.random.default_rng(2028)
+    edges = np.array([0.0, 5e-324, 1e-310, 2.0**-511, 1e300])
+    kinds = (
+        lambda n: random_counts_with_empty_classes(rng, n),
+        lambda n: random_permutation_counts(rng, n),
+        lambda n: rng.choice(edges, (n, n)),
+        lambda n: random_counts(rng, n) * 1e298,
+        lambda n: random_counts(rng, n) * 1e-300,
+        lambda n: random_counts(rng, n, 5) + rng.uniform(0.01, 1.0),
+    )
+    for k in range(198):
+        n = 2 if k % 10 == 0 else int(rng.integers(3, 21 if k % 3 == 0 else 13))
+        grid = kinds[k % len(kinds)](n)
+        if grid.any():
+            yield grid
+    yield [[1e-320, 0], [0, 3]]
+    yield [[3, 1e-310], [1e-310, 1e-320]]
+
+
+CACHE_TABLES = list(_cache_tables())
+
+
+def _pair_rate_loop(cm):
+    # `ConfusionMatrix._pair_rates`, one pair at a time: [[prec, sens, spec, npv]
+    # per pair, [FP, FN, FP, FN over the same sums] per pair]
+    def rate(num, denom):
+        return 0.0 if denom == 0 else num / denom
+
+    views = oracles.pair_views(cm)
+    kept = [[rate(v.tp, v.tp + v.fp), rate(v.tp, v.tp + v.fn), rate(v.tn, v.tn + v.fp),
+             rate(v.tn, v.tn + v.fn)] for v in views]
+    lost = [[rate(v.fp, v.tp + v.fp), rate(v.fn, v.tp + v.fn), rate(v.fp, v.tn + v.fp),
+             rate(v.fn, v.tn + v.fn)] for v in views]
+    return [list(map(list, zip(*kept))), list(map(list, zip(*lost)))]
+
+
+def _cached_arrays(cm):
+    return {
+        "_pair_rates": lambda: cm._pair_rates,
+        "_per_class_means(-1)": lambda: cm._per_class_means(-1.0),
+        "_per_class_means(0)": lambda: cm._per_class_means(0.0),
+    }
+
+
+class TestTableCaches:
+    """The pair rates and the per-class means are built once per table; every
+    score read from them is the bits a fresh table gives."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_each_cache_is_read_only_and_built_once(self, n):
+        cm = cm_of(random_counts(np.random.default_rng(n), n))
+        for name, read in _cached_arrays(cm).items():
+            first = read()
+            assert read() is first, name
+            assert not first.flags.writeable, name
+            with pytest.raises(ValueError):
+                first[(0,) * first.ndim] = 0.5
+        # 8 doubles for each of the m = n(n-1)/2 class pairs, 4x the counts' bytes at large n
+        m = n * (n - 1) // 2
+        assert cm._pair_rates.shape == (2, 4, m)
+        assert cm._pair_rates.nbytes == 64 * m
+
+    def test_pair_rates_are_the_pair_loop(self):
+        for grid in CACHE_TABLES[:40]:
+            cm = cm_of(grid)
+            assert cm._pair_rates.tolist() == _pair_rate_loop(cm)
+
+    def test_derived_tables_compute_their_own_caches(self):
+        cm = cm_of(GRID3B)
+        for read in _cached_arrays(cm).values():
+            read()  # fills the source's caches
+        for derived in (smooth(cm, 0.5), transpose(cm), relabel(cm, [2, 0, 1])):
+            assert {"_pair_rates", "_per_class_cache"}.isdisjoint(vars(derived))
+            assert derived._pair_rates.tolist() == _pair_rate_loop(derived)
+            fresh = cm_of(derived.counts)
+            for name, read in _cached_arrays(derived).items():
+                assert read().tolist() == _cached_arrays(fresh)[name]().tolist(), name
+
+    def test_scores_on_a_reused_table_equal_those_on_a_fresh_one(self):
+        # every one-vs-one row, outer and p scored in sequence on one table,
+        # then the per-class means with a second outer and the two-class scores;
+        # one outer of each of `_column_means`' paths, as the scalar path costs
+        # a Python call per pair
+        unsigned = (ARITHMETIC, GEOMETRIC, HARMONIC, AveragingSpec.power(0.5))
+        requests = []
+        for name, info in METRICS.items():
+            if name.startswith("one_vs_one_"):
+                outers = SIGNED_OUTERS if info.signed else unsigned
+                exponents = (-math.inf, -1.0, 0.0, 0.5) if info.needs_p else (None,)
+                requests += [(name, outer, p) for outer in outers for p in exponents]
+        requests += [("generalized_f1", ARITHMETIC, None), ("generalized_f1", HARMONIC, None)]
+        requests += [("generalized_fm", GEOMETRIC, None), ("generalized_fm", ARITHMETIC, None)]
+        for grid in CACHE_TABLES:
+            reused = cm_of(grid)
+            for name, outer, p in requests:
+                value = evaluate_metric(reused, name, outer, p).value
+                assert value.hex() == evaluate_metric(cm_of(grid), name, outer, p).value.hex(), (
+                    grid, name, outer.name, p
+                )
+            if reused.n == 2:
+                for metric in BINARY_METRIC_NAMES:
+                    p = -1.0 if METRICS["one_vs_one_" + metric].needs_p else None
+                    for positive in (0, 1):
+                        value = two_class_score(reused, metric, positive, p)
+                        assert value.hex() == two_class_score(cm_of(grid), metric, positive, p).hex()
+
+    def test_one_pass_over_both_orientations_is_the_two_call_form(self):
+        # class 0's diagonal is subnormal: with class 0 positive a pair's rates
+        # are below 2^-511, and with the other class positive none is, so the
+        # redo gate that opens on the two orientations together would stay shut
+        # on the second alone
+        cm = cm_of([[1e-320, 1, 2], [3, 5, 1], [2, 1, 4]])
+        rates = cm._pair_rates
+        assert 0 < rates[0, :2, :2].min() < 2.0**-511 <= rates[0, 2:, :2].min()
+        for name, info in METRICS.items():
+            if not name.startswith("one_vs_one_") or info.swap_invariant:
+                continue
+            for outer in UNSIGNED_OUTERS + (MIN, MAX):
+                per_pair = means._column_means(
+                    outer.exponent, info.func(rates), info.func(rates[:, ::-1])
+                )
+                expected = means._power_mean(per_pair.tolist(), outer.exponent)
+                value = multiclass._one_vs_one(cm, info, outer, None)
+                assert value.hex() == expected.hex(), (name, outer.name)
+
+
 class TestLpMulticlass:
     def test_perfect_diagonal_any_p(self):
         cm = cm_of([[4, 0, 0], [0, 9, 0], [0, 0, 2]])

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gofmetrics.confusion import ConfusionMatrix, smooth
@@ -100,6 +100,30 @@ def test_exponent_past_the_double_range_reads_as_infinity():
         AveragingSpec.power(10**400)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda x: power_mean((x, 1.0), 1.0), "value 0 is past the double range"),
+        (
+            lambda x: ConfusionMatrix.from_counts([[1, 0], [0, x]]),
+            "cell at row 1, column 1 is past the double range",
+        ),
+        (
+            lambda x: ConfusionMatrix.from_pair_counts({("a", "a"): x, ("b", "b"): 1}),
+            "count of ('a', 'a') is past the double range",
+        ),
+    ],
+    ids=["power_mean", "from_counts", "from_pair_counts"],
+)
+def test_decimal_past_the_double_range_refused_as_an_int_is(build, message):
+    # float() reads Decimal("1e400") as inf, where it refuses 10**400; the
+    # finite number is past the doubles either way
+    for past in (Decimal("1e400"), 10**400):
+        with pytest.raises(ValueError) as info:
+            build(past)
+        assert str(info.value) == message, past
+
+
 def test_mean_value_past_the_double_range_refused():
     with pytest.raises(ValueError) as info:
         power_mean((1.0, 10**400), 1.0)
@@ -156,14 +180,15 @@ def test_negative_zero_cell_is_zero():
 
 # the edges past changes found: a signed zero, the least double and 1e300 build
 # tables; 1e308, whose sums overflow, a signalling NaN, the infinities, an int
-# past the double range, a negative count, byte buffers and 0-d arrays do not
+# or a Decimal past the double range, a negative count, byte buffers and 0-d
+# arrays do not
 NUMBERS = st.one_of(
     st.integers(0, 40),
     st.floats(0, 1e6),
     st.sampled_from([-0.0, 5e-324, 1e300, Fraction(1, 3), Decimal("2.5"), np.float32(0.5)]),
 )
 EDGES = [
-    1e308, Decimal("sNaN"), math.inf, -math.inf, 10**400, -1,
+    1e308, Decimal("sNaN"), math.inf, -math.inf, 10**400, Decimal("1e400"), -1,
     bytearray(b"1"), memoryview(b"1"), np.array(2.0), np.array(None),
 ]
 ODD = st.sampled_from(EDGES + NON_NUMBERS)
@@ -175,6 +200,7 @@ TABLE_REFUSALS = [
     r"non-finite cell at row (?P<row>\d+), column (?P<column>\d+)",
     r"negative cell at row (?P<row>\d+), column (?P<column>\d+): -\S+",
     r"sum of (row|column) \d+ overflows",
+    r"sum of all cells overflows",
     r"n < 2: need at least two classes, got [01]",
     r"all cells are zero",
 ]
@@ -198,6 +224,7 @@ ALPHA_REFUSALS = [
     r"alpha must be finite",
     r"alpha must be non-negative",
     r"sum of (row|column) \d+ overflows",
+    r"sum of all cells overflows",
 ]
 
 
@@ -229,6 +256,7 @@ def grids(draw):
 
 
 @given(grids())
+@example([[1e308, 0], [0, 1e308]])  # each row and column in range, their total not
 @settings(max_examples=80, deadline=None)
 def test_grid_is_its_cells_or_refused_by_name(grid):
     result = table_or_refusal(lambda: ConfusionMatrix.from_counts(grid), GRID_REFUSALS)
@@ -257,6 +285,7 @@ NO_MAPPINGS = st.one_of(
 
 
 @given(st.one_of(TALLIES, TALLIES, NO_MAPPINGS))
+@example({("a", "a"): 1e308, ("b", "b"): 1e308})  # each row and column in range, their total not
 @settings(max_examples=80, deadline=None)
 def test_tally_is_its_counts_or_refused_by_name(tally):
     cm = table_or_refusal(lambda: ConfusionMatrix.from_pair_counts(tally), TALLY_REFUSALS)
@@ -270,6 +299,7 @@ def test_tally_is_its_counts_or_refused_by_name(tally):
 
 
 @given(st.one_of(NUMBERS, st.floats(), ODD))
+@example(5e307)  # each smoothed row and column in range, their total not
 @settings(max_examples=100, deadline=None)
 def test_alpha_smooths_or_is_refused_by_name(alpha):
     cm = table_or_refusal(lambda: smooth(CM3, alpha), ALPHA_REFUSALS)

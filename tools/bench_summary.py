@@ -1,7 +1,8 @@
 """Summarize paired benchmark runs of a parent and a change into one JSON file.
 
     python3 tools/bench_summary.py --parent DIR --parent-commit SHA \\
-        --change DIR --change-commit SHA --output BENCH_<n>.json
+        --change DIR --change-commit SHA --output BENCH_<n>.json \
+        [--claim WORKLOAD/METRIC]
 
 Each DIR is the root of a checkout in which `perfbench/run.py` ran with
 `--trace 0`, once per seed; its `.perfbench/run-<workload>-seed<s>-trace0.json`
@@ -14,6 +15,13 @@ won (ties count for neither), and whether the metric is resolved: it is not
 where the parent's interquartile spread exceeds the metric's bound times the
 parent's median, unless every change run is better than every parent run.
 Such a metric reads `unresolved` on its printed line.
+
+With `--claim WORKLOAD/METRIC` the output also holds a top-level `claim`
+object for that metric, judged by the rule a claimed gain must meet: the
+change won at least nine tenths of at least ten pairs, ties counting for
+neither, and its median beats the parent's, in the metric's better
+direction, by more than the parent's interquartile range.  One line says
+whether it is met; a workload or metric with no row exits 2.
 """
 
 from __future__ import annotations
@@ -98,6 +106,25 @@ def summarize(parent: dict[int, dict], change: dict[int, dict], metrics: list[di
     return out
 
 
+def judge_claim(workload: str, metric: str, row: dict) -> dict:
+    """The claim that `metric` on `workload` improved, judged from its summary row."""
+    parent, change = row["parent"], row["change"]
+    gap = change["median"] - parent["median"]
+    if row["better"] == "lower":
+        gap = -gap
+    iqr = parent["q3"] - parent["q1"]
+    wins, pairs = row["wins"], row["pairs"]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "pairs": pairs,
+        "wins": wins,
+        "parent_iqr": iqr,
+        "median_gap": gap,  # positive where the change's median is better
+        "met": pairs >= 10 and 10 * wins >= 9 * pairs and gap > iqr,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -107,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--change-commit", required=True)
     parser.add_argument("--output", type=Path, required=True)
+    parser.add_argument("--claim", metavar="WORKLOAD/METRIC", help="judge a claimed gain")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     parent, change = read_runs(args.parent), read_runs(args.change)
@@ -121,6 +149,16 @@ def main(argv: list[str] | None = None) -> int:
         "environment": environment,
         "workloads": {w: summarize(parent[w], change[w], metrics) for w in workloads},
     }
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in summary["workloads"]:
+            print(f"error: no workload {workload!r} has runs on both sides", file=sys.stderr)
+            return 2
+        row = summary["workloads"][workload]["metrics"].get(metric)
+        if row is None:
+            print(f"error: no metric {metric!r} on workload {workload!r}", file=sys.stderr)
+            return 2
+        summary["claim"] = judge_claim(workload, metric, row)
     args.output.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for w in workloads:
         for name, row in summary["workloads"][w]["metrics"].items():
@@ -132,6 +170,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {ratio}  wins {row['wins']}/{row['pairs']}"
                 + ("" if row["resolved"] else "  unresolved")
             )
+    claim = summary.get("claim")
+    if claim is not None:
+        print(
+            f"claim {claim['workload']}/{claim['metric']}: wins {claim['wins']}/{claim['pairs']},"
+            f" median gap {claim['median_gap']:.4g} against parent IQR {claim['parent_iqr']:.4g}:"
+            + (" met" if claim["met"] else " not met")
+        )
     return 0
 
 
