@@ -828,7 +828,7 @@ class TestDiagonalRateScores:
 def _cache_tables():
     # the bit-identity sweep's kinds at n = 2..20: integer counts, permutation
     # tables, cells drawn from 0, 5e-324, 1e-310, 2^-511 and 1e300, counts
-    # scaled by 10^300 and 10^-300, and smoothed ones
+    # scaled by 1e298 and 1e-300, and smoothed ones
     rng = np.random.default_rng(2028)
     edges = np.array([0.0, 5e-324, 1e-310, 2.0**-511, 1e300])
     kinds = (
