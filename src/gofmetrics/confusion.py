@@ -88,15 +88,13 @@ class ConfusionMatrix:
             r.setflags(write=False)
         return rates
 
-    def _per_class_means(self, p: float) -> np.ndarray:
-        # each class's mean of exponent p of its precision and recall (F1 at p = -1,
-        # Fowlkes-Mallows at p = 0), once per table and exponent, so read-only
-        cache = vars(self).setdefault("_per_class_cache", {})
-        means = cache.get(p)
-        if means is None:
-            means = cache[p] = _column_means(p, *self._diagonal_rates)
-            means.setflags(write=False)
-        return means
+    @cached_property
+    def _per_class_f1(self) -> np.ndarray:
+        # each class's F1, the harmonic mean of its precision and recall, once per
+        # table for `generalized_f1` under every outer, so read-only
+        f1 = _column_means(-1.0, *self._diagonal_rates)
+        f1.setflags(write=False)
+        return f1
 
     @cached_property
     def _pair_rates(self) -> np.ndarray:

@@ -264,18 +264,14 @@ def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:
     each column then goes through `_power_mean`.
     """
     k, a = len(rows), rows[0]
-    if k == 2 and p == 1:
-        return (a + rows[1]) / 2
     if k > 1 and (p == 1 or p == -1 or (k == 2 and abs(p) < _TINY)):
         try:
             if p == 1:  # a sum of rates stays in range: nothing to redo
                 return _fsum_columns(rows) / k
             if p == -1:  # a zero rate gives k/inf = 0, as in the scalar
-                with np.errstate(divide="ignore", over="ignore"):  # 1/0, a subnormal's 1/v
-                    if k == 2:  # rounds as fsum of two values, and is inf past the doubles
-                        totals = np.add(1.0 / a, 1.0 / rows[1])
-                    else:
-                        totals = _fsum_columns([1.0 / row for row in rows])
+                # 1/0, a subnormal's 1/v, and two reciprocals whose sum is past the doubles
+                with np.errstate(divide="ignore", over="ignore"):
+                    totals = _fsum_columns([1.0 / row for row in rows])
         except OverflowError:  # a finite sum past the double range: the scalar's fallbacks
             pass
         else:
@@ -298,8 +294,11 @@ def _column_means(p: float, *rows: np.ndarray) -> np.ndarray:
 
 
 def _fsum_columns(terms: Sequence[np.ndarray]) -> np.ndarray:
-    # each column's `math.fsum` over equal-shaped arrays, mapped from C with no
-    # frame per column, zip gathering each column from the arrays' lists; raises
-    # fsum's OverflowError where a column's finite terms sum past the doubles
+    # each column's `math.fsum` over equal-shaped arrays: one ufunc add for two,
+    # which rounds as fsum of two values and reads inf past the doubles, else fsum
+    # mapped from C with no frame per column, which raises OverflowError where a
+    # column's finite terms sum past the doubles
+    if len(terms) == 2:
+        return np.add(*terms)
     columns = zip(*[term.ravel().tolist() for term in terms])
     return np.fromiter(map(math.fsum, columns), float, terms[0].size).reshape(terms[0].shape)

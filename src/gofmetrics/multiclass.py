@@ -145,19 +145,14 @@ def _check_outer(outer: AveragingSpec, signed: bool) -> None:
         )
 
 
-def _per_class_average(cm: ConfusionMatrix, inner: float, outer: AveragingSpec) -> float:
-    # the inner mean, of exponent `inner`, pairs each class's precision with its recall
-    _check_outer(outer, False)
-    return _power_mean(cm._per_class_means(inner).tolist(), outer.exponent)
-
-
 def generalized_f1(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
     """Outer average of per-class F1 values.
 
     Class i's F1 is the harmonic mean of its two diagonal rates, the share
     of predicted-i that is truly i and the share of true-i predicted as i.
     """
-    return _per_class_average(cm, -1.0, outer)
+    _check_outer(outer, False)
+    return _power_mean(cm._per_class_f1.tolist(), outer.exponent)
 
 
 def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> float:
@@ -168,7 +163,8 @@ def generalized_fm(cm: ConfusionMatrix, outer: AveragingSpec = ARITHMETIC) -> fl
     geometric normalized matrix.  Dominates generalized_f1 for a matching
     outer because G >= H entrywise.
     """
-    return _per_class_average(cm, 0.0, outer)
+    _check_outer(outer, False)
+    return _power_mean(_column_means(0.0, *cm._diagonal_rates).tolist(), outer.exponent)
 
 
 def cramers_phi(cm: ConfusionMatrix) -> float:
@@ -232,7 +228,7 @@ def _mcc(rates: np.ndarray) -> np.ndarray:
 
 
 def _lp_four_rate(rates: np.ndarray, p: float) -> np.ndarray:
-    return _column_means(p, *(rates[0, k] for k in (1, 2, 0, 3)))
+    return _column_means(p, *rates[0])
 
 
 @dataclass(frozen=True)

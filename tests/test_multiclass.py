@@ -868,13 +868,12 @@ def _pair_rate_loop(cm):
 def _cached_arrays(cm):
     return {
         "_pair_rates": lambda: cm._pair_rates,
-        "_per_class_means(-1)": lambda: cm._per_class_means(-1.0),
-        "_per_class_means(0)": lambda: cm._per_class_means(0.0),
+        "_per_class_f1": lambda: cm._per_class_f1,
     }
 
 
 class TestTableCaches:
-    """The pair rates and the per-class means are built once per table; every
+    """The pair rates and the per-class F1 are built once per table; every
     score read from them is the bits a fresh table gives."""
 
     @pytest.mark.parametrize("n", [2, 3, 12])
@@ -901,11 +900,21 @@ class TestTableCaches:
         for read in _cached_arrays(cm).values():
             read()  # fills the source's caches
         for derived in (smooth(cm, 0.5), transpose(cm), relabel(cm, [2, 0, 1])):
-            assert {"_pair_rates", "_per_class_cache"}.isdisjoint(vars(derived))
+            assert {"_pair_rates", "_per_class_f1"}.isdisjoint(vars(derived))
             assert derived._pair_rates.tolist() == _pair_rate_loop(derived)
             fresh = cm_of(derived.counts)
             for name, read in _cached_arrays(derived).items():
                 assert read().tolist() == _cached_arrays(fresh)[name]().tolist(), name
+
+    def test_fowlkes_mallows_keeps_no_array_of_its_own(self):
+        # a panel reads generalized_fm once per table, so it keeps only what
+        # the other per-class scores share
+        cm = cm_of(GRID3B)
+        before = set(vars(cm))
+        outers = (ARITHMETIC, GEOMETRIC)
+        values = [generalized_fm(cm, outer).hex() for outer in outers]
+        assert set(vars(cm)) - before == {"_diagonal_rates", "row_sums", "col_sums"}
+        assert values == [generalized_fm(cm_of(GRID3B), outer).hex() for outer in outers]
 
     def test_scores_on_a_reused_table_equal_those_on_a_fresh_one(self):
         # every one-vs-one row, outer and p scored in sequence on one table,
