@@ -83,12 +83,14 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
 
     1 means perfect prediction up to class order, -1 perfect up to an odd
     relabeling, 0 means some class is never predicted (or the rows are
-    otherwise linearly dependent).  At n = 2 this equals the classic
-    two-class Matthews correlation coefficient.
+    otherwise linearly dependent).  At n = 2 it is the classic two-class
+    Matthews correlation coefficient, `two_class_score(cm, "mcc")` bit for
+    bit but for the witness rule below.
 
     A class never present or never predicted (a zero row or column sum) gives
-    exactly 0.0 by that structural test.  Otherwise N = diag(r)^-1/2 C diag(c)^-1/2
-    for counts C with row sums r and column sums c, so
+    exactly 0.0 by that structural test.  Otherwise, at n >= 3,
+    N = diag(r)^-1/2 C diag(c)^-1/2 for counts C with row sums r and column
+    sums c, so
 
         log|det N| = log|det C| - (sum log r + sum log c) / 2
 
@@ -102,6 +104,11 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     rows, cols = cm.row_sums, cm.col_sums
     if not (rows.all() and cols.all()):
         return 0.0
+    if cm.n == 2:  # the two-class MCC from the four rates, with no LU and no rounding of logs
+        mcc = _mcc(cm._pair_rates).item()
+        if abs(mcc) == 1 and perfect_fit_permutation(cm) is None:
+            return math.copysign(_BELOW_ONE, mcc)
+        return mcc
     with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
         sign, logdet = np.linalg.slogdet(cm.counts.T)
     logs = np.log(np.concatenate((rows, cols)))

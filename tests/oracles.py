@@ -259,7 +259,8 @@ def mcc_exact(tp, fn, fp, tn):
     if denom == 0:
         return 0.0
     num = tp * tn - fp * fn
-    return math.copysign(math.sqrt(num * num / denom), num)
+    # the sign by comparison: a float of num itself overflows for cells near 1e300
+    return math.copysign(math.sqrt(num * num / denom), 1 if num >= 0 else -1)
 
 
 def expand_labels(counts):
