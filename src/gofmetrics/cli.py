@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .confusion import ConfusionMatrix, _CellError, smooth
+from .confusion import ConfusionMatrix, _CellError, _CellValueError, smooth
 from .means import AveragingSpec
 from .multiclass import MetricScore, evaluate_metric
 
@@ -136,8 +136,9 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
         0,1                   1,0                   a,1,0
                               0,1                   b,0,1
 
-    A header row with a blank corner over rows one cell wider than the
-    grid marks a label column even when the labels read as numbers.
+    Rows one cell wider than the header's labels lead with their own
+    labels, even labels that read as numbers; a refused cell is named by
+    its line and its column in the grid, the label column not counted.
     """
     def numbered(fh) -> list[tuple[int, list[str]]]:
         # the reader's line_num, the line a row ends on, counts the lines of
@@ -167,9 +168,7 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
             raise InputError(f"{path}: header but no data rows")
 
     width = len(data_rows[0][1])
-    has_label_col = has_header and (
-        not _is_number(data_rows[0][1][0]) or (first[0] == "" and width == len(first))
-    )
+    has_label_col = has_header and width == len(labels) + 1
     grid: list[list[float]] = []
     row_labels: list[str] = []
     for lineno, cells in data_rows:
@@ -192,6 +191,10 @@ def parse_matrix_csv(path: str) -> ConfusionMatrix:
         )
     try:
         return ConfusionMatrix.from_counts(np.array(grid), labels)  # a float array: no cell scan
+    except _CellValueError as exc:  # named by line and column, as a non-numeric cell is
+        i, j = exc.place
+        where = f"line {data_rows[i][0]}, column {j + 1}"
+        raise InputError(f"{path}: {exc.form.format(where)}") from None
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
 

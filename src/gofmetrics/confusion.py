@@ -40,11 +40,20 @@ _NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping)
 
 
 class _CellError(ValueError):
-    # a grid's refused row or cell, with its place, (row,) or (row, column), and
-    # value, for a front end to name in its own notation
+    # a grid's row or cell that is no list of numbers or no number, with its place,
+    # (row,) or (row, column), and value, for a front end to name in its own notation
     def __init__(self, message: str, place: tuple[int, ...], value: object) -> None:
         super().__init__(message)
         self.place, self.value = place, value
+
+
+class _CellValueError(ValueError):
+    # a grid's cell that is a number refused for its value: `form` is the message
+    # with "{}" for the place, which reads "row i, column j" here and is named in
+    # a front end's own notation from `place`, (i, j)
+    def __init__(self, form: str, i: int, j: int) -> None:
+        super().__init__(form.format(f"row {i}, column {j}"))
+        self.form, self.place = form, (i, j)
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ class ConfusionMatrix:
             i, j = next(
                 (i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if _past_doubles(c)
             )
-            raise ValueError(f"cell at row {i}, column {j} is past the double range") from None
+            raise _CellValueError("cell at {} is past the double range", i, j) from None
         except (ValueError, TypeError):
             # every cell is a number by now, so the rows are ragged
             raise ValueError("non-square grid: rows have unequal lengths") from None
@@ -169,16 +178,12 @@ class ConfusionMatrix:
                 # a Decimal past the largest double reads as inf; it is named as an int is
                 past = [(i, j) for i, j in bad if _past_doubles(grid[i][j])]
                 if past:
-                    i, j = past[0]
-                    raise ValueError(f"cell at row {i}, column {j} is past the double range")
-                i, j = bad[0]
-                raise ValueError(f"non-finite cell at row {i}, column {j}")
+                    raise _CellValueError("cell at {} is past the double range", *past[0])
+                raise _CellValueError("non-finite cell at {}", *bad[0])
             neg = counts < 0
             if neg.any():
                 i, j = map(int, np.argwhere(neg)[0])
-                raise ValueError(
-                    f"negative cell at row {i}, column {j}: {counts[i, j]}"
-                )
+                raise _CellValueError(f"negative cell at {{}}: {counts[i, j]}", i, j)
             raise ValueError(_overflow_message(counts))
         if total == 0:
             raise ValueError("all cells are zero")

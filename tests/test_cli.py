@@ -744,6 +744,18 @@ class TestMainExitCodes:
         assert code == EXIT_INPUT
         assert "ragged row at line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",a,b\n\na,1,-2\nb,3,4\n", "negative cell at line 3, column 2: -2.0"),
+            ("x,y\n1,nan\n2,3\n", "non-finite cell at line 2, column 2"),
+        ],
+    )
+    def test_matrix_csv_value_refusal_names_line_and_column(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "m.csv", text)
+        assert main(["--input", path, "--metric", "generalized_mcc"]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["--input", str(tmp_path / "nope.csv"), "--metric", "generalized_mcc"]

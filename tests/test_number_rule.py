@@ -1,18 +1,24 @@
 """The one number rule, `means._no_number`, at every entry that takes a caller's number.
 
-Three bounded properties hold the library's table doors to the contract that
-`test_cli.py::TestJsonInputProperty` holds the JSON door to: an input either
-builds a table whose counts are the float of its cells, -0.0 read as 0.0, or is
-refused by a `ValueError` whose message matches one of a fixed list of forms,
-each naming a cell, a pair, an argument or a condition of the whole table.
+Three bounded properties hold the library's table doors, and a fourth the
+matrix CSV door, to the contract that `test_cli.py::TestJsonInputProperty`
+holds the JSON door to: an input either builds a table whose counts are the
+float of its cells, -0.0 read as 0.0, or is refused by a `ValueError` (an
+`InputError` from the CLI's reader) whose message matches one of a fixed list
+of forms, each naming a cell, a line, a pair, an argument or a condition of
+the whole table.
 
 - `test_grid_is_its_cells_or_refused_by_name`: `ConfusionMatrix.from_counts`'
   grids;
 - `test_tally_is_its_counts_or_refused_by_name`: `ConfusionMatrix.from_pair_counts`'
   tallies, arguments that are no mapping included;
-- `test_alpha_smooths_or_is_refused_by_name`: `smooth`'s alpha.
+- `test_alpha_smooths_or_is_refused_by_name`: `smooth`'s alpha;
+- `test_matrix_csv_is_its_numbers_or_refused_by_line`: `cli.parse_matrix_csv`'s
+  text, with or without a header row and a label column, with blank lines and
+  padding.
 """
 
+import contextlib
 import math
 import re
 from decimal import Decimal
@@ -23,6 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gofmetrics.cli import InputError, parse_matrix_csv
 from gofmetrics.confusion import ConfusionMatrix, smooth
 from gofmetrics.means import AveragingSpec, power_mean
 from gofmetrics.multiclass import METRICS, evaluate_metric, lp_multiclass, two_class_score
@@ -249,7 +256,7 @@ def read(rows):
 
 @st.composite
 def grids(draw):
-    n = draw(st.sampled_from([2, 3, 1]))
+    n = draw(st.sampled_from([2, 3, 2, 3, 1]))
     row = st.lists(CELLS, min_size=n, max_size=n)
     rows = st.one_of(row, row, row, st.lists(CELLS, max_size=n + 1), ODD)  # ragged, or no row
     return draw(st.one_of(st.lists(rows, min_size=n, max_size=n), st.just(draw(ODD))))
@@ -306,3 +313,113 @@ def test_alpha_smooths_or_is_refused_by_name(alpha):
     if isinstance(cm, ConfusionMatrix):
         assert cm.labels == CM3.labels
         assert hexes(cm.counts.tolist()) == read(CM3.counts + float(alpha))
+
+
+# what a matrix CSV refusal says after "<path>: ": a cell by its line and data
+# column (1-based, the label column not counted), or a condition of the layout
+# or of the whole table; a sum that overflows keeps its grid index
+MATRIX_CSV_REFUSALS = [
+    r"empty file",
+    r"header but no data rows",
+    r"non-numeric cell at line (?P<line>\d+), column (?P<column>\d+)",
+    r"non-finite cell at line (?P<line>\d+), column (?P<column>\d+)",
+    r"negative cell at line (?P<line>\d+), column (?P<column>\d+): (?P<value>-\S+)",
+    r"row labels \[.*\] do not match header \[.*\]",
+    r"label count \d+ does not match grid side \d+",
+    r"duplicate labels",
+    r"non-square grid: shape \(\d+, \d+\)",
+    r"n < 2: need at least two classes, got [01]",
+    r"sum of (row|column) \d+ overflows",
+    r"sum of all cells overflows",
+    r"all cells are zero",
+]
+# a cell as a file spells it: numbers, the edges past changes found, and the
+# number rule's non-numbers (an object's text holds its address, so it is left out)
+NUMBER_TEXTS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 40).map(str),
+    st.floats(0, 1e6).map(repr),
+    st.sampled_from(["-1", "-0.0", "nan", "inf", "1e400", "5e-324", "1e300"]),
+)
+CELL_TEXTS = st.one_of(
+    NUMBER_TEXTS,
+    NUMBER_TEXTS,
+    NUMBER_TEXTS,
+    NUMBER_TEXTS,
+    st.sampled_from([""] + [str(v) for v in NON_NUMBERS if type(v) is not object]),
+)
+
+
+def is_number(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+@st.composite
+def matrix_csv_texts(draw):
+    # the lines of a file and the data cells by (line, column); a header-less
+    # file draws its first row from numbers, since a first row holding a
+    # non-number is a header by the reader's rule
+    n = draw(st.sampled_from([2, 3, 2, 3, 1]))
+    header = draw(st.booleans())
+    label_column = header and draw(st.booleans())
+    distinct = st.permutations("abc")
+    labels = draw(st.one_of(distinct, distinct, st.lists(st.sampled_from("ab"), min_size=3)))
+    labels = labels[:n]
+    pad = st.sampled_from(["", " ", "  "])
+    blank = st.lists(st.sampled_from(["", " ", ","]), max_size=1)
+    lines = draw(blank)
+    if header:
+        lines.append(",".join(([""] if label_column else []) + labels))
+    cells_at, grid = {}, []
+    for i in range(n):
+        lines += draw(blank)
+        row = draw(st.lists(NUMBER_TEXTS if i == 0 and not header else CELL_TEXTS,
+                            min_size=n, max_size=n))
+        grid.append(row)
+        cells_at.update({(len(lines) + 1, j): cell for j, cell in enumerate(row, start=1)})
+        padded = [draw(pad) + cell + draw(pad) for cell in row]
+        lines.append(",".join(([labels[i]] if label_column else []) + padded))
+    lines += draw(blank)
+    return "\n".join(lines) + "\n", grid, labels if header else None, cells_at
+
+
+@given(matrix_csv_texts())
+@example((",a,b\n\na,1,-2\nb,3,4\n", [["1", "-2"], ["3", "4"]], ["a", "b"],
+          {(3, 1): "1", (3, 2): "-2", (4, 1): "3", (4, 2): "4"}))
+@settings(max_examples=100, deadline=None)
+def test_matrix_csv_is_its_numbers_or_refused_by_line(tmp_path_factory, drawn):
+    text, grid, labels, cells_at = drawn
+    path = str(tmp_path_factory.mktemp("csv") / "m.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    # the table of the drawn numbers, or None where from_counts refuses them
+    expected = None
+    if all(is_number(cell) for row in grid for cell in row):
+        with contextlib.suppress(ValueError):
+            expected = ConfusionMatrix.from_counts([list(map(float, row)) for row in grid], labels)
+    try:
+        cm = parse_matrix_csv(path)
+    except InputError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path}: "), message
+        reason = message[len(path) + 2:]
+        match = next(filter(None, (re.fullmatch(f, reason) for f in MATRIX_CSV_REFUSALS)), None)
+        assert match, message
+        assert expected is None, message
+        place = match.groupdict()
+        if place.get("line"):  # the named line and column hold the named cell
+            cell = cells_at[int(place["line"]), int(place["column"])]
+            if reason.startswith("non-numeric"):
+                assert not is_number(cell), message
+            elif reason.startswith("non-finite"):
+                assert not math.isfinite(float(cell)), message
+            else:
+                assert float(cell) == float(place["value"]) < 0, message
+        return
+    assert expected is not None, text
+    assert cm.labels == expected.labels
+    assert hexes(cm.counts.tolist()) == hexes(expected.counts.tolist())
