@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .confusion import ConfusionMatrix, _integer
-from .means import ARITHMETIC, AveragingSpec, _check_exponent, _column_means, _power_mean
+from .means import ARITHMETIC, AveragingSpec, _TINY, _check_exponent, _column_means, _power_mean
 
 __all__ = [
     "MetricScore",
@@ -85,7 +85,11 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     relabeling, 0 means some class is never predicted (or the rows are
     otherwise linearly dependent).  At n = 2 it is the classic two-class
     Matthews correlation coefficient, `two_class_score(cm, "mcc")` bit for
-    bit but for the witness rule below.
+    bit, but for the witness rule below and for a table where a rate
+    underflows to 0 (a positive cell under about 2^-1075 of its row or column
+    sum).  There each term of the MCC is the product of four roots of rates,
+    each a quotient of roots of a cell and a sum, so a term underflows only
+    where it is below the double range itself.
 
     A class never present or never predicted (a zero row or column sum) gives
     exactly 0.0 by that structural test.  Otherwise, at n >= 3,
@@ -104,8 +108,16 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     rows, cols = cm.row_sums, cm.col_sums
     if not (rows.all() and cols.all()):
         return 0.0
-    if cm.n == 2:  # the two-class MCC from the four rates, with no LU and no rounding of logs
-        mcc = _mcc(cm._pair_rates).item()
+    if cm.n == 2:  # the two-class MCC, with no LU and no rounding of logs
+        # each cell is the numerator of two rates, so fewer nonzero rates than
+        # twice the nonzero cells means a rate underflowed to 0
+        if np.count_nonzero(cm._pair_rates) == 2 * np.count_nonzero(cm.counts):
+            mcc = _mcc(cm._pair_rates).item()
+        else:  # the root of each rate as a quotient of roots, which does not underflow
+            (tp, fn), (fp, tn) = np.sqrt(cm.counts).tolist()
+            r0, r1, c0, c1 = np.sqrt(np.concatenate((rows, cols))).tolist()
+            positive = (tp / r0) * (tp / c0) * (tn / r1) * (tn / c1)
+            mcc = positive - (fn / r0) * (fp / c0) * (fp / r1) * (fn / c1)
         if abs(mcc) == 1 and perfect_fit_permutation(cm) is None:
             return math.copysign(_BELOW_ONE, mcc)
         return mcc
@@ -230,7 +242,16 @@ _fowlkes_mallows = _two_term(0.0, 0, 1)
 
 def _mcc(rates: np.ndarray) -> np.ndarray:
     halves = rates[:, :2] * rates[:, :1:-1]  # PPV NPV, TPR TNR and FDR FOR, FNR FPR
-    roots = np.sqrt(halves[:, 0] * halves[:, 1])
+    products = halves[:, 0] * halves[:, 1]
+    roots = np.sqrt(products)
+    # four positive rates whose product falls below the normal range have lost
+    # bits of it, or all of them: there each rate's root is taken first, as
+    # `means._power_mean` does for a geometric mean
+    if products.min() < _TINY:
+        low = (products < _TINY) & rates.all(axis=1)
+        if low.any():
+            halves = np.sqrt(rates[:, :2]) * np.sqrt(rates[:, :1:-1])
+            roots = np.where(low, halves[:, 0] * halves[:, 1], roots)
     return roots[0] - roots[1]
 
 

@@ -21,6 +21,7 @@ for the whole-array one that scores every pair at once and for
 import csv
 import io
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -161,11 +162,20 @@ def _rate(num, denom):
 
 
 def _mcc_scalar(v):
-    # sqrt((PPV NPV)(TPR TNR)) - sqrt((FDR FOR)(FNR FPR)), one view at a time
+    # sqrt((PPV NPV)(TPR TNR)) - sqrt((FDR FOR)(FNR FPR)), one view at a time;
+    # four positive rates whose product is below 2^-1022 give the product of
+    # their roots instead, (sqrt PPV sqrt NPV)(sqrt TPR sqrt TNR)
     tp, fn, fp, tn = v.tp, v.fn, v.fp, v.tn
-    agree = (_rate(tp, tp + fp) * _rate(tn, tn + fn)) * (_rate(tp, tp + fn) * _rate(tn, tn + fp))
-    disagree = (_rate(fp, tp + fp) * _rate(fn, tn + fn)) * (_rate(fn, tp + fn) * _rate(fp, tn + fp))
-    return math.sqrt(agree) - math.sqrt(disagree)
+    agree = (_rate(tp, tp + fp), _rate(tn, tn + fn), _rate(tp, tp + fn), _rate(tn, tn + fp))
+    disagree = (_rate(fp, tp + fp), _rate(fn, tn + fn), _rate(fn, tp + fn), _rate(fp, tn + fp))
+    roots = []
+    for a, b, c, d in (agree, disagree):
+        product = (a * b) * (c * d)
+        if product < sys.float_info.min and all((a, b, c, d)):
+            roots.append((math.sqrt(a) * math.sqrt(b)) * (math.sqrt(c) * math.sqrt(d)))
+        else:
+            roots.append(math.sqrt(product))
+    return roots[0] - roots[1]
 
 
 def _precision(v):
@@ -251,16 +261,22 @@ def mcc_closed_form(tp, fn, fp, tn):
 def mcc_exact(tp, fn, fp, tn):
     """Binary MCC from the four cells in exact rational arithmetic.
 
-    Only the conversion of score^2 to a float and its square root round, so
-    cells of any size, subnormal ones included, give the score to an ulp or two.
+    Only the conversion of score^2 (scaled by a power of 4) to a float, its
+    square root and the scaling back round, so cells of any size, subnormal
+    ones included, give the score to an ulp or two.
     """
     tp, fn, fp, tn = (Fraction(x) for x in (tp, fn, fp, tn))
     denom = (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
     if denom == 0:
         return 0.0
     num = tp * tn - fp * fn
-    # the sign by comparison: a float of num itself overflows for cells near 1e300
-    return math.copysign(math.sqrt(num * num / denom), 1 if num >= 0 else -1)
+    square = num * num / denom
+    # scaled by 4^k into the normal range before the root, so a score below
+    # 1e-154 keeps its bits; the sign by comparison, since a float of num itself
+    # overflows for cells near 1e300
+    k = max(0, (square.denominator.bit_length() - square.numerator.bit_length()) // 2)
+    root = math.ldexp(math.sqrt(float(square * 4**k)), -k)
+    return math.copysign(root, 1 if num >= 0 else -1)
 
 
 def expand_labels(counts):
