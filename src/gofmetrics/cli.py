@@ -377,12 +377,16 @@ def _sig12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _total(total: float) -> int | float:
+    # an int only below 2^53, where every integer is a double; else as a score is
+    return int(total) if total < 2**53 and total == int(total) else _sig12(total)
+
+
 def render_json(config: RunConfig, cm: ConfusionMatrix, scores: list[MetricScore]) -> str:
-    total = cm.total
     report = {
         "input": config.input_path,
         "n_classes": cm.n,
-        "total": int(total) if total == int(total) else _sig12(total),
+        "total": _total(cm.total),
         "scores": [
             {
                 "metric": s.metric_id,
@@ -396,8 +400,8 @@ def render_json(config: RunConfig, cm: ConfusionMatrix, scores: list[MetricScore
 
 
 def render_text(config: RunConfig, cm: ConfusionMatrix, scores: list[MetricScore]) -> str:
-    total = cm.total
-    total_str = str(int(total)) if total == int(total) else f"{total:.12g}"
+    total = _total(cm.total)
+    total_str = str(total) if isinstance(total, int) else f"{total:.12g}"
     lines = [
         f"input: {config.input_path}",
         f"classes: {cm.n} ({', '.join(cm.labels)})  total: {total_str}",

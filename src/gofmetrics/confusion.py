@@ -107,19 +107,23 @@ class ConfusionMatrix:
 
     @cached_property
     def _pair_rates(self) -> np.ndarray:
-        """The (2, 4, m) rates of the m class pairs i < j, class i positive.
+        """The (4, 4, m) rates and counts of the m class pairs i < j, class i positive.
 
-        With TP = C[i][i], FN = C[i][j], FP = C[j][i] and TN = C[j][j], rates[0]
+        With TP = C[i][i], FN = C[i][j], FP = C[j][i] and TN = C[j][j], plane 0
         is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity TN/(TN+FP)
-        and npv TN/(TN+FN), and rates[1] holds FP, FN, FP and FN over the same
-        sums: one division, 0 over a zero sum.  With class j positive the rates
-        are the same rows reversed, `rates[:, ::-1]`.  64 bytes a pair, once per
-        table for every one-vs-one and two-class score, so read-only.
+        and npv TN/(TN+FN), plane 1 holds FP, FN, FP and FN over the same sums
+        (0 over a zero sum), and planes 2 and 3 are those numerators.  With class
+        j positive every plane is the same rows reversed, `rates[:, ::-1]`.  128
+        bytes a pair (64 MB at n = 1000), once per table for every one-vs-one and
+        two-class score, so read-only, and dropped with the table.
         """
-        numerators = self.counts.take(_pair_cells(self.n))
-        rates = _rates(numerators, numerators[0] + numerators[1])
-        rates.setflags(write=False)
-        return rates
+        table = np.zeros((4, 4, self.n * (self.n - 1) // 2))
+        # the indices are in range, and "clip" lets take write to the table unbuffered
+        numerators = self.counts.take(_pair_cells(self.n), out=table[2:], mode="clip")
+        sums = numerators[0] + numerators[1]
+        np.divide(numerators, sums, out=table[:2], where=sums > 0)
+        table.setflags(write=False)
+        return table
 
     @classmethod
     def from_counts(
@@ -280,9 +284,9 @@ class ConfusionMatrix:
 
 @lru_cache(maxsize=32)
 def _pair_cells(n: int) -> np.ndarray:
-    # flat indices into an n x n table of the (2, 4, m) numerators of `_pair_rates`
-    # for the m class pairs i < j, in row-major pair order: TP, TP, TN, TN over FP,
-    # FN, FP, FN.  8 * 8 bytes a pair, so a cache entry at n = 1000 holds 32 MB;
+    # flat indices into an n x n table of the numerators, planes 2 and 3 of
+    # `_pair_rates`, of the m class pairs i < j in row-major order: TP, TP, TN, TN
+    # over FP, FN, FP, FN.  8 * 8 bytes a pair, so a cache entry at n = 1000 holds 32 MB;
     # 32 entries keep every class count of a panel of tables of 2 to 20 classes
     i, j = np.triu_indices(n, 1)
     tp, fn, fp, tn = i * (n + 1), i * n + j, j * n + i, j * (n + 1)

@@ -85,11 +85,7 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     relabeling, 0 means some class is never predicted (or the rows are
     otherwise linearly dependent).  At n = 2 it is the classic two-class
     Matthews correlation coefficient, `two_class_score(cm, "mcc")` bit for
-    bit, but for the witness rule below and for a table where a rate
-    underflows to 0 (a positive cell under about 2^-1075 of its row or column
-    sum).  There each term of the MCC is the product of four roots of rates,
-    each a quotient of roots of a cell and a sum, so a term underflows only
-    where it is below the double range itself.
+    bit but for the witness rule below.
 
     A class never present or never predicted (a zero row or column sum) gives
     exactly 0.0 by that structural test.  Otherwise, at n >= 3,
@@ -109,15 +105,7 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     if not (rows.all() and cols.all()):
         return 0.0
     if cm.n == 2:  # the two-class MCC, with no LU and no rounding of logs
-        # each cell is the numerator of two rates, so fewer nonzero rates than
-        # twice the nonzero cells means a rate underflowed to 0
-        if np.count_nonzero(cm._pair_rates) == 2 * np.count_nonzero(cm.counts):
-            mcc = _mcc(cm._pair_rates).item()
-        else:  # the root of each rate as a quotient of roots, which does not underflow
-            (tp, fn), (fp, tn) = np.sqrt(cm.counts).tolist()
-            r0, r1, c0, c1 = np.sqrt(np.concatenate((rows, cols))).tolist()
-            positive = (tp / r0) * (tp / c0) * (tn / r1) * (tn / c1)
-            mcc = positive - (fn / r0) * (fp / c0) * (fp / r1) * (fn / c1)
+        mcc = _mcc(cm._pair_rates).item()
         if abs(mcc) == 1 and perfect_fit_permutation(cm) is None:
             return math.copysign(_BELOW_ONE, mcc)
         return mcc
@@ -241,17 +229,19 @@ _fowlkes_mallows = _two_term(0.0, 0, 1)
 
 
 def _mcc(rates: np.ndarray) -> np.ndarray:
-    halves = rates[:, :2] * rates[:, :1:-1]  # PPV NPV, TPR TNR and FDR FOR, FNR FPR
+    halves = rates[:2, :2] * rates[:2, :1:-1]  # PPV NPV, TPR TNR and FDR FOR, FNR FPR
     products = halves[:, 0] * halves[:, 1]
     roots = np.sqrt(products)
-    # four positive rates whose product falls below the normal range have lost
-    # bits of it, or all of them: there each rate's root is taken first, as
-    # `means._power_mean` does for a geometric mean
+    # four positive counts whose rates' product falls below the normal range have
+    # lost bits of it, or all of them where a rate underflowed to 0: there each
+    # rate's root is the quotient of the roots of its count and its sum
     if products.min() < _TINY:
-        low = (products < _TINY) & rates.all(axis=1)
+        low = (products < _TINY) & rates[2:].all(axis=1)
         if low.any():
-            halves = np.sqrt(rates[:, :2]) * np.sqrt(rates[:, :1:-1])
-            roots = np.where(low, halves[:, 0] * halves[:, 1], roots)
+            term, pair = low.nonzero()
+            sums = rates[2, :, pair] + rates[3, :, pair]
+            cells = np.sqrt(rates[2 + term, :, pair]) / np.sqrt(sums)
+            roots[term, pair] = (cells[:, 0] * cells[:, 3]) * (cells[:, 1] * cells[:, 2])
     return roots[0] - roots[1]
 
 
@@ -264,9 +254,9 @@ class MetricInfo:
     """One row of `METRICS`: a metric's function and the options it takes.
 
     A one-vs-one row holds the two-class score as an array function of the
-    rates of many 2x2 tables (`ConfusionMatrix._pair_rates`), which
-    `one_vs_one_average` applies to all class pairs at once and
-    `two_class_score` to one table."""
+    rates of many 2x2 tables (`ConfusionMatrix._pair_rates`, whose counts
+    only mcc reads), which `one_vs_one_average` applies to all class pairs
+    at once and `two_class_score` to one table."""
 
     func: Callable
     takes_outer: bool = False  # an outer average, arithmetic by default
@@ -390,9 +380,10 @@ def two_class_score(
     - lp_four_rate, the power mean of exponent p <= 1 of sensitivity,
       specificity, precision and npv;
     - mcc, (TP*TN - FP*FN) / sqrt((TP+FP)(TP+FN)(TN+FN)(TN+FP)), 0 when a
-      marginal is 0, taken from rates alone as
-      sqrt((PPV NPV)(TPR TNR)) - sqrt((FDR FOR)(FNR FPR)): bounded by
-      construction, and the same bits with either class positive.
+      marginal is 0, taken from rates as sqrt((PPV NPV)(TPR TNR)) -
+      sqrt((FDR FOR)(FNR FPR)), or from the counts where a term's rates lose
+      bits (`_mcc`): bounded by construction, the same bits with either
+      class positive, and `generalized_mcc`'s at n = 2.
 
     positive_index follows `relabel`'s index rule: a bool or float is no index.
     """

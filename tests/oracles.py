@@ -163,16 +163,18 @@ def _rate(num, denom):
 
 def _mcc_scalar(v):
     # sqrt((PPV NPV)(TPR TNR)) - sqrt((FDR FOR)(FNR FPR)), one view at a time;
-    # four positive rates whose product is below 2^-1022 give the product of
-    # their roots instead, (sqrt PPV sqrt NPV)(sqrt TPR sqrt TNR)
+    # four positive counts whose rates' product is below 2^-1022 give the product
+    # of their rates' roots instead, each the root of the count over that of its
+    # sum: (sqrt PPV sqrt NPV)(sqrt TPR sqrt TNR)
     tp, fn, fp, tn = v.tp, v.fn, v.fp, v.tn
-    agree = (_rate(tp, tp + fp), _rate(tn, tn + fn), _rate(tp, tp + fn), _rate(tn, tn + fp))
-    disagree = (_rate(fp, tp + fp), _rate(fn, tn + fn), _rate(fn, tp + fn), _rate(fp, tn + fp))
+    sums = (tp + fp, tn + fn, tp + fn, tn + fp)
     roots = []
-    for a, b, c, d in (agree, disagree):
+    for counts in ((tp, tn, tp, tn), (fp, fn, fn, fp)):
+        a, b, c, d = map(_rate, counts, sums)
         product = (a * b) * (c * d)
-        if product < sys.float_info.min and all((a, b, c, d)):
-            roots.append((math.sqrt(a) * math.sqrt(b)) * (math.sqrt(c) * math.sqrt(d)))
+        if product < sys.float_info.min and all(counts):
+            a, b, c, d = (math.sqrt(x) / math.sqrt(s) for x, s in zip(counts, sums))
+            roots.append((a * b) * (c * d))
         else:
             roots.append(math.sqrt(product))
     return roots[0] - roots[1]
@@ -258,6 +260,13 @@ def mcc_closed_form(tp, fn, fp, tn):
     return (tp * tn - fp * fn) / np.sqrt(denom)
 
 
+def _root(square):
+    # the root of a Fraction in [0, 1], scaled by 4^k into the normal range
+    # first, so a root below 1e-154 keeps its bits
+    k = max(0, (square.denominator.bit_length() - square.numerator.bit_length()) // 2)
+    return math.ldexp(math.sqrt(float(square * 4**k)), -k)
+
+
 def mcc_exact(tp, fn, fp, tn):
     """Binary MCC from the four cells in exact rational arithmetic.
 
@@ -270,13 +279,22 @@ def mcc_exact(tp, fn, fp, tn):
     if denom == 0:
         return 0.0
     num = tp * tn - fp * fn
-    square = num * num / denom
-    # scaled by 4^k into the normal range before the root, so a score below
-    # 1e-154 keeps its bits; the sign by comparison, since a float of num itself
-    # overflows for cells near 1e300
-    k = max(0, (square.denominator.bit_length() - square.numerator.bit_length()) // 2)
-    root = math.ldexp(math.sqrt(float(square * 4**k)), -k)
-    return math.copysign(root, 1 if num >= 0 else -1)
+    # the sign by comparison, since a float of num itself overflows for cells near 1e300
+    return math.copysign(_root(num * num / denom), 1 if num >= 0 else -1)
+
+
+def mcc_terms_exact(tp, fn, fp, tn):
+    """The binary MCC's two terms in exact rational arithmetic, rounded as `mcc_exact` is.
+
+    sqrt(TP^2 TN^2 / D) and sqrt(FP^2 FN^2 / D), D the product of the four
+    marginals, whose difference is the MCC; (0.0, 0.0) when D is 0.  The rate
+    form takes each term from four rates, so its error scales with the larger.
+    """
+    tp, fn, fp, tn = (Fraction(x) for x in (tp, fn, fp, tn))
+    denom = (tp + fp) * (tp + fn) * (tn + fn) * (tn + fp)
+    if denom == 0:
+        return 0.0, 0.0
+    return _root(tp * tp * tn * tn / denom), _root(fp * fp * fn * fn / denom)
 
 
 def expand_labels(counts):

@@ -920,6 +920,25 @@ class TestReports:
         assert reports[0] == reports[1]
         assert "-0.0" not in reports[0]
 
+    @pytest.mark.parametrize(
+        "csv, text_total, json_total",
+        [
+            ("1e300,1e300\n1e300,1e300\n", "4e+300", "4e+300"),
+            ("4503599627370496,0\n0,4503599627370495\n", "9007199254740991", "9007199254740991"),
+            ("4503599627370496,0\n0,4503599627370496\n", "9.00719925474e+15", "9007199254740000.0"),
+        ],
+    )
+    def test_total_is_an_int_only_below_two_to_the_53(
+        self, tmp_path, capsys, csv, text_total, json_total
+    ):
+        # past 2^53 every double is an integer, and its every digit is no count
+        path = write(tmp_path, "m.csv", csv)
+        argv = ["--input", path, "--metric", "generalized_mcc"]
+        assert main(argv) == EXIT_OK
+        assert f"  total: {text_total}\n" in capsys.readouterr().out
+        assert main(argv + ["--output", "json"]) == EXIT_OK
+        assert f'"total": {json_total},' in capsys.readouterr().out
+
     def test_text_report_lists_all_metrics(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "20,6,0\n2,20,0\n12,12,8\n")
         main(

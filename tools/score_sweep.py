@@ -10,8 +10,10 @@ tables, tables of the edge cells 0, 5e-324, 1e-310, 2^-511 and 1e300 (alone
 and mixed with integers), integers times 1e298, and smoothed integer tables.
 Each table is built once and scored in one sequence: every `METRICS` row
 under each of `OUTERS` and `EXPONENTS` through `evaluate_metric` (so the
-options a row refuses are records too), `two_class_score` with either class
-positive under each exponent at n = 2, and the cells of `normalized_matrix`.
+options a row refuses are records too), `two_class_score` of each class
+pair's 2x2 sub-table with either class positive under each exponent at
+n <= 5 (so the pair values a one-vs-one average folds away are records of
+their own), and the cells of `normalized_matrix`.
 A value is recorded as `float.hex`; a `ValueError`, an `ArithmeticError` or
 a `RuntimeWarning` by its type and message.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from itertools import combinations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -42,6 +45,7 @@ EDGE_CELLS = (0.0, 5e-324, 1e-310, 2.0**-511, 1e300)
 OUTERS = (None, HARMONIC, GEOMETRIC, ARITHMETIC, MIN, MAX,
           AveragingSpec.power(0.5), AveragingSpec.power(-2.0))
 EXPONENTS = (None, -math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
+PAIR_CLASSES = 5  # up to this many classes, every pair's 2x2 sub-table is scored too
 
 
 def tables(count: int = TABLES) -> Iterator[np.ndarray]:
@@ -90,13 +94,26 @@ def records(count: int = TABLES) -> Iterator[tuple[int, str, str]]:
                 for p in EXPONENTS:
                     request = f"{name} outer={outer and outer.name} p={p}"
                     yield index, request, _record(lambda: evaluate_metric(cm, name, outer, p).value)
-        if cm.n == 2:
-            for metric in BINARY_METRIC_NAMES:
-                for positive in (0, 1):
-                    for p in EXPONENTS:
-                        request = f"two_class_score {metric} positive={positive} p={p}"
-                        yield index, request, _record(lambda: two_class_score(cm, metric, positive, p))
+        for pair in combinations(range(cm.n), 2) if cm.n <= PAIR_CLASSES else ():
+            yield from _pair_records(index, cm.counts[np.ix_(pair, pair)], pair)
         yield index, "normalized_matrix", _record(lambda: normalized_matrix(cm).ravel().tolist())
+
+
+def _pair_records(
+    index: int, counts: np.ndarray, pair: tuple[int, int]
+) -> Iterator[tuple[int, str, str]]:
+    # every two-class score of one pair's 2x2 sub-table, built once
+    name = "two_class_score pair={},{}".format(*pair)
+    try:
+        sub = ConfusionMatrix.from_counts(counts)
+    except ValueError as exc:  # two classes that never meet
+        yield index, name, f"ValueError: {exc}"
+        return
+    for metric in BINARY_METRIC_NAMES:
+        for positive in (0, 1):
+            for p in EXPONENTS:
+                request = f"{name} {metric} positive={positive} p={p}"
+                yield index, request, _record(lambda: two_class_score(sub, metric, positive, p))
 
 
 def line(record: tuple[int, str, str]) -> str:
