@@ -107,23 +107,30 @@ class ConfusionMatrix:
 
     @cached_property
     def _pair_rates(self) -> np.ndarray:
-        """The (4, 4, m) rates and counts of the m class pairs i < j, class i positive.
+        """The (4, n, n) rates of every ordered class pair (i, j), class i positive.
 
-        With TP = C[i][i], FN = C[i][j], FP = C[j][i] and TN = C[j][j], plane 0
-        is precision TP/(TP+FP), sensitivity TP/(TP+FN), specificity TN/(TN+FP)
-        and npv TN/(TN+FN), plane 1 holds FP, FN, FP and FN over the same sums
-        (0 over a zero sum), and planes 2 and 3 are those numerators.  With class
-        j positive every plane is the same rows reversed, `rates[:, ::-1]`.  128
-        bytes a pair (64 MB at n = 1000), once per table for every one-vs-one and
-        two-class score, so read-only, and dropped with the table.
-        """
-        table = np.zeros((4, 4, self.n * (self.n - 1) // 2))
-        # the indices are in range, and "clip" lets take write to the table unbuffered
-        numerators = self.counts.take(_pair_cells(self.n), out=table[2:], mode="clip")
-        sums = numerators[0] + numerators[1]
-        np.divide(numerators, sums, out=table[:2], where=sums > 0)
+        With TP = C[i][i], FN = C[i][j] and FP = C[j][i] (0 on the diagonal, no pair):
+        precision TP/(TP+FP), sensitivity TP/(TP+FN), FP/(TP+FP) and FN/(TP+FN), 0 over
+        a zero sum.  Read transposed: npv, specificity, FN/(TN+FN) and FP/(TN+FP).  32 n^2
+        bytes (32 MB at n = 1000), once per table for every one-vs-one and two-class
+        score, so read-only, and dropped with the table."""
+        counts, n = self.counts, self.n
+        table = np.empty((2, 2, n, n))
+        table[0] = counts.diagonal()[:, None]  # TP, over TP + FP and over TP + FN
+        table[1, 0], table[1, 1] = counts.T, counts  # FP, then FN
+        table[1].reshape(2, -1)[:, :: n + 1] = 0  # the diagonal
+        sums = table[0] + table[1]
+        np.divide(table, sums, out=table, where=sums > 0)  # a zero sum's terms are 0
         table.setflags(write=False)
-        return table
+        return table.reshape(4, n, n)
+
+    @cached_property
+    def _upper(self) -> np.ndarray:
+        # the mask of the pairs i < j in the planes of `_pair_rates`, n * n bytes
+        classes = np.arange(self.n)
+        upper = classes[:, None] < classes
+        upper.setflags(write=False)
+        return upper
 
     @classmethod
     def from_counts(
@@ -280,17 +287,6 @@ class ConfusionMatrix:
             if pair is None:
                 raise
             raise ValueError(f"count of {pair!r} is past the double range") from None
-
-
-@lru_cache(maxsize=32)
-def _pair_cells(n: int) -> np.ndarray:
-    # flat indices into an n x n table of the numerators, planes 2 and 3 of
-    # `_pair_rates`, of the m class pairs i < j in row-major order: TP, TP, TN, TN
-    # over FP, FN, FP, FN.  8 * 8 bytes a pair, so a cache entry at n = 1000 holds 32 MB;
-    # 32 entries keep every class count of a panel of tables of 2 to 20 classes
-    i, j = np.triu_indices(n, 1)
-    tp, fn, fp, tn = i * (n + 1), i * n + j, j * n + i, j * (n + 1)
-    return np.stack((tp, tp, tn, tn, fp, fn, fp, fn)).reshape(2, 4, -1)
 
 
 @lru_cache(maxsize=64)

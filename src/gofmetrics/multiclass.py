@@ -11,18 +11,17 @@ The rest of the family: per-class F1 / Fowlkes-Mallows rolled up by a
 caller-chosen average, the chi-square association score `cramers_phi`,
 pairwise one-vs-one averages of any two-class score, and a power mean of
 the 2n diagonal rates.  Every two-class score is an array function of the
-rates of many 2x2 tables (`ConfusionMatrix._pair_rates`, 0 over a zero
-sum, built once per table): one-vs-one scores all class pairs in one pass
-(`_one_vs_one`), `two_class_score` one 2x2 table.  `METRICS` names every
-score with the options it takes, and `evaluate_metric` scores a matrix by
-name.
+n x n planes of pair rates (`ConfusionMatrix._pair_rates`, 0 over a zero
+sum, built once per table), read at chosen entries: one-vs-one at all class
+pairs in one pass (`_one_vs_one`), `two_class_score` at one.  `METRICS`
+names every score with the options it takes, and `evaluate_metric` scores a
+matrix by name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -105,7 +104,7 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     if not (rows.all() and cols.all()):
         return 0.0
     if cm.n == 2:  # the two-class MCC, with no LU and no rounding of logs
-        mcc = _mcc(cm._pair_rates).item()
+        mcc = _mcc(cm).item()
         if abs(mcc) == 1 and perfect_fit_permutation(cm) is None:
             return math.copysign(_BELOW_ONE, mcc)
         return mcc
@@ -216,37 +215,47 @@ def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:
     return _power_mean(np.concatenate(cm._diagonal_rates).tolist(), p)
 
 
-def _two_term(p: float, i: int, j: int) -> Callable[[np.ndarray], np.ndarray]:
-    # the array score that is the two-term mean of exponent p of rates[0, i] and rates[0, j]
-    return lambda rates: _column_means(p, rates[0, i], rates[0, j])
+def _two_term(p: float, a: Callable, b: Callable) -> Callable[[ConfusionMatrix], np.ndarray]:
+    # the array score that is the two-term mean of exponent p of scores a and b
+    return lambda cm: _column_means(p, a(cm), b(cm))
 
 
-# the two-class scores as array functions of `ConfusionMatrix._pair_rates`
-_precision, _sensitivity, _specificity, _npv = (itemgetter((0, k)) for k in range(4))
-_f1 = _two_term(-1.0, 0, 1)  # of precision and sensitivity
-_f1_zero = _two_term(-1.0, 2, 3)  # of specificity and npv
-_fowlkes_mallows = _two_term(0.0, 0, 1)
+# the two-class scores as array functions of `ConfusionMatrix._pair_rates`: at entry (i, j)
+# class i is positive, and npv and specificity are precision and sensitivity transposed
+_precision, _sensitivity = (lambda cm, k=k: cm._pair_rates[k] for k in (0, 1))
+_npv, _specificity = (lambda cm, k=k: cm._pair_rates[k].T for k in (0, 1))
+_f1 = _two_term(-1.0, _precision, _sensitivity)
+_f1_zero = _two_term(-1.0, _specificity, _npv)
+_fowlkes_mallows = _two_term(0.0, _precision, _sensitivity)
 
 
-def _mcc(rates: np.ndarray) -> np.ndarray:
-    halves = rates[:2, :2] * rates[:2, :1:-1]  # PPV NPV, TPR TNR and FDR FOR, FNR FPR
-    products = halves[:, 0] * halves[:, 1]
+def _mcc(cm: ConfusionMatrix) -> np.ndarray:
+    # at the class pairs i < j: the same bits with either class positive
+    rates = cm._pair_rates
+    halves = rates * rates.transpose(0, 2, 1)  # PPV NPV, TPR TNR, FDR FOR, FNR FPR
+    products = (halves[::2] * halves[1::2]).reshape(2, -1).compress(cm._upper.ravel(), 1)
     roots = np.sqrt(products)
-    # four positive counts whose rates' product falls below the normal range have
-    # lost bits of it, or all of them where a rate underflowed to 0: there each
-    # rate's root is the quotient of the roots of its count and its sum
+    # four positive counts whose rates' product falls below the normal range have lost bits
+    # of it, or all of them where a rate underflowed to 0: there each rate's root is the
+    # quotient of the roots of its count and its sum; counts within 2^254 of the total have none
     if products.min() < _TINY:
-        low = (products < _TINY) & rates[2:].all(axis=1)
-        if low.any():
-            term, pair = low.nonzero()
-            sums = rates[2, :, pair] + rates[3, :, pair]
-            cells = np.sqrt(rates[2 + term, :, pair]) / np.sqrt(sums)
+        counts = cm.counts
+        if cm.total > 2.0**254 * float(counts[counts > 0].min()):
+            i, j = np.nonzero(cm._upper)
+            tp, fn, fp, tn = counts[i, i], counts[i, j], counts[j, i], counts[j, j]
+            cells = np.array([[tp, tp, tn, tn], [fp, fn, fp, fn]])  # the terms of each sum
+            term, pair = ((products < _TINY) & cells.all(axis=1)).nonzero()  # the low terms
+            sums = cells[0, :, pair] + cells[1, :, pair]
+            cells = np.sqrt(cells[term, :, pair]) / np.sqrt(sums)
             roots[term, pair] = (cells[:, 0] * cells[:, 3]) * (cells[:, 1] * cells[:, 2])
     return roots[0] - roots[1]
 
 
-def _lp_four_rate(rates: np.ndarray, p: float) -> np.ndarray:
-    return _column_means(p, *rates[0])
+def _lp_four_rate(cm: ConfusionMatrix, p: float) -> np.ndarray:
+    # at the class pairs i < j, as its per-pair fsum would cost twice as much on the planes
+    (precision, sensitivity), upper = cm._pair_rates[:2], cm._upper
+    rates = precision[upper], sensitivity[upper], sensitivity.T[upper], precision.T[upper]
+    return _column_means(p, *rates)
 
 
 @dataclass(frozen=True)
@@ -254,9 +263,9 @@ class MetricInfo:
     """One row of `METRICS`: a metric's function and the options it takes.
 
     A one-vs-one row holds the two-class score as an array function of the
-    rates of many 2x2 tables (`ConfusionMatrix._pair_rates`, whose counts
-    only mcc reads), which `one_vs_one_average` applies to all class pairs
-    at once and `two_class_score` to one table."""
+    table's `ConfusionMatrix._pair_rates`: an n x n plane, class i positive at
+    (i, j), or where `swap_invariant` is set, the values of the class pairs
+    i < j.  `one_vs_one_average` reads every pair, `two_class_score` one."""
 
     func: Callable
     takes_outer: bool = False  # an outer average, arithmetic by default
@@ -297,17 +306,12 @@ def _one_vs_one(
     # `one_vs_one_average` for a METRICS row whose options `evaluate_metric`
     # has checked: the score of every pair, and of every pair with its other
     # class positive, then the outer mean over both and over the pairs
-    rates = cm._pair_rates
-    options = () if p is None else (p,)
-    if info.swap_invariant:
-        values = info.func(rates, *options)
-    else:
-        # both orientations in one call: the kernels are element-wise, and
-        # `_column_means` gives each column the scalar's bits whichever half
-        # opens its redo gate
-        m = rates.shape[2]
-        both = info.func(np.concatenate((rates, rates[:, ::-1]), axis=2), *options)
-        values = _column_means(outer.exponent, both[:m], both[m:])
+    values = info.func(cm, *(() if p is None else (p,)))
+    if not info.swap_invariant:
+        # both orientations in one call, the planes and their transposes at i < j: the
+        # kernels are element-wise, and `_column_means` gives each column the scalar's bits
+        upper = cm._upper
+        values = _column_means(outer.exponent, values[upper], values.T[upper])
     return _power_mean(values.tolist(), outer.exponent)
 
 
@@ -392,12 +396,11 @@ def two_class_score(
     info = _lookup(metric, _OVO)
     positive = _integer(positive_index)
     if positive not in (0, 1):
-        raise ValueError("positive_index must be 0 or 1")
+        kind = f"{type(positive_index).__name__} {positive_index!r}"
+        raise ValueError(f"positive_index must be 0 or 1, not the {kind}")
     p = _read_p(metric, info.needs_p, p)
-    rates = cm._pair_rates
-    if positive:
-        rates = rates[:, ::-1]  # the other class's rates, as `_one_vs_one` takes them
-    return info.func(rates, *(() if p is None else (p,))).item()
+    value = info.func(cm, *(() if p is None else (p,)))
+    return (value if info.swap_invariant else value[positive, 1 - positive]).item()
 
 
 def _lookup(name: object, prefix: str = "") -> MetricInfo:

@@ -351,6 +351,19 @@ def cramers_phi_exact(counts):
     return math.sqrt(chi2 / total / (n - 1))
 
 
+def phi_squared_exact(counts):
+    """Cramer's phi squared as a Fraction, (sum of C^2 / (r c) - 1) / (n - 1) over
+    the nonzero cells, with r and c their row and column sums: the chi-square sum
+    expanded, since sum (O - E)^2 / E = total * sum O^2 / (r c) - total where
+    E = r c / total."""
+    c = [[Fraction(float(x)) for x in row] for row in counts]
+    n = len(c)
+    rows = [sum(row) for row in c]
+    cols = [sum(column) for column in zip(*c)]
+    squares = sum(c[i][j] ** 2 / (rows[i] * cols[j]) for i in range(n) for j in range(n) if c[i][j])
+    return (squares - 1) / (n - 1)
+
+
 def cramers_phi_ref(counts):
     c = np.asarray(counts, dtype=float)
     total = c.sum()

@@ -145,6 +145,41 @@ class TestSummarize:
         assert row["metrics"][name]["resolved"] is resolved
 
 
+class TestRawMetrics:
+    def test_raw_timings_have_their_own_spreads_ratio_and_wins(self):
+        # the calibrated rates favour the change, the raw ones the parent
+        parent = {s: {**record(matrices_per_s=v), "raw_metrics": {"matrices_per_s": {"value": r}}}
+                  for s, v, r in ((1, 1.0, 10.0), (2, 2.0, 12.0), (3, 3.0, 14.0))}
+        change = {s: {**record(matrices_per_s=v), "raw_metrics": {"matrices_per_s": {"value": r}}}
+                  for s, v, r in ((1, 2.0, 9.0), (2, 4.0, 11.0), (3, 6.0, 13.0))}
+        row = bench_summary.summarize(parent, change, [RATE])["metrics"]["matrices_per_s"]
+        assert (row["median_ratio"], row["wins"]) == (2.0, 3)
+        assert row["raw"] == {
+            "parent": {"median": 12.0, "q1": 11.0, "q3": 13.0},
+            "change": {"median": 11.0, "q1": 10.0, "q3": 12.0},
+            "median_ratio": 11.0 / 12.0,
+            "wins": 0,
+            "pairs": 3,
+        }
+
+    def test_a_metric_with_no_raw_figure_on_a_side_has_no_raw_row(self):
+        # peak memory is not calibrated, so no run record holds it raw; older
+        # records hold no raw figure at all
+        parent = {1: {**record(matrices_per_s=1.0), "raw_metrics": {}}}
+        row = bench_summary.summarize(parent, runs("matrices_per_s", [2.0]), [RATE])
+        assert "raw" not in row["metrics"]["matrices_per_s"]
+
+    def test_main_prints_the_raw_ratio_on_the_metric_line(self, tmp_path, capsys):
+        argv = write_pairs(tmp_path, [2.0], [3.0])
+        for side, value in (("parent", 8.0), ("change", 6.0)):
+            path = tmp_path / side / ".perfbench" / "run-small_panel-seed1-trace0.json"
+            run = json.loads(path.read_text(encoding="utf-8"))
+            run["raw_metrics"] = {"matrices_per_s": {"value": value, "unit": "1/s"}}
+            path.write_text(json.dumps(run), encoding="utf-8")
+        assert bench_summary.main(argv) == 0
+        assert capsys.readouterr().out.endswith("  x1.500  wins 1/1  raw x0.750\n")
+
+
 def test_read_runs_takes_the_untraced_records(tmp_path):
     folder = tmp_path / ".perfbench"
     folder.mkdir()

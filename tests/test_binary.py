@@ -1,6 +1,7 @@
 """Unit tests for the two-class rates and scores, through `two_class_score`."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestView:
         # operator.index refuses each, as relabel does; a tuple index would raise TypeError
         cm = ConfusionMatrix.from_counts([[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="positive_index must be 0 or 1"):
+            two_class_score(cm, "f1", index)
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.0])
+    def test_refused_positive_index_is_named_by_type_and_value(self, index):
+        # each equals 1, so "must be 0 or 1" alone cannot say what is wrong
+        cm = ConfusionMatrix.from_counts([[1, 2], [3, 4]])
+        refusal = f"positive_index must be 0 or 1, not the {type(index).__name__} {index!r}"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
             two_class_score(cm, "f1", index)
 
     def test_numpy_integer_positive_index(self):

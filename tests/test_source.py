@@ -205,3 +205,24 @@ def test_cli_holds_no_copy_of_the_number_rule():
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     copied = set(_references(tree)) & {"_no_number", "_quiet", "_past_doubles"}
     assert not copied, copied
+
+
+def test_the_one_module_level_cache_holds_names():
+    # a module-level cache lives as long as the process, so it keeps only the
+    # default labels, a tuple of names per class count; no cache of arrays,
+    # whose entries would grow as n^2 with the class count, comes back
+    caches = {"lru_cache", "cache"}
+    cached, uses = [], 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            uses += name in caches  # a decorator or a call, not the import
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    called = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if ast.unparse(called).split(".")[-1] in caches:
+                        cached.append(f"{path.stem}.{node.name}")
+    assert cached == ["confusion._default_labels"] and uses == 1, (cached, uses)
+    labels = confusion._default_labels(3)
+    assert labels == ("class_0", "class_1", "class_2") and type(labels) is tuple

@@ -14,7 +14,11 @@ parent's median is 0), how many of the seeds both sides ran the change
 won (ties count for neither), and whether the metric is resolved: it is not
 where the parent's interquartile spread exceeds the metric's bound times the
 parent's median, unless every change run is better than every parent run.
-Such a metric reads `unresolved` on its printed line.
+Such a metric reads `unresolved` on its printed line.  Where the run
+records hold the uncalibrated timings (`raw_metrics`), each such row also
+holds a `raw` object with their spreads, ratio and wins, and its printed
+line gives the raw ratio: calibration can rank the two sides apart from
+the wall clock.
 
 With `--claim WORKLOAD/METRIC` the output also holds a top-level `claim`
 object for that metric, judged by the rule a claimed gain must meet: the
@@ -77,33 +81,52 @@ def summarize(parent: dict[int, dict], change: dict[int, dict], metrics: list[di
     }
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
-
-        def value(record: dict) -> float | None:
-            entry = record["metrics"].get(name)
-            return None if entry is None else entry["value"]
-
-        sides = {
-            side: [v for v in map(value, runs.values()) if v is not None]
-            for side, runs in (("parent", parent), ("change", change))
-        }
-        if not sides["parent"] or not sides["change"]:
+        compared = compare(parent, change, "metrics", name, higher)
+        if compared is None:
             continue
+        sides, stats = compared
         row = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
-        row.update({side: spread(values) for side, values in sides.items()})
+        row.update(stats)
         base = row["parent"]["median"]
-        row["median_ratio"] = row["change"]["median"] / base if base else None  # null over 0
-        pairs = [(value(parent[s]), value(change[s])) for s in both]
-        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
-        row["wins"] = sum((c > p) if higher else (c < p) for p, c in pairs)
-        row["pairs"] = len(pairs)
         wide = row["parent"]["q3"] - row["parent"]["q1"] > metric["bound"] * abs(base)
         if higher:
             apart = min(sides["change"]) > max(sides["parent"])
         else:
             apart = max(sides["change"]) < min(sides["parent"])
         row["resolved"] = not wide or apart
+        raw = compare(parent, change, "raw_metrics", name, higher)
+        if raw is not None:
+            row["raw"] = raw[1]
         out["metrics"][name] = row
     return out
+
+
+def compare(
+    parent: dict[int, dict], change: dict[int, dict], key: str, name: str, higher: bool
+) -> tuple[dict[str, list[float]], dict] | None:
+    """Metric `name` of each run's `key` dict ("metrics", or "raw_metrics" for the
+    uncalibrated timings) on each side: the values, and their spreads, the ratio
+    of the medians (null over 0) and the wins over the seeds both sides ran.
+    None where a side has no run with the metric."""
+
+    def value(record: dict) -> float | None:
+        entry = record.get(key, {}).get(name)
+        return None if entry is None else entry["value"]
+
+    sides = {
+        side: [v for v in map(value, runs.values()) if v is not None]
+        for side, runs in (("parent", parent), ("change", change))
+    }
+    if not sides["parent"] or not sides["change"]:
+        return None
+    stats = {side: spread(values) for side, values in sides.items()}
+    base = stats["parent"]["median"]
+    stats["median_ratio"] = stats["change"]["median"] / base if base else None
+    pairs = [(value(parent[s]), value(change[s])) for s in sorted(set(parent) & set(change))]
+    pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+    stats["wins"] = sum((c > p) if higher else (c < p) for p, c in pairs)
+    stats["pairs"] = len(pairs)
+    return sides, stats
 
 
 def judge_claim(workload: str, metric: str, row: dict) -> dict:
@@ -162,12 +185,12 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for w in workloads:
         for name, row in summary["workloads"][w]["metrics"].items():
-            p, c, ratio = row["parent"], row["change"], row["median_ratio"]
-            ratio = "x-" if ratio is None else f"x{ratio:.3f}"
+            p, c = row["parent"], row["change"]
+            raw = f"  raw {_ratio(row['raw'])}" if "raw" in row else ""
             print(
                 f"{w:<12} {name:<15} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                 f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                f"  {ratio}  wins {row['wins']}/{row['pairs']}"
+                f"  {_ratio(row)}  wins {row['wins']}/{row['pairs']}{raw}"
                 + ("" if row["resolved"] else "  unresolved")
             )
     claim = summary.get("claim")
@@ -178,6 +201,11 @@ def main(argv: list[str] | None = None) -> int:
             + (" met" if claim["met"] else " not met")
         )
     return 0
+
+
+def _ratio(stats: dict) -> str:
+    ratio = stats["median_ratio"]
+    return "x-" if ratio is None else f"x{ratio:.3f}"
 
 
 if __name__ == "__main__":
