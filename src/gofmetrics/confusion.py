@@ -56,6 +56,13 @@ class _CellValueError(ValueError):
         self.form, self.place = form, (i, j)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # the one way an array a table holds or hands out is marked: no caller can
+    # change a count, a marginal or a cache that later scores read
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """A square table of class-vs-class counts with its label order.
@@ -64,6 +71,8 @@ class ConfusionMatrix:
         labels: class names, one per row/column, all distinct.
         counts: (n, n) float64 array, counts[i][j] = number of samples of
             true class i that were predicted as class j.  Read-only.
+        row_sums, col_sums: the per-class totals of the true and of the
+            predicted class, summed once per table.  Read-only.
         total: float(counts.sum()); `from_counts` keeps the sum it validated
             the table with, so the table is summed once.
     """
@@ -77,11 +86,11 @@ class ConfusionMatrix:
 
     @cached_property
     def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        return _read_only(self.counts.sum(axis=1))
 
     @cached_property
     def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+        return _read_only(self.counts.sum(axis=0))
 
     @cached_property
     def total(self) -> float:
@@ -92,18 +101,13 @@ class ConfusionMatrix:
         # per-class precision C[i,i] / col_sum(i) and recall C[i,i] / row_sum(i),
         # once per table for every score that reads them, so read-only
         diag = self.counts.diagonal()
-        rates = _rates(diag, self.col_sums), _rates(diag, self.row_sums)
-        for r in rates:
-            r.setflags(write=False)
-        return rates
+        return _read_only(_rates(diag, self.col_sums)), _read_only(_rates(diag, self.row_sums))
 
     @cached_property
     def _per_class_f1(self) -> np.ndarray:
         # each class's F1, the harmonic mean of its precision and recall, once per
         # table for `generalized_f1` under every outer, so read-only
-        f1 = _column_means(-1.0, *self._diagonal_rates)
-        f1.setflags(write=False)
-        return f1
+        return _read_only(_column_means(-1.0, *self._diagonal_rates))
 
     @cached_property
     def _pair_rates(self) -> np.ndarray:
@@ -121,16 +125,13 @@ class ConfusionMatrix:
         table[1].reshape(2, -1)[:, :: n + 1] = 0  # the diagonal
         sums = table[0] + table[1]
         np.divide(table, sums, out=table, where=sums > 0)  # a zero sum's terms are 0
-        table.setflags(write=False)
-        return table.reshape(4, n, n)
+        return _read_only(table).reshape(4, n, n)
 
     @cached_property
     def _upper(self) -> np.ndarray:
         # the mask of the pairs i < j in the planes of `_pair_rates`, n * n bytes
         classes = np.arange(self.n)
-        upper = classes[:, None] < classes
-        upper.setflags(write=False)
-        return upper
+        return _read_only(classes[:, None] < classes)
 
     @classmethod
     def from_counts(
@@ -199,8 +200,7 @@ class ConfusionMatrix:
         if total == 0:
             raise ValueError("all cells are zero")
         counts += 0.0  # -0.0 as 0.0: no rate, and no mean of rates, sees a signed zero
-        counts.setflags(write=False)
-        cm = cls(labels, counts)
+        cm = cls(labels, _read_only(counts))
         # the validating sum is the one `total` would take; fill its cache
         vars(cm)["total"] = float(total)
         return cm
@@ -244,6 +244,9 @@ class ConfusionMatrix:
         that compare equal, such as 1 and 1.0, are one class.  A key that is
         not a tuple of two items, such as the str "ab", is refused by name, and
         so is an argument that is no mapping, such as a list of (pair, count).
+        The counts follow `from_counts`' cell rule, read as one row of cells: a
+        count that is no number is refused by its pair, and a signalling NaN is
+        a NaN count.
         """
         if not isinstance(pair_counts, Mapping):
             kind = type(pair_counts).__name__
@@ -269,14 +272,11 @@ class ConfusionMatrix:
         index = {label: position[str(label)] for label in distinct}
         n = len(labels)
         cells = [index[t] * n + index[p] for t, p in pair_counts]
-        weights = list(pair_counts.values())
-        kinds = set(map(type, weights))
-        refused = set(filter(_no_number, kinds))
-        if refused:
-            pair = next(pair for pair, c in pair_counts.items() if type(c) in refused)
-            raise ValueError(f"count of {pair!r} is {pair_counts[pair]!r}, not a number")
-        if any(hasattr(kind, "is_snan") for kind in kinds):
-            weights = list(map(_quiet, weights))
+        try:  # the counts as one row of cells, by `from_counts`' cell rule
+            (weights,) = _check_cells([list(pair_counts.values())])
+        except _CellError as error:  # named by the pair of its column
+            pair = list(pair_counts)[error.place[1]]
+            raise ValueError(f"count of {pair!r} is {error.value!r}, not a number") from None
         try:
             counts = np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
             return cls.from_counts(counts, labels)
@@ -386,20 +386,12 @@ def normalized_matrix(cm: ConfusionMatrix) -> np.ndarray:
     """
     by_col = _rates(cm.counts, cm.col_sums[None, :])
     by_row = _rates(cm.counts, cm.row_sums[:, None])
-    values = _column_means(0.0, by_col, by_row)
-    values.setflags(write=False)
-    return values
-
-
-def _wrap(labels: tuple[str, ...], counts: np.ndarray) -> ConfusionMatrix:
-    # internal constructor for a transform's new array of validated counts
-    counts.setflags(write=False)
-    return ConfusionMatrix(labels, counts)
+    return _read_only(_column_means(0.0, by_col, by_row))
 
 
 def transpose(cm: ConfusionMatrix) -> ConfusionMatrix:
     """Swap the roles of true and predicted class."""
-    return _wrap(cm.labels, cm.counts.T.copy())
+    return ConfusionMatrix(cm.labels, _read_only(cm.counts.T.copy()))
 
 
 def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
@@ -421,8 +413,7 @@ def relabel(cm: ConfusionMatrix, permutation: Sequence[int]) -> ConfusionMatrix:
             f"permutation must be a bijection on 0..{cm.n - 1}, got {perm}"
         )
     new_labels = tuple(cm.labels[k] for k in perm)
-    new_counts = cm.counts[np.ix_(perm, perm)]
-    return _wrap(new_labels, new_counts)
+    return ConfusionMatrix(new_labels, _read_only(cm.counts[np.ix_(perm, perm)]))
 
 
 def _integer(entry: object) -> int | None:

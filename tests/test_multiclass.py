@@ -973,6 +973,10 @@ def _pair_rate_loop(cm):
 
 def _cached_arrays(cm):
     return {
+        "row_sums": lambda: cm.row_sums,
+        "col_sums": lambda: cm.col_sums,
+        "_diagonal_rates[0]": lambda: cm._diagonal_rates[0],
+        "_diagonal_rates[1]": lambda: cm._diagonal_rates[1],
         "_pair_rates": lambda: cm._pair_rates,
         "_upper": lambda: cm._upper,
         "_per_class_f1": lambda: cm._per_class_f1,
@@ -980,8 +984,9 @@ def _cached_arrays(cm):
 
 
 class TestTableCaches:
-    """The pair rates and the per-class F1 are built once per table; every
-    score read from them is the bits a fresh table gives."""
+    """The marginals, the diagonal and pair rates and the per-class F1 are built
+    once per table and read-only; every score read from them is the bits a fresh
+    table gives."""
 
     @pytest.mark.parametrize("n", [2, 3, 12])
     def test_each_cache_is_read_only_and_built_once(self, n):

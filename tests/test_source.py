@@ -160,6 +160,25 @@ def test_only_means_maps_the_scalar_kernel_over_values():
     assert not found, found
 
 
+def test_only_read_only_marks_an_array():
+    # `confusion._read_only` is the one way an array a table holds or hands out
+    # is made read-only: no other function calls `setflags`
+    def marks(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags"
+
+    calls, owners = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if marks(node)]
+        owners += [
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(marks(inner) for inner in ast.walk(node))
+        ]
+    assert len(calls) == 1 and owners == ["confusion._read_only"], (calls, owners)
+
+
 def _imports(tree):
     # (line, name) for each name an import binds, bar __future__ and star imports
     for node in ast.walk(tree):
