@@ -155,7 +155,9 @@ class ConfusionMatrix:
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
             grid = _check_cells(grid)
         try:
-            counts = np.array(grid, dtype=float)  # the one copy
+            # the one copy, in which -0.0 + 0.0 is 0.0: no rate, and no mean of
+            # rates, sees a signed zero
+            counts = np.asarray(grid, dtype=float) + 0.0
         except OverflowError:
             i, j = next(
                 (i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if _past_doubles(c)
@@ -199,7 +201,6 @@ class ConfusionMatrix:
             raise ValueError(_overflow_message(counts))
         if total == 0:
             raise ValueError("all cells are zero")
-        counts += 0.0  # -0.0 as 0.0: no rate, and no mean of rates, sees a signed zero
         cm = cls(labels, _read_only(counts))
         # the validating sum is the one `total` would take; fill its cache
         vars(cm)["total"] = float(total)

@@ -120,11 +120,11 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
         witness = perfect_fit_permutation(cm)
         if witness is not None:
             return 1.0 if witness.parity == "even" else -1.0
-    det = float(sign) * math.exp(logdet)
     # the mathematical bound is exact; anything past that rounding and a
-    # slack is a bug
-    if abs(det) > (1.0 + _DET_SLACK) * math.exp(rounding):
-        raise ArithmeticError(f"determinant {det} outside [-1, 1]")
+    # slack is a bug, told on the log before its exp can overflow
+    if logdet > math.log1p(_DET_SLACK) + rounding:
+        raise ArithmeticError(f"determinant {'-' if sign < 0 else ''}exp({logdet}) outside [-1, 1]")
+    det = float(sign) * math.exp(logdet)
     # + 0.0 turns an underflowed -0.0 into 0.0
     return min(_BELOW_ONE, max(-_BELOW_ONE, det)) + 0.0
 
@@ -181,26 +181,36 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     With row sums r, column sums c and expected counts E = r_i * (c_j / N),
     each cell's (O - E)^2 / E, divided by N, is ((O - E) / r_i) * ((O - E) / c_j),
     since E * N = r_i * c_j.  Both factors lie in [-1, 1], so no product leaves
-    the double range at any scale of the counts.  A zero row or column sum has
-    only zero cells, where O - E = 0, so it divides by 1 instead.
+    the double range at any scale of the counts.  Where every positive marginal
+    is at least N * 2^-500, each row takes t = O / c - r / N = (O - E) / c instead,
+    one division a cell, and adds sum_j c_j t^2 / r_i: a term c t^2 that
+    underflows, under 2^-1022, adds under 2^-522 / N after the division by r.
+    A zero row or column sum has only zero cells, where O - E = 0, so it
+    divides by 1 instead, which can only send a table to the per-cell form.
     At n = 2 this equals |two_class_score(cm, "mcc")|.
     """
     counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
-    shares = cols / cm.total
     row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-    # chi2 / N over blocks of rows, in two buffers reused by every block so
-    # they stay in cache; a table smaller than one block is a single block
+    one_division = min(row_div.min(), col_div.min()) >= cm.total * 2.0**-500
+    shares = (rows if one_division else cols) / cm.total
+    # chi2 / N over blocks of rows, in buffers reused by every block so they
+    # stay in cache; a table smaller than one block is a single block
     step = max(1, _PHI_BLOCK_CELLS // n)
     buffers = np.empty((2, min(step, n), n))
     chi2_share = 0.0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         diff, by_col = buffers[:, : hi - lo]
-        np.multiply(rows[lo:hi, None], shares, out=diff)
-        np.subtract(counts[lo:hi], diff, out=diff)  # O - E
-        np.divide(diff, col_div, out=by_col)
-        np.divide(diff, row_div[lo:hi, None], out=diff)
-        chi2_share += float(np.multiply(diff, by_col, out=diff).sum())
+        if one_division:
+            np.divide(counts[lo:hi], col_div, out=diff)
+            np.subtract(diff, shares[lo:hi, None], out=diff)  # (O - E) / c
+            chi2_share += float((np.multiply(diff, diff, out=diff) @ cols / row_div[lo:hi]).sum())
+        else:
+            np.multiply(rows[lo:hi, None], shares, out=diff)
+            np.subtract(counts[lo:hi], diff, out=diff)  # O - E
+            np.divide(diff, col_div, out=by_col)
+            np.divide(diff, row_div[lo:hi, None], out=diff)
+            chi2_share += float(np.multiply(diff, by_col, out=diff).sum())
     phi = math.sqrt(chi2_share / (n - 1))
     return min(1.0, phi)
 

@@ -229,12 +229,14 @@ class TestGeneralizedMcc:
             wide[3, 0] = float(rng.integers(1, 10))  # class 3 exists, never predicted
             assert generalized_mcc(cm_of(wide)) == 0.0
 
-    def test_bound_violation_raises(self, monkeypatch):
-        # an explicit check, not an assert, so it also holds under python -O
+    @pytest.mark.parametrize("excess", [0.5, 800.0])
+    def test_bound_violation_raises(self, monkeypatch, excess):
+        # an explicit check, not an assert, so it also holds under python -O; at
+        # 800 nats the bound is told on the log, since exp(800) overflows
         cm = cm_of(GRID3)
-        # log|det C| such that log|det N| = 0.5 once the marginals are taken off
+        # log|det C| such that log|det N| = excess once the marginals are taken off
         marginals = 0.5 * (np.log(cm.row_sums).sum() + np.log(cm.col_sums).sum())
-        monkeypatch.setattr(np.linalg, "slogdet", lambda m: (1.0, marginals + 0.5))
+        monkeypatch.setattr(np.linalg, "slogdet", lambda m: (1.0, marginals + excess))
         with pytest.raises(ArithmeticError, match="outside"):
             generalized_mcc(cm)
 
@@ -562,13 +564,13 @@ class TestCramersPhi:
 
     @pytest.mark.parametrize("n", [2, 7, 20, 180])
     def test_one_block_is_the_whole_table_expression(self, n):
-        # 180 * 180 cells still fit in one block
+        # 180 * 180 cells still fit in one block; every marginal is in the
+        # one-division range, so each row adds sum_j c t^2 / r, t = (O - E) / c
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
         rows, cols = counts.sum(axis=1), counts.sum(axis=0)
-        diff = counts - rows[:, None] * (cols / counts.sum())
         row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-        terms = (diff / row_div[:, None]) * (diff / col_div)
-        whole = min(1.0, math.sqrt(float(terms.sum()) / (n - 1)))
+        t = counts / col_div - (rows / counts.sum())[:, None]
+        whole = min(1.0, math.sqrt(float(((t * t) @ cols / row_div).sum()) / (n - 1)))
         assert cramers_phi(cm_of(counts)) == whole
 
     @pytest.mark.parametrize("n", [181, 300, 1000])
@@ -576,15 +578,59 @@ class TestCramersPhi:
         # 181 * 181 cells are one block; 300 and 1000 end on a short block
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
         rows, cols = counts.sum(axis=1), counts.sum(axis=0)
-        shares = cols / counts.sum()
+        row_shares = rows / counts.sum()
         row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
         step = max(1, multiclass._PHI_BLOCK_CELLS // n)
         chi2_share = 0.0
         for lo in range(0, n, step):
             hi = lo + step
-            diff = counts[lo:hi] - rows[lo:hi, None] * shares
-            chi2_share += float(((diff / row_div[lo:hi, None]) * (diff / col_div)).sum())
+            t = counts[lo:hi] / col_div - row_shares[lo:hi, None]
+            chi2_share += float(((t * t) @ cols / row_div[lo:hi]).sum())
         assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(chi2_share / (n - 1)))
+
+    def test_a_marginal_below_the_range_takes_the_per_cell_expression(self):
+        # a row sum under total * 2^-500 sends the table to ((O - E) / r) * ((O - E) / c),
+        # which reads other bits than one division a cell on this table
+        counts = random_counts_with_empty_classes(np.random.default_rng(30), 20)
+        counts[0] = 0.0
+        counts[0, 3] = 1e-160
+        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+        assert 0 < rows[0] < counts.sum() * 2.0**-500
+        diff = counts - rows[:, None] * (cols / counts.sum())
+        row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
+        per_cell = float(((diff / row_div[:, None]) * (diff / col_div)).sum())
+        t = counts / col_div - (rows / counts.sum())[:, None]
+        assert per_cell != float(((t * t) @ cols / row_div).sum())
+        assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(per_cell / 19))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [  # tables 134, 14, 596 and 549 of `tools/score_sweep.py`
+            [[1.4916681462400413e-154, 1e300], [1e-310, 0.0]],
+            [
+                [1e-310, 5e-324, 1e-310],
+                [1.4916681462400413e-154, 1e300, 1e300],
+                [1e-310, 1.4916681462400413e-154, 5e-324],
+            ],
+            [[1.4916681462400413e-154, 5e-324], [1e300, 1e-310]],
+            [[0.0, 1e-310, 0.0], [10.0, 1e-310, 1e-310], [1.4916681462400413e-154, 5e-324, 34.0]],
+        ],
+    )
+    def test_marginals_below_the_range_keep_their_relative_accuracy(self, grid):
+        # phi is 8.2e-79, 4.1e-79, 4.0e-92 and 0.866: one division a cell reads
+        # the first three as 0.0 and the last 32 ulps off, so the bound is relative
+        assert cramers_phi(cm_of(grid)) == pytest.approx(_phi_exact(grid), rel=4 * 2.0**-52, abs=0)
+
+    def test_within_2_ulps_of_exact_on_sweep_tables(self):
+        # the tables of at most 10 classes among the first 120 of `tools/score_sweep.py`,
+        # 8 to 12 of each kind, the smoothed kind smoothed as the sweep smooths it;
+        # larger tables of edge cells take the exact oracle seconds
+        for index, grid in enumerate(_load_script("tools", "score_sweep.py").tables(120)):
+            if not grid.any() or len(grid) > 10:
+                continue
+            cm = cm_of(grid) if index % 6 != 5 else smooth(cm_of(grid), 0.5)
+            exact = math.sqrt(oracles.phi_squared_exact(cm.counts.tolist()))
+            assert abs(cramers_phi(cm) - exact) <= 2 * math.ulp(exact), index
 
     def test_many_blocks_at_1000(self, monkeypatch):
         counts = random_counts_with_empty_classes(np.random.default_rng(1001), 1000, 5)
@@ -1271,13 +1317,13 @@ class TestInvariances:
         assert generalized_f1(smoothed) == generalized_f1(manual)
 
 
-def _benchmark_workloads():
-    # perfbench/workloads.py, which is no package, loaded by its path
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+def _load_script(*parts):
+    # a module of the repository that is in no package, loaded by its path
+    path = Path(__file__).resolve().parents[1].joinpath(*parts)
+    spec = importlib.util.spec_from_file_location(f"{parts[0]}_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestScoreBounds:
@@ -1296,7 +1342,7 @@ class TestScoreBounds:
         # the benchmark's five small-table kinds at ImageNet-like class counts,
         # where ordinary tables underflow to 0.0: the score stays in [-1, 1], is
         # +0.0 over an empty row or column, and is +-1 exactly where a witness is
-        workloads = _benchmark_workloads()
+        workloads = _load_script("perfbench", "workloads.py")
         rng = np.random.default_rng(300)
         empty = witnessed = 0
         for n in (300, 1000):
@@ -1369,7 +1415,7 @@ class TestCanonicalCorrelations:
     def test_wide_benchmark_tables(self):
         # n = 300 and 1000, where the score underflows to 0.0: log|det N| is finite
         # on every table that predicts each class, and held below (n - 1) log phi
-        tables, kinds = _benchmark_workloads().wide_tables(1)
+        tables, kinds = _load_script("perfbench", "workloads.py").wide_tables(1)
         for counts, kind in zip(tables, kinds):
             sign, logdet = self.check(counts)
             assert (sign != 0) == (kind == "all_predicted"), kind
