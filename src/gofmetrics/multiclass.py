@@ -182,16 +182,16 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     each cell's (O - E)^2 / E, divided by N, is ((O - E) / r_i) * ((O - E) / c_j),
     since E * N = r_i * c_j.  Both factors lie in [-1, 1], so no product leaves
     the double range at any scale of the counts.  Where every positive marginal
-    is at least N * 2^-500, each row takes t = O / c - r / N = (O - E) / c instead,
-    one division a cell, and adds sum_j c_j t^2 / r_i: a term c t^2 that
-    underflows, under 2^-1022, adds under 2^-522 / N after the division by r.
+    is at least max(N, 1) * 2^-500, each row takes t = O / c - r / N = (O - E) / c
+    instead, one division a cell, and adds sum_j c_j t^2 / r_i: a term c t^2 that
+    underflows, under 2^-1022, adds under 2^-522 after the division by r.
     A zero row or column sum has only zero cells, where O - E = 0, so it
     divides by 1 instead, which can only send a table to the per-cell form.
     At n = 2 this equals |two_class_score(cm, "mcc")|.
     """
     counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
     row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-    one_division = min(row_div.min(), col_div.min()) >= cm.total * 2.0**-500
+    one_division = min(row_div.min(), col_div.min()) >= max(cm.total, 1.0) * 2.0**-500
     shares = (rows if one_division else cols) / cm.total
     # chi2 / N over blocks of rows, in buffers reused by every block so they
     # stay in cache; a table smaller than one block is a single block

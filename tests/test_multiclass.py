@@ -588,14 +588,20 @@ class TestCramersPhi:
             chi2_share += float(((t * t) @ cols / row_div[lo:hi]).sum())
         assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(chi2_share / (n - 1)))
 
-    def test_a_marginal_below_the_range_takes_the_per_cell_expression(self):
-        # a row sum under total * 2^-500 sends the table to ((O - E) / r) * ((O - E) / c),
-        # which reads other bits than one division a cell on this table
+    @pytest.mark.parametrize("tiny_row", [True, False])
+    def test_a_marginal_below_the_range_takes_the_per_cell_expression(self, tiny_row):
+        # a positive row sum under max(total, 1) * 2^-500 sends the table to
+        # ((O - E) / r) * ((O - E) / c): a row of 1e-160 beside integer rows, or
+        # integers times 2^-1070, exact subnormal counts. One division a cell
+        # reads other bits on both tables
         counts = random_counts_with_empty_classes(np.random.default_rng(30), 20)
-        counts[0] = 0.0
-        counts[0, 3] = 1e-160
+        if tiny_row:
+            counts[0] = 0.0
+            counts[0, 3] = 1e-160
+        else:
+            counts *= 2.0**-1070
         rows, cols = counts.sum(axis=1), counts.sum(axis=0)
-        assert 0 < rows[0] < counts.sum() * 2.0**-500
+        assert 0 < rows[rows > 0].min() < max(counts.sum(), 1.0) * 2.0**-500
         diff = counts - rows[:, None] * (cols / counts.sum())
         row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
         per_cell = float(((diff / row_div[:, None]) * (diff / col_div)).sum())

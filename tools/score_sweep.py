@@ -132,10 +132,10 @@ def digest(count: int = TABLES) -> tuple[int, str]:
     return total, sha.hexdigest()
 
 
-def main(argv: list[str] | None = None) -> None:
+def main() -> None:
     parser = argparse.ArgumentParser(description="Hash or print the sweep's records.")
     parser.add_argument("--lines", action="store_true", help="print one record per line")
-    if parser.parse_args(argv).lines:
+    if parser.parse_args().lines:
         for record in records():
             print(line(record))
         return
