@@ -155,9 +155,7 @@ class ConfusionMatrix:
         if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"):
             grid = _check_cells(grid)
         try:
-            # the one copy, in which -0.0 + 0.0 is 0.0: no rate, and no mean of
-            # rates, sees a signed zero
-            counts = np.asarray(grid, dtype=float) + 0.0
+            counts = np.asarray(grid, dtype=float)
         except OverflowError:
             i, j = next(
                 (i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if _past_doubles(c)
@@ -166,6 +164,9 @@ class ConfusionMatrix:
         except (ValueError, TypeError):
             # every cell is a number by now, so the rows are ragged
             raise ValueError("non-square grid: rows have unequal lengths") from None
+        # the one copy (numpy's, of a list or an int array), in which -0.0 + 0.0 is 0.0
+        shared = isinstance(grid, np.ndarray) and np.may_share_memory(counts, grid)
+        counts = counts + 0.0 if shared else np.add(counts, 0.0, out=counts)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"non-square grid: shape {counts.shape}")
         side = counts.shape[0]

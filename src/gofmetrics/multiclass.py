@@ -181,38 +181,41 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     With row sums r, column sums c and expected counts E = r_i * (c_j / N),
     each cell's (O - E)^2 / E, divided by N, is ((O - E) / r_i) * ((O - E) / c_j),
     since E * N = r_i * c_j.  Both factors lie in [-1, 1], so no product leaves
-    the double range at any scale of the counts.  Where every positive marginal
-    is at least max(N, 1) * 2^-500, each row takes t = O / c - r / N = (O - E) / c
-    instead, one division a cell, and adds sum_j c_j t^2 / r_i: a term c t^2 that
-    underflows, under 2^-1022, adds under 2^-522 after the division by r.
-    A zero row or column sum has only zero cells, where O - E = 0, so it
-    divides by 1 instead, which can only send a table to the per-cell form.
+    the double range at any scale of the counts.  Where every positive marginal is at
+    least max(N, 1) * 2^-500, a row takes t = O / c - r / N = (O - E) / c, one division a
+    cell, and adds sum_j c_j t^2 / r_i: its roundings into the subnormals lose under
+    n (n + 1) 2^-573 of chi2 / N, under 2^-52 of one of at least 2^-470 (n^2 < 2^50), and
+    a smaller one is taken per cell again.  A zero row or column sum has only zero cells,
+    where O - E = 0, so it divides by 1 instead, which can only send a table to the
+    per-cell form.
     At n = 2 this equals |two_class_score(cm, "mcc")|.
     """
     counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
     row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-    one_division = min(row_div.min(), col_div.min()) >= max(cm.total, 1.0) * 2.0**-500
-    shares = (rows if one_division else cols) / cm.total
-    # chi2 / N over blocks of rows, in buffers reused by every block so they
-    # stay in cache; a table smaller than one block is a single block
+    in_range = min(row_div.min(), col_div.min()) >= max(cm.total, 1.0) * 2.0**-500
     step = max(1, _PHI_BLOCK_CELLS // n)
-    buffers = np.empty((2, min(step, n), n))
-    chi2_share = 0.0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        diff, by_col = buffers[:, : hi - lo]
-        if one_division:
-            np.divide(counts[lo:hi], col_div, out=diff)
-            np.subtract(diff, shares[lo:hi, None], out=diff)  # (O - E) / c
-            chi2_share += float((np.multiply(diff, diff, out=diff) @ cols / row_div[lo:hi]).sum())
-        else:
-            np.multiply(rows[lo:hi, None], shares, out=diff)
-            np.subtract(counts[lo:hi], diff, out=diff)  # O - E
-            np.divide(diff, col_div, out=by_col)
-            np.divide(diff, row_div[lo:hi, None], out=diff)
-            chi2_share += float(np.multiply(diff, by_col, out=diff).sum())
-    phi = math.sqrt(chi2_share / (n - 1))
-    return min(1.0, phi)
+    for one_division in (True, False) if in_range else (False,):
+        # chi2 / N over blocks of rows, in buffers (one division a cell needs one)
+        # reused by every block so they stay in cache; one block on a small table
+        shares = (rows if one_division else cols) / cm.total
+        buffers = np.empty((1 if one_division else 2, min(step, n), n))
+        chi2_share = 0.0
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            diff, *by_col = buffers[:, : hi - lo]
+            if one_division:
+                np.divide(counts[lo:hi], col_div, out=diff)
+                np.subtract(diff, shares[lo:hi, None], out=diff)  # (O - E) / c
+                chi2_share += float((np.square(diff, out=diff) @ cols / row_div[lo:hi]).sum())
+            else:
+                np.multiply(rows[lo:hi, None], shares, out=diff)
+                np.subtract(counts[lo:hi], diff, out=diff)  # O - E
+                np.divide(diff, col_div, out=by_col[0])
+                np.divide(diff, row_div[lo:hi, None], out=diff)
+                chi2_share += float(np.multiply(diff, by_col[0], out=diff).sum())
+        if chi2_share >= 2.0**-470:
+            break
+    return min(1.0, math.sqrt(chi2_share / (n - 1)))
 
 
 def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:

@@ -611,7 +611,7 @@ class TestCramersPhi:
 
     @pytest.mark.parametrize(
         "grid",
-        [  # tables 134, 14, 596 and 549 of `tools/score_sweep.py`
+        [  # tables 134, 14, 596 and 549 of `tools/score_sweep.py`, then a table in range
             [[1.4916681462400413e-154, 1e300], [1e-310, 0.0]],
             [
                 [1e-310, 5e-324, 1e-310],
@@ -620,11 +620,14 @@ class TestCramersPhi:
             ],
             [[1.4916681462400413e-154, 5e-324], [1e300, 1e-310]],
             [[0.0, 1e-310, 0.0], [10.0, 1e-310, 1e-310], [1.4916681462400413e-154, 5e-324, 34.0]],
+            [[1.0, 1e-150], [1e-150, 2e-300]],
         ],
     )
-    def test_marginals_below_the_range_keep_their_relative_accuracy(self, grid):
-        # phi is 8.2e-79, 4.1e-79, 4.0e-92 and 0.866: one division a cell reads
-        # the first three as 0.0 and the last 32 ulps off, so the bound is relative
+    def test_tables_off_the_one_division_form_keep_their_relative_accuracy(self, grid):
+        # phi is 8.2e-79, 4.1e-79, 4.0e-92, 0.866 and 1e-150: one division a cell
+        # reads the first three as 0.0 and the fourth 32 ulps off, for marginals
+        # under the range, and the last as 0.0, for a chi2 / N of 1e-300, whose
+        # terms c t^2 underflow; so the bound is relative
         assert cramers_phi(cm_of(grid)) == pytest.approx(_phi_exact(grid), rel=4 * 2.0**-52, abs=0)
 
     def test_within_2_ulps_of_exact_on_sweep_tables(self):

@@ -17,17 +17,16 @@ their own), and the cells of `normalized_matrix`.
 A value is recorded as `float.hex`; a `ValueError`, an `ArithmeticError` or
 a `RuntimeWarning` by its type and message.
 
-With `--lines` it prints every record as its line instead, so a diff
-between checkouts is
+`records()` yields the records, so a diff between checkouts is
 
-    PYTHONPATH=src python3 tools/score_sweep.py --lines > a.txt
+    PYTHONPATH=src:tools python3 -c \\
+        'import score_sweep as s; print(*map(s.line, s.records()), sep="\\n")' > a.txt
 
 run in each checkout, then `diff a.txt b.txt`.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import math
 import warnings
@@ -133,12 +132,6 @@ def digest(count: int = TABLES) -> tuple[int, str]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description="Hash or print the sweep's records.")
-    parser.add_argument("--lines", action="store_true", help="print one record per line")
-    if parser.parse_args().lines:
-        for record in records():
-            print(line(record))
-        return
     total, sha = digest()
     print(f"{total} records sha256 {sha}")
 
