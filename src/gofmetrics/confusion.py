@@ -165,8 +165,8 @@ class ConfusionMatrix:
             # every cell is a number by now, so the rows are ragged
             raise ValueError("non-square grid: rows have unequal lengths") from None
         # the one copy (numpy's, of a list or an int array), in which -0.0 + 0.0 is 0.0
-        shared = isinstance(grid, np.ndarray) and np.may_share_memory(counts, grid)
-        counts = counts + 0.0 if shared else np.add(counts, 0.0, out=counts)
+        copied = counts is not grid and counts.base is None  # not the grid, nor a view of it
+        counts = np.add(counts, 0.0, out=counts) if copied else counts + 0.0
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"non-square grid: shape {counts.shape}")
         side = counts.shape[0]

@@ -235,6 +235,19 @@ class TestFromCounts:
         assert cm.counts[0, 0] == 1.0
         assert not cm.counts.flags.writeable
 
+    @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix
+    @pytest.mark.parametrize("kind", ["matrix", "int"])
+    def test_counts_are_a_copy_of_a_matrix_or_an_int_array(self, kind):
+        # numpy reads a float matrix as a view of it, so 0.0 is not added in
+        # place there, and an int array as a new array, in which it is
+        grid = np.array([[1.0, -0.0], [3.0, 4.0]])
+        source = np.asmatrix(grid) if kind == "matrix" else grid.astype(int)
+        cm = ConfusionMatrix.from_counts(source)
+        assert np.signbit(source[0, 1]) == (kind == "matrix")
+        source[0, 0] = 99
+        assert type(cm.counts) is np.ndarray and cm.counts.tolist() == [[1.0, 0.0], [3.0, 4.0]]
+        assert not np.signbit(cm.counts).any()
+
     def test_total_is_the_sum_of_the_counts(self):
         # fractional cells whose sum depends on the order numpy adds them in,
         # so a transform that kept its source's total would read apart
