@@ -178,43 +178,28 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
 
         phi_c = sqrt( (chi2 / N) / (n - 1) )
 
-    With row sums r, column sums c and expected counts E = r_i * (c_j / N),
-    each cell's (O - E)^2 / E, divided by N, is ((O - E) / r_i) * ((O - E) / c_j),
-    since E * N = r_i * c_j.  Both factors lie in [-1, 1], so no product leaves
-    the double range at any scale of the counts.  Where every positive marginal is at
-    least max(N, 1) * 2^-500, a row takes t = O / c - r / N = (O - E) / c, one division a
-    cell, and adds sum_j c_j t^2 / r_i: its roundings into the subnormals lose under
-    n (n + 1) 2^-573 of chi2 / N, under 2^-52 of one of at least 2^-470 (n^2 < 2^50), and
-    a smaller one is taken per cell again.  A zero row or column sum has only zero cells,
-    where O - E = 0, so it divides by 1 instead, which can only send a table to the
-    per-cell form.
+    With row sums r, column sums c and E = r_i c_j / N, chi2 / N is the sum of u^2 over
+    the cells, u = (O - E) / sqrt(r_i c_j) in [-1, 1]: the cells of the geometric
+    normalization D_r^-1/2 C D_c^-1/2 less its rank-one part.  A cell takes one division,
+    t = O / c_j - r_i / N = (O - E) / c_j, and u = t * sqrt(c_j) * (1 / sqrt(r_i)) is
+    scaled before it is squared: an underflowed square loses under 2^-1074, and integer
+    counts times an even power of two read the same bits.  A zero row or column sum
+    divides by 1, and sqrt(0) zeroes the column's t = -r_i / N.
     At n = 2 this equals |two_class_score(cm, "mcc")|.
     """
     counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
-    row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-    in_range = min(row_div.min(), col_div.min()) >= max(cm.total, 1.0) * 2.0**-500
+    col_div, col_roots = np.where(cols > 0, cols, 1.0), np.sqrt(cols)
+    row_scales = 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
+    # chi2 / N by blocks of rows in one buffer, reused by every block so it stays in cache
     step = max(1, _PHI_BLOCK_CELLS // n)
-    for one_division in (True, False) if in_range else (False,):
-        # chi2 / N over blocks of rows, in buffers (one division a cell needs one)
-        # reused by every block so they stay in cache; one block on a small table
-        shares = (rows if one_division else cols) / cm.total
-        buffers = np.empty((1 if one_division else 2, min(step, n), n))
-        chi2_share = 0.0
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            diff, *by_col = buffers[:, : hi - lo]
-            if one_division:
-                np.divide(counts[lo:hi], col_div, out=diff)
-                np.subtract(diff, shares[lo:hi, None], out=diff)  # (O - E) / c
-                chi2_share += float((np.square(diff, out=diff) @ cols / row_div[lo:hi]).sum())
-            else:
-                np.multiply(rows[lo:hi, None], shares, out=diff)
-                np.subtract(counts[lo:hi], diff, out=diff)  # O - E
-                np.divide(diff, col_div, out=by_col[0])
-                np.divide(diff, row_div[lo:hi, None], out=diff)
-                chi2_share += float(np.multiply(diff, by_col[0], out=diff).sum())
-        if chi2_share >= 2.0**-470:
-            break
+    buffer, chi2_share = np.empty((min(step, n), n)), 0.0
+    for lo in range(0, n, step):
+        u = buffer[: min(step, n - lo)]
+        np.divide(counts[lo : lo + step], col_div, out=u)
+        np.subtract(u, rows[lo : lo + step, None] / cm.total, out=u)  # (O - E) / c
+        np.multiply(u, col_roots, out=u)
+        np.multiply(u, row_scales[lo : lo + step, None], out=u)  # (O - E) / sqrt(r c)
+        chi2_share += float(np.vdot(u, u))
     return min(1.0, math.sqrt(chi2_share / (n - 1)))
 
 

@@ -564,13 +564,14 @@ class TestCramersPhi:
 
     @pytest.mark.parametrize("n", [2, 7, 20, 180])
     def test_one_block_is_the_whole_table_expression(self, n):
-        # 180 * 180 cells still fit in one block; every marginal is in the
-        # one-division range, so each row adds sum_j c t^2 / r, t = (O - E) / c
+        # 180 * 180 cells still fit in one block: u = ((O - E) / c) sqrt(c) / sqrt(r),
+        # with t = (O - E) / c taken as O / c - r / N, and chi2 / N = u . u
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
         rows, cols = counts.sum(axis=1), counts.sum(axis=0)
         row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
         t = counts / col_div - (rows / counts.sum())[:, None]
-        whole = min(1.0, math.sqrt(float(((t * t) @ cols / row_div).sum()) / (n - 1)))
+        u = t * np.sqrt(cols) * (1.0 / np.sqrt(row_div))[:, None]
+        whole = min(1.0, math.sqrt(float(np.vdot(u, u)) / (n - 1)))
         assert cramers_phi(cm_of(counts)) == whole
 
     @pytest.mark.parametrize("n", [181, 300, 1000])
@@ -585,33 +586,27 @@ class TestCramersPhi:
         for lo in range(0, n, step):
             hi = lo + step
             t = counts[lo:hi] / col_div - row_shares[lo:hi, None]
-            chi2_share += float(((t * t) @ cols / row_div[lo:hi]).sum())
+            u = t * np.sqrt(cols) * (1.0 / np.sqrt(row_div[lo:hi]))[:, None]
+            chi2_share += float(np.vdot(u, u))
         assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(chi2_share / (n - 1)))
 
-    @pytest.mark.parametrize("tiny_row", [True, False])
-    def test_a_marginal_below_the_range_takes_the_per_cell_expression(self, tiny_row):
-        # a positive row sum under max(total, 1) * 2^-500 sends the table to
-        # ((O - E) / r) * ((O - E) / c): a row of 1e-160 beside integer rows, or
-        # integers times 2^-1070, exact subnormal counts. One division a cell
-        # reads other bits on both tables
+    @pytest.mark.parametrize("kind", ["row_of_1e-160", "integers_times_2^-1070"])
+    def test_tiny_marginals_keep_their_relative_accuracy(self, kind):
+        # a row of 1e-160 beside integer rows, and integers times 2^-1070, exact
+        # subnormal counts: marginals under total * 2^-500, where a square of
+        # (O - E) / c alone, unscaled, would underflow or keep a few bits
         counts = random_counts_with_empty_classes(np.random.default_rng(30), 20)
-        if tiny_row:
+        if kind == "row_of_1e-160":
             counts[0] = 0.0
             counts[0, 3] = 1e-160
         else:
             counts *= 2.0**-1070
-        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
-        assert 0 < rows[rows > 0].min() < max(counts.sum(), 1.0) * 2.0**-500
-        diff = counts - rows[:, None] * (cols / counts.sum())
-        row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-        per_cell = float(((diff / row_div[:, None]) * (diff / col_div)).sum())
-        t = counts / col_div - (rows / counts.sum())[:, None]
-        assert per_cell != float(((t * t) @ cols / row_div).sum())
-        assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(per_cell / 19))
+        grid = counts.tolist()
+        assert cramers_phi(cm_of(counts)) == pytest.approx(_phi_exact(grid), rel=4 * 2.0**-52, abs=0)
 
     @pytest.mark.parametrize(
         "grid",
-        [  # tables 134, 14, 596 and 549 of `tools/score_sweep.py`, then a table in range
+        [  # tables 134, 14, 596 and 549 of `tools/score_sweep.py`, then two tables of tiny phi
             [[1.4916681462400413e-154, 1e300], [1e-310, 0.0]],
             [
                 [1e-310, 5e-324, 1e-310],
@@ -621,14 +616,40 @@ class TestCramersPhi:
             [[1.4916681462400413e-154, 5e-324], [1e300, 1e-310]],
             [[0.0, 1e-310, 0.0], [10.0, 1e-310, 1e-310], [1.4916681462400413e-154, 5e-324, 34.0]],
             [[1.0, 1e-150], [1e-150, 2e-300]],
+            [[7.183673017476157e-114, 2.724829906991974e-221], [9.874755320549059e-242, 0.0]],
         ],
     )
-    def test_tables_off_the_one_division_form_keep_their_relative_accuracy(self, grid):
-        # phi is 8.2e-79, 4.1e-79, 4.0e-92, 0.866 and 1e-150: one division a cell
-        # reads the first three as 0.0 and the fourth 32 ulps off, for marginals
-        # under the range, and the last as 0.0, for a chi2 / N of 1e-300, whose
-        # terms c t^2 underflow; so the bound is relative
+    def test_edge_tables_keep_their_relative_accuracy(self, grid):
+        # phi is 8.2e-79, 4.1e-79, 4.0e-92, 0.866, 1e-150 and 2.3e-118 (|MCC|): one
+        # division a cell, squared before it is scaled, reads the first three and
+        # the last two as 0.0 and the fourth 32 ulps off; so the bound is relative
         assert cramers_phi(cm_of(grid)) == pytest.approx(_phi_exact(grid), rel=4 * 2.0**-52, abs=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 20), seed=st.integers(0, 2**32 - 1))
+    def test_even_power_of_two_scales_read_the_same_bits(self, n, seed):
+        # integer counts times 2^e keep every cell, marginal, share and t exact,
+        # and an even e scales sqrt(c) and 1 / sqrt(r) exactly, so no bit moves
+        counts = random_counts_with_empty_classes(np.random.default_rng(seed), n)
+        value = cramers_phi(cm_of(counts))
+        for exponent in (-1070, -1000, -600, 600, 1000):
+            assert cramers_phi(cm_of(counts * 2.0**exponent)) == value, exponent
+
+    def test_subnormal_counts(self):
+        # [[4, 4], [5, 2]] * 5e-324 is the integer table times 2^-1074: its bits
+        assert cramers_phi(cm_of([[2e-323, 2e-323], [2.5e-323, 1e-323]])) == 0.21821789023599236
+        # integer counts times subnormal and tiny scales, to 4 eps relative and
+        # n eps absolute: each u = (O - E) / sqrt(r c) is good to a few eps, and
+        # |u| <= 1, so a near-independent table, whose t = O / c - r / N cancels,
+        # keeps its absolute accuracy only (1 eps is the largest error seen
+        # over 15,000 such tables)
+        eps, rng = 2.0**-52, np.random.default_rng(93)
+        for scale in (5e-324, 1e-315, 1e-310, 1e-300, 2.0**-1000):
+            for _ in range(20):
+                n = int(rng.integers(2, 6))
+                grid = random_counts(rng, n) * scale
+                exact = math.sqrt(oracles.phi_squared_exact(grid))
+                assert abs(cramers_phi(cm_of(grid)) - exact) <= 4 * eps * exact + n * eps, grid
 
     def test_within_2_ulps_of_exact_on_sweep_tables(self):
         # the tables of at most 10 classes among the first 120 of `tools/score_sweep.py`,
@@ -702,9 +723,11 @@ class TestCramersPhi:
             cm = cm_of(grid)
             value = cramers_phi(cm)
             exact = math.sqrt(oracles.phi_squared_exact(grid))
-            assert value == pytest.approx(exact, abs=1e-12)
+            # 4 eps relative, down to 2^-511: under it phi^2 is subnormal
+            assert value == pytest.approx(exact, rel=4 * 2.0**-52, abs=2.0**-511)
             if n == 2:
-                assert value == pytest.approx(abs(two_class_score(cm, "mcc")), abs=1e-12)
+                mcc = abs(two_class_score(cm, "mcc"))
+                assert value == pytest.approx(mcc, rel=4 * 2.0**-52, abs=2.0**-511)
             checked += 1
 
     def test_zero_marginal_cells_contribute_nothing(self):
