@@ -53,6 +53,12 @@ _EPS = 2.0**-52  # the double-precision machine epsilon
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # cells per row block of cramers_phi's temporaries, small enough for cache
 _PHI_BLOCK_CELLS = 1 << 15
+# `_eliminated_slogdet` runs from this many classes on, on tables of at most this
+# many nonzero cells a row, where it was measured to cost less than one LU of the
+# whole table; it picks its pivots in this many rounds
+_ELIMINATE_MIN_N = 500
+_ELIMINATE_CELLS_PER_ROW = 8
+_LUBY_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -99,23 +105,30 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     sign * exp(log|det N|): subnormal below log|det N| ~ -708, +0.0 below
     ~ -745 whatever the sign.  It is exactly +-1 only with a permutation
     witness (`perfect_fit_permutation`), signed by its parity.
+
+    A wide sparse table, n >= 500 with at most 8n nonzero cells, first
+    eliminates a set S of diagonal pivots exactly: class s may join S where
+    C_ss > 0 is the largest cell of its column, and no two classes of S share
+    an off-diagonal nonzero cell.  With T the other classes,
+
+        log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
+
+    and only that smaller Schur complement takes the LU.  Every multiplier
+    C_ts / C_ss is at most 1, as with partial pivoting; the sign, the witness
+    rule, the |det| check and the rounding allowance, which also covers the
+    pivots' logs, are kept.  Every other table, every table of at most 499
+    classes among them, keeps the one LU's bits.
     """
-    rows, cols = cm.row_sums, cm.col_sums
-    if not (rows.all() and cols.all()):
+    if not (cm.row_sums.all() and cm.col_sums.all()):
         return 0.0
     if cm.n == 2:  # the two-class MCC, with no LU and no rounding of logs
         mcc = _mcc(cm).item()
         if abs(mcc) == 1 and perfect_fit_permutation(cm) is None:
             return math.copysign(_BELOW_ONE, mcc)
         return mcc
-    with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
-        sign, logdet = np.linalg.slogdet(cm.counts.T)
-    logs = np.log(np.concatenate((rows, cols)))
-    logdet -= 0.5 * float(logs.sum())
-    # the two sums of logs round apart by up to ~ n * eps * sum |log|; a
-    # perfect fit lands within that of 0, or at -inf when a subnormal pivot
-    # flushed, and only its witness makes it +-1
-    rounding = cm.n * _EPS * float(np.abs(logs).sum())
+    sign, logdet, rounding = _log_det(cm)
+    # a perfect fit lands within rounding of 0, or at -inf when a subnormal
+    # pivot flushed, and only its witness makes it +-1
     if abs(logdet) <= rounding or logdet == -math.inf:
         witness = perfect_fit_permutation(cm)
         if witness is not None:
@@ -124,9 +137,79 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     # slack is a bug, told on the log before its exp can overflow
     if logdet > math.log1p(_DET_SLACK) + rounding:
         raise ArithmeticError(f"determinant {'-' if sign < 0 else ''}exp({logdet}) outside [-1, 1]")
-    det = float(sign) * math.exp(logdet)
+    det = sign * math.exp(logdet)
     # + 0.0 turns an underflowed -0.0 into 0.0
     return min(_BELOW_ONE, max(-_BELOW_ONE, det)) + 0.0
+
+
+def _log_det(cm: ConfusionMatrix) -> tuple[float, float, float]:
+    # (sign, log|det N|, rounding) of a table of n >= 3 classes whose every row and
+    # column sum is positive.  A wide sparse table eliminates its independent dominant
+    # pivots first (`_eliminated_slogdet`); any other takes one LU of the whole table
+    counts, n = cm.counts, cm.n
+    nonzero = counts != 0 if n >= _ELIMINATE_MIN_N else None
+    if nonzero is not None and np.count_nonzero(nonzero) <= _ELIMINATE_CELLS_PER_ROW * n:
+        sign, logdet, pivot_logs = _eliminated_slogdet(counts, np.flatnonzero(nonzero))
+    else:
+        with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
+            sign, logdet = np.linalg.slogdet(counts.T)
+        pivot_logs = 0.0
+    logs = np.log(np.concatenate((cm.row_sums, cm.col_sums)))
+    logdet -= 0.5 * float(logs.sum())
+    # the sums of logs round apart by up to ~ n * eps * sum |log|
+    rounding = n * _EPS * (float(np.abs(logs).sum()) + pivot_logs)
+    return float(sign), float(logdet), rounding
+
+
+def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, float, float]:
+    # (sign, log|det C|, sum of |log C_ss| over S) by exact elimination of a set S of
+    # diagonal pivots before one LU of the rest, T:
+    #     log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
+    # Class s may join S where C_ss > 0 is the largest cell of its column, so every
+    # multiplier C_is / C_ss is at most 1, as partial pivoting would give, and no two
+    # classes of S share an off-diagonal nonzero cell, so C_SS is diagonal and every
+    # neighbour of S is in T.  S is chosen in a few Luby rounds over the nonzero
+    # cells: a free class joins where it ranks below every free neighbour, by fewest
+    # off-diagonal nonzero cells in its row and column, then by index
+    n = counts.shape[0]
+    i, j = np.divmod(flat, n)  # flat: the row-major indices of the nonzero cells
+    off = i != j
+    i, j = i[off], j[off]
+    cells, diagonal = counts[i, j], counts.diagonal()
+    column_max = np.zeros(n)
+    np.maximum.at(column_max, j, cells)
+    free = (diagonal > 0) & (diagonal >= column_max)
+    rank = (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)) * n + np.arange(n)
+    chosen = np.zeros(n, dtype=bool)
+    for _ in range(_LUBY_ROUNDS):
+        live = free[i] & free[j]
+        lowest = np.full(n, 2 * n * n)  # above every rank
+        np.minimum.at(lowest, i[live], rank[j[live]])
+        np.minimum.at(lowest, j[live], rank[i[live]])
+        joins = free & (rank < lowest)
+        chosen |= joins
+        free &= ~joins
+        free[j[joins[i]]] = free[i[joins[j]]] = False
+    keep = np.flatnonzero(~chosen)
+    m = keep.size
+    schur = counts.take(keep, 0).take(keep, 1)
+    place = np.cumsum(~chosen) - 1  # each class of T's index in the complement
+    # the update scattered from the nonzero cells: each cell (a, s) of a column of S,
+    # as its multiplier C_as / C_ss, meets each cell (s, b) of row s
+    column, row = chosen[j], chosen[i]
+    s = j[column]
+    multipliers = cells[column] / diagonal[s]
+    row_ends = np.cumsum(np.bincount(i[row], minlength=n))  # row s's cells end here
+    repeats = np.diff(row_ends, prepend=0)[s]
+    ends = np.cumsum(repeats)
+    # the row cell each update reads
+    k = np.repeat(row_ends[s] - ends, repeats) + np.arange(ends[-1] if ends.size else 0)
+    targets = np.repeat(place[i[column]] * m, repeats) + place[j[row][k]]
+    np.subtract.at(schur.reshape(-1), targets, np.repeat(multipliers, repeats) * cells[row][k])
+    with np.errstate(divide="ignore"):
+        sign, logdet = np.linalg.slogdet(schur.T)
+    pivot_logs = np.log(diagonal[chosen])
+    return sign, logdet + float(pivot_logs.sum()), float(np.abs(pivot_logs).sum())
 
 
 def _check_outer(outer: AveragingSpec, signed: bool) -> None:

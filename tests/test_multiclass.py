@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -279,7 +280,7 @@ class TestGeneralizedMcc:
         else:
             assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 50, 300])
+    @pytest.mark.parametrize("n", [2, 3, 50, 300, 600])
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_permutation_tables_are_exactly_one(self, n, parity):
         rng = np.random.default_rng(n)
@@ -365,6 +366,81 @@ class TestGeneralizedMcc:
             am_gm_cap = float((row_sums.sum() / n) ** n)
             assert float(np.prod(row_sums)) <= am_gm_cap + 1e-12
             assert am_gm_cap <= 1 + 1e-9
+
+
+def pivot_table(rng, n, fixed, tie):
+    """Counts whose every row has one dominant cell, more than twice the rest of
+    its row, on a permutation that fixes a share `fixed` of the classes.  A fixed
+    class holds the largest cell of its column; a moved one cannot, and every
+    other moved class has no hit.  With `tie`, one other cell of a fixed class's
+    column equals its diagonal.  Row dominance keeps the table well away from
+    singular, so both LUs decide its sign."""
+    sigma = np.arange(n)
+    moved = rng.permutation(n)[: n - round(fixed * n)]
+    if moved.size > 1:  # one cycle through the moved classes fixes none of them
+        sigma[moved] = np.roll(moved, 1)
+    counts = rng.integers(1, 10, (n, n)) * (rng.random((n, n)) < 4 / n)
+    counts[moved[::2], moved[::2]] = 0
+    counts[np.arange(n), sigma] = 0
+    counts = counts.astype(float)
+    counts[np.arange(n), sigma] = 2 * counts.sum(axis=1) + np.floor(10 ** rng.uniform(1, 4, n))
+    fixed_classes = np.flatnonzero(sigma == np.arange(n))
+    if tie and fixed_classes.size:
+        s = int(rng.choice(fixed_classes))
+        i = (s + 1) % n
+        counts[i, s] = counts[s, s]
+        rest = counts[i].sum() - counts[i, sigma[i]]
+        counts[i, sigma[i]] = max(counts[i, sigma[i]], 2 * rest + 1)
+    return counts
+
+
+def _eliminated(counts):
+    # the pivot elimination of `multiclass._log_det`, called with no gate
+    return multiclass._eliminated_slogdet(counts, np.flatnonzero(counts))
+
+
+class TestPivotElimination:
+    """`_eliminated_slogdet` against one LU of the whole table."""
+
+    # the elimination and the LU round apart by c n eps nats per unit of the log of
+    # the largest cell, as each pivot's log rounds relative to its size: c is the
+    # stated bound, 2.80 the largest seen over 20,000 such tables
+    C = 8
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 60),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.sampled_from([0.0, 0.5, 1.0]),
+        tie=st.booleans(),
+    )
+    def test_matches_one_lu_of_the_whole_table(self, n, seed, fixed, tie):
+        counts = pivot_table(np.random.default_rng(seed), n, fixed, tie)
+        diagonal = counts.diagonal()
+        qualifying = (diagonal > 0) & (diagonal >= counts.max(axis=0))
+        # the case each table was built for: no class qualifying, every class
+        # qualifying, classes with no hit, and a tie with a column's maximum
+        assert qualifying.any() == (fixed > 0) or n - round(fixed * n) <= 1
+        assert qualifying.all() == (fixed == 1) or n - round(fixed * n) <= 1
+        if n - round(fixed * n) > 1:
+            assert (diagonal == 0).any()
+        if tie and fixed > 0:
+            assert ((counts == diagonal) & qualifying).sum() > qualifying.sum()
+        sign, logdet, _ = _eliminated(counts)
+        expected_sign, expected = np.linalg.slogdet(counts.T)
+        assert sign == expected_sign != 0
+        bound = self.C * n * 2.0**-52 * math.log(counts.max())
+        assert abs(logdet - expected) <= bound, (logdet, expected)
+
+    @pytest.mark.parametrize("n", [multiclass._ELIMINATE_MIN_N, 1000])
+    def test_diagonal_table_past_the_gate_reads_one_through_its_witness(self, n):
+        # every class joins S and the complement is 0 x 0, which numpy's slogdet
+        # reads as (1, 0): log|det C| is the sum of the pivots' logs
+        counts = np.diag(np.floor(10.0 ** np.random.default_rng(n).uniform(0, 9, n)))
+        sign, logdet, pivot_logs = _eliminated(counts)
+        logs = np.log(counts.diagonal())
+        assert (sign, logdet, pivot_logs) == (1.0, float(logs.sum()), float(np.abs(logs).sum()))
+        assert generalized_mcc(cm_of(counts)) == 1.0
 
 
 class TestGeneralizedF1:
@@ -1358,6 +1434,36 @@ def _load_script(*parts):
     return module
 
 
+def assert_matches_one_lu(monkeypatch, cm):
+    """generalized_mcc as the gate decides, against one LU of the whole table.
+
+    Where the gate keeps that LU, the bits are the same.  Where it sends the
+    table to the pivot elimination, the kernel's sign is the same, the score is
+    within 1e-9 relative where both are normal doubles, and 0.0 where the one
+    LU's underflows.  Returns whether the table took the elimination."""
+    calls, eliminate = [], multiclass._eliminated_slogdet
+
+    def spy(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    positive = cm.row_sums.all() and cm.col_sums.all()
+    with monkeypatch.context() as patch:
+        patch.setattr(multiclass, "_eliminated_slogdet", spy)
+        value, kernel = generalized_mcc(cm), positive and multiclass._log_det(cm)
+        patch.setattr(multiclass, "_ELIMINATE_MIN_N", math.inf)
+        plain, plain_kernel = generalized_mcc(cm), positive and multiclass._log_det(cm)
+    if not calls:
+        assert value.hex() == plain.hex(), cm.n
+        return False
+    assert kernel[0] == plain_kernel[0], cm.n
+    if min(abs(value), abs(plain)) >= sys.float_info.min:
+        assert value == pytest.approx(plain, rel=1e-9, abs=0), cm.n
+    if plain == 0.0:
+        assert value == 0.0, cm.n
+    return True
+
+
 class TestScoreBounds:
     def test_all_metrics_within_declared_ranges(self):
         rng = np.random.default_rng(37)
@@ -1370,17 +1476,22 @@ class TestScoreBounds:
             assert 0.0 <= lp_multiclass(cm, -1.0) <= 1.0 + 1e-12
             assert -1.0 <= one_vs_one_average(cm, "mcc").value <= 1.0
 
-    def test_determinant_invariants_on_wide_benchmark_tables(self):
+    def test_determinant_invariants_on_wide_benchmark_tables(self, monkeypatch):
         # the benchmark's five small-table kinds at ImageNet-like class counts,
         # where ordinary tables underflow to 0.0: the score stays in [-1, 1], is
-        # +0.0 over an empty row or column, and is +-1 exactly where a witness is
+        # +0.0 over an empty row or column, and is +-1 exactly where a witness is.
+        # The dense smoothed tables and every table below the gate keep the one
+        # LU's bits
         workloads = _load_script("perfbench", "workloads.py")
         rng = np.random.default_rng(300)
-        empty = witnessed = 0
+        empty = witnessed = eliminated = 0
         for n in (300, 1000):
             for kind in workloads.SMALL_KINDS * 2:
                 cm = cm_of(workloads._small_table(rng, n, kind))
                 value = generalized_mcc(cm)
+                took = assert_matches_one_lu(monkeypatch, cm)
+                assert not (took and (kind == "smoothed" or n < multiclass._ELIMINATE_MIN_N))
+                eliminated += took
                 assert -1.0 <= value <= 1.0, (n, kind)
                 if (cm.row_sums == 0).any() or (cm.col_sums == 0).any():
                     assert value == 0.0 and math.copysign(1.0, value) == 1.0, (n, kind)
@@ -1392,8 +1503,9 @@ class TestScoreBounds:
                     assert value == (1.0 if witness.parity == "even" else -1.0), (n, kind)
                     witnessed += 1
         # each branch ran: on the four permutation tables, and on the four
-        # never_predicted ones and any other with an empty class
-        assert empty >= 4 and witnessed == 4
+        # never_predicted ones and any other with an empty class; and the
+        # elimination ran on the sparse tables at n = 1000
+        assert empty >= 4 and witnessed == 4 and eliminated >= 4
 
 
 GEOMETRY_KINDS = {
@@ -1444,13 +1556,19 @@ class TestCanonicalCorrelations:
     def test_generator_tables(self, kind, n, seed):
         self.check(GEOMETRY_KINDS[kind](np.random.default_rng(seed), n))
 
-    def test_wide_benchmark_tables(self):
+    def test_wide_benchmark_tables(self, monkeypatch):
         # n = 300 and 1000, where the score underflows to 0.0: log|det N| is finite
-        # on every table that predicts each class, and held below (n - 1) log phi
-        tables, kinds = _load_script("perfbench", "workloads.py").wide_tables(1)
-        for counts, kind in zip(tables, kinds):
-            sign, logdet = self.check(counts)
-            assert (sign != 0) == (kind == "all_predicted"), kind
+        # on every table that predicts each class, and held below (n - 1) log phi;
+        # generalized_mcc agrees with one LU of the whole table, through the pivot
+        # elimination on every n = 1000 table that predicts each class
+        workloads = _load_script("perfbench", "workloads.py")
+        for seed in (1, 2, 3):
+            tables, kinds = workloads.wide_tables(seed)
+            for counts, kind in zip(tables, kinds):
+                sign, logdet = self.check(counts)
+                assert (sign != 0) == (kind == "all_predicted"), kind
+                took = assert_matches_one_lu(monkeypatch, cm_of(counts))
+                assert took == (len(counts) == 1000 and kind == "all_predicted"), kind
 
 
 # every entry that looks a metric up by name in METRICS
