@@ -170,7 +170,7 @@ def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, fl
     # classes of S share an off-diagonal nonzero cell, so C_SS is diagonal and every
     # neighbour of S is in T.  S is chosen in a few Luby rounds over the nonzero
     # cells: a free class joins where it ranks below every free neighbour, by fewest
-    # off-diagonal nonzero cells in its row and column, then by index
+    # nonzero cells shared with free classes in its row and column, then by index
     n = counts.shape[0]
     i, j = np.divmod(flat, n)  # flat: the row-major indices of the nonzero cells
     off = i != j
@@ -179,10 +179,11 @@ def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, fl
     column_max = np.zeros(n)
     np.maximum.at(column_max, j, cells)
     free = (diagonal > 0) & (diagonal >= column_max)
-    rank = (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)) * n + np.arange(n)
     chosen = np.zeros(n, dtype=bool)
     for _ in range(_LUBY_ROUNDS):
-        live = free[i] & free[j]
+        live = free[i] & free[j]  # the cells between two free classes
+        shared = np.bincount(i[live], minlength=n) + np.bincount(j[live], minlength=n)
+        rank = shared * n + np.arange(n)
         lowest = np.full(n, 2 * n * n)  # above every rank
         np.minimum.at(lowest, i[live], rank[j[live]])
         np.minimum.at(lowest, j[live], rank[i[live]])
@@ -191,7 +192,6 @@ def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, fl
         free &= ~joins
         free[j[joins[i]]] = free[i[joins[j]]] = False
     keep = np.flatnonzero(~chosen)
-    m = keep.size
     schur = counts.take(keep, 0).take(keep, 1)
     place = np.cumsum(~chosen) - 1  # each class of T's index in the complement
     # the update scattered from the nonzero cells: each cell (a, s) of a column of S,
@@ -203,8 +203,8 @@ def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, fl
     repeats = np.diff(row_ends, prepend=0)[s]
     ends = np.cumsum(repeats)
     # the row cell each update reads
-    k = np.repeat(row_ends[s] - ends, repeats) + np.arange(ends[-1] if ends.size else 0)
-    targets = np.repeat(place[i[column]] * m, repeats) + place[j[row][k]]
+    k = np.repeat(row_ends[s] - ends, repeats) + np.arange(repeats.sum())
+    targets = np.repeat(place[i[column]] * keep.size, repeats) + place[j[row][k]]
     np.subtract.at(schur.reshape(-1), targets, np.repeat(multipliers, repeats) * cells[row][k])
     with np.errstate(divide="ignore"):
         sign, logdet = np.linalg.slogdet(schur.T)
