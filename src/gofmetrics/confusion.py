@@ -37,6 +37,8 @@ __all__ = [
 
 # read item by item, these give characters, byte values or keys, not names or rows
 _NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping)
+# a table keeps the indices of its nonzero cells where it has at most this many a row
+_SPARSE_CELLS_PER_ROW = 8
 
 
 class _CellError(ValueError):
@@ -126,6 +128,17 @@ class ConfusionMatrix:
         sums = table[0] + table[1]
         np.divide(table, sums, out=table, where=sums > 0)  # a zero sum's terms are 0
         return _read_only(table).reshape(4, n, n)
+
+    @cached_property
+    def _nonzero_cells(self) -> np.ndarray | None:
+        # the read-only row-major indices of the nonzero cells of a table with at most
+        # `_SPARSE_CELLS_PER_ROW` of them a row, else None: one scan per table for every
+        # score that reads it.  A scorer reads it only from the class count where it
+        # pays, so no small table takes the scan or the first read's lock
+        nonzero = self.counts != 0
+        if np.count_nonzero(nonzero) > _SPARSE_CELLS_PER_ROW * self.n:
+            return None
+        return _read_only(np.flatnonzero(nonzero))
 
     @cached_property
     def _upper(self) -> np.ndarray:

@@ -53,11 +53,12 @@ _EPS = 2.0**-52  # the double-precision machine epsilon
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # cells per row block of cramers_phi's temporaries, small enough for cache
 _PHI_BLOCK_CELLS = 1 << 15
-# `_eliminated_slogdet` runs from this many classes on, on tables of at most this
-# many nonzero cells a row, where it was measured to cost less than one LU of the
-# whole table; it picks its pivots in this many rounds
+# from these class counts on, on a table that keeps its nonzero cells
+# (`ConfusionMatrix._nonzero_cells`), cramers_phi sums over those cells alone and
+# `_eliminated_slogdet` runs, where each was measured to cost less than the whole
+# table's block loop or LU; the elimination picks its pivots in `_LUBY_ROUNDS` rounds
+_PHI_SPARSE_MIN_N = 256
 _ELIMINATE_MIN_N = 500
-_ELIMINATE_CELLS_PER_ROW = 8
 _LUBY_ROUNDS = 3
 
 
@@ -147,9 +148,9 @@ def _log_det(cm: ConfusionMatrix) -> tuple[float, float, float]:
     # column sum is positive.  A wide sparse table eliminates its independent dominant
     # pivots first (`_eliminated_slogdet`); any other takes one LU of the whole table
     counts, n = cm.counts, cm.n
-    nonzero = counts != 0 if n >= _ELIMINATE_MIN_N else None
-    if nonzero is not None and np.count_nonzero(nonzero) <= _ELIMINATE_CELLS_PER_ROW * n:
-        sign, logdet, pivot_logs = _eliminated_slogdet(counts, np.flatnonzero(nonzero))
+    flat = cm._nonzero_cells if n >= _ELIMINATE_MIN_N else None
+    if flat is not None:
+        sign, logdet, pivot_logs = _eliminated_slogdet(counts, flat)
     else:
         with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
             sign, logdet = np.linalg.slogdet(counts.T)
@@ -269,21 +270,62 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     counts times an even power of two read the same bits.  A zero row or column sum
     divides by 1, and sqrt(0) zeroes the column's t = -r_i / N.
     At n = 2 this equals |two_class_score(cm, "mcc")|.
+
+    A wide sparse table, n >= 256 with at most 8n nonzero cells (the bound of
+    `generalized_mcc`'s elimination, from the same one scan of the table), sums u^2 over
+    its nonzero cells alone, each by the arithmetic above.  A zero cell's u is
+    -(r_i / N) sqrt(c_j) / sqrt(r_i), so row i's zero cells add (z_i sqrt(m_i))^2 in
+    closed form, with z_i = (r_i / N) (1 / sqrt(r_i)) and m_i = N - (the sum of c_j over
+    the row's nonzero cells), the predictions outside those columns; scaled before the
+    square, so the even-power-of-two rule holds.  Where some row's nonzero columns hold
+    more than half of all predictions, m_i would cancel, and the table takes the sum
+    over every cell, as does every other table.
     """
-    counts, rows, cols, n = cm.counts, cm.row_sums, cm.col_sums, cm.n
-    col_div, col_roots = np.where(cols > 0, cols, 1.0), np.sqrt(cols)
-    row_scales = 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
-    # chi2 / N by blocks of rows in one buffer, reused by every block so it stays in cache
-    step = max(1, _PHI_BLOCK_CELLS // n)
-    buffer, chi2_share = np.empty((min(step, n), n)), 0.0
-    for lo in range(0, n, step):
-        u = buffer[: min(step, n - lo)]
-        np.divide(counts[lo : lo + step], col_div, out=u)
-        np.subtract(u, rows[lo : lo + step, None] / cm.total, out=u)  # (O - E) / c
-        np.multiply(u, col_roots, out=u)
-        np.multiply(u, row_scales[lo : lo + step, None], out=u)  # (O - E) / sqrt(r c)
-        chi2_share += float(np.vdot(u, u))
+    n = cm.n
+    flat = cm._nonzero_cells if n >= _PHI_SPARSE_MIN_N else None
+    chi2_share = None if flat is None else _sparse_chi2_share(cm, flat)
+    if chi2_share is None:
+        counts, rows = cm.counts, cm.row_sums
+        col_div, col_roots, row_scales = _phi_scales(cm)
+        # chi2 / N by blocks of rows in one buffer, reused by every block so it stays in cache
+        step = max(1, _PHI_BLOCK_CELLS // n)
+        buffer, chi2_share = np.empty((min(step, n), n)), 0.0
+        for lo in range(0, n, step):
+            u = buffer[: min(step, n - lo)]
+            np.divide(counts[lo : lo + step], col_div, out=u)
+            np.subtract(u, rows[lo : lo + step, None] / cm.total, out=u)  # (O - E) / c
+            np.multiply(u, col_roots, out=u)
+            np.multiply(u, row_scales[lo : lo + step, None], out=u)  # (O - E) / sqrt(r c)
+            chi2_share += float(np.vdot(u, u))
     return min(1.0, math.sqrt(chi2_share / (n - 1)))
+
+
+def _phi_scales(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # cramers_phi's divisor c_j and factor sqrt(c_j) a column and 1 / sqrt(r_i) a row,
+    # a zero sum dividing by 1
+    rows, cols = cm.row_sums, cm.col_sums
+    row_scales = 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
+    return np.where(cols > 0, cols, 1.0), np.sqrt(cols), row_scales
+
+
+def _sparse_chi2_share(cm: ConfusionMatrix, flat: np.ndarray) -> float | None:
+    # chi2 / N from the nonzero cells, `flat` their row-major indices, each u by the block
+    # loop's arithmetic, and each row's zero cells as (z_i sqrt(m_i))^2; None where a
+    # row's nonzero columns hold more than half of all predictions, so that m_i, the
+    # predictions outside them, cannot cancel
+    n, total = cm.n, cm.total
+    i, j = np.divmod(flat, n)
+    held = np.bincount(i, weights=cm.col_sums[j], minlength=n)  # N - m_i
+    if 2 * held.max() > total:
+        return None
+    col_div, col_roots, row_scales = _phi_scales(cm)
+    shares = cm.row_sums / total
+    u = cm.counts.take(flat) / col_div[j]
+    u -= shares[i]  # (O - E) / c
+    u *= col_roots[j]
+    u *= row_scales[i]  # (O - E) / sqrt(r c)
+    zeros = shares * row_scales * np.sqrt(total - held)
+    return float(np.vdot(u, u)) + float(np.vdot(zeros, zeros))
 
 
 def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:

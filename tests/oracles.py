@@ -355,12 +355,17 @@ def phi_squared_exact(counts):
     """Cramer's phi squared as a Fraction, (sum of C^2 / (r c) - 1) / (n - 1) over
     the nonzero cells, with r and c their row and column sums: the chi-square sum
     expanded, since sum (O - E)^2 / E = total * sum O^2 / (r c) - total where
-    E = r c / total."""
-    c = [[Fraction(float(x)) for x in row] for row in counts]
-    n = len(c)
-    rows = [sum(row) for row in c]
-    cols = [sum(column) for column in zip(*c)]
-    squares = sum(c[i][j] ** 2 / (rows[i] * cols[j]) for i in range(n) for j in range(n) if c[i][j])
+    E = r c / total.  Only the nonzero cells become Fractions, and the exact
+    marginals are summed from them, so a wide sparse table costs its nonzero cells."""
+    grid = np.asarray(counts, dtype=float)
+    n = len(grid)
+    i, j = np.nonzero(grid)
+    cells = [(a, b, Fraction(x)) for a, b, x in zip(i.tolist(), j.tolist(), grid[i, j].tolist())]
+    rows, cols = [Fraction(0)] * n, [Fraction(0)] * n
+    for a, b, x in cells:
+        rows[a] += x
+        cols[b] += x
+    squares = sum(x**2 / (rows[a] * cols[b]) for a, b, x in cells)
     return (squares - 1) / (n - 1)
 
 

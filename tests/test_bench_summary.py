@@ -269,11 +269,46 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_parent_iqr(
         "wins": wins,
         "parent_iqr": 4.5,
         "median_gap": pytest.approx(gap),
+        "faulted_runs": [],
         "met": met,
     }
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith(f"claim small_panel/matrices_per_s: wins {wins}/10, median gap ")
     assert last.endswith(" met") and ("not met" in last) is not met
+
+
+@pytest.mark.parametrize(
+    "faults, named",
+    [
+        ({("change", 3): {"correct": False}}, ["change seed 3 not correct"]),
+        (
+            {("parent", 2): {"failed": 1}, ("change", 7): {"correct": False, "failed": 4}},
+            ["parent seed 2 1 of 10 failed", "change seed 7 not correct and 4 of 10 failed"],
+        ),
+    ],
+    ids=["an incorrect run", "failed operations on both sides"],
+)
+def test_a_claim_read_from_a_run_at_fault_is_not_met_and_says_why(tmp_path, capsys, faults, named):
+    # every pair won by a gap past the IQR, as in the met case above
+    argv = write_pairs(tmp_path, PARENT_RATES, [v + 10.0 for v in PARENT_RATES])
+    for (side, seed), fields in faults.items():
+        path = tmp_path / side / ".perfbench" / f"run-small_panel-seed{seed}-trace0.json"
+        run = {**json.loads(path.read_text(encoding="utf-8")), **fields}
+        path.write_text(json.dumps(run), encoding="utf-8")
+    assert bench_summary.main(argv + ["--claim", "small_panel/matrices_per_s"]) == 0
+    claim = json.loads((tmp_path / "BENCH.json").read_text(encoding="utf-8"))["claim"]
+    assert (claim["wins"], claim["faulted_runs"], claim["met"]) == (10, named, False)
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.endswith(": not met, at fault: " + "; ".join(named))
+
+
+def test_a_run_at_fault_on_a_seed_one_side_ran_alone_is_not_a_paired_fault():
+    summary = bench_summary.summarize(
+        runs("matrices_per_s", [1.0, 2.0]),
+        {**runs("matrices_per_s", [3.0, 4.0]), 3: {**record(matrices_per_s=5.0), "failed": 1}},
+        [RATE],
+    )
+    assert bench_summary.faulted_runs(summary) == []
 
 
 def test_claim_on_a_lower_is_better_metric_reads_the_gap_downward():

@@ -587,6 +587,51 @@ def _phi_exact(grid):
     return phi
 
 
+def _phi_block_loop(counts):
+    # cramers_phi's sum over every cell, block by block, with fresh temporaries
+    n = len(counts)
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    row_shares = rows / counts.sum()
+    row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
+    step = max(1, multiclass._PHI_BLOCK_CELLS // n)
+    chi2_share = 0.0
+    for lo in range(0, n, step):
+        hi = lo + step
+        t = counts[lo:hi] / col_div - row_shares[lo:hi, None]
+        u = t * np.sqrt(cols) * (1.0 / np.sqrt(row_div[lo:hi]))[:, None]
+        chi2_share += float(np.vdot(u, u))
+    return min(1.0, math.sqrt(chi2_share / (n - 1)))
+
+
+def phi_and_path(monkeypatch, cm):
+    """cramers_phi of cm, and whether it took the sum over the nonzero cells."""
+    shares, kernel = [], multiclass._sparse_chi2_share
+
+    def spy(*args):
+        shares.append(kernel(*args))
+        return shares[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multiclass, "_sparse_chi2_share", spy)
+        value = cramers_phi(cm)
+    return value, bool(shares) and shares[0] is not None
+
+
+def sparse_phi_table(rng, n, empty=False):
+    """Integer counts in the pattern of a wide table: a diagonal of hits and about
+    three other nonzero cells a row, some rows and columns empty with `empty`.  Row 0
+    holds one cell, at (0, 0), the only nonzero cell of column 0, so its nonzero
+    columns hold c_0 of the predictions, and that share can be set alone."""
+    counts = rng.integers(1, 50, (n, n)) * (rng.random((n, n)) < 3 / n)
+    counts[np.arange(n), np.arange(n)] = rng.integers(0, 50, n)
+    if empty:
+        counts[rng.random(n) < 0.2] = 0
+        counts[:, rng.random(n) < 0.2] = 0
+    counts[0] = counts[:, 0] = 0
+    counts[0, 0] = rng.integers(1, 50)
+    return counts
+
+
 class TestCramersPhi:
     def test_three_class_example(self):
         assert cramers_phi(cm_of(GRID3)) == pytest.approx(
@@ -651,20 +696,15 @@ class TestCramersPhi:
         assert cramers_phi(cm_of(counts)) == whole
 
     @pytest.mark.parametrize("n", [181, 300, 1000])
-    def test_blocks_are_the_loop_with_fresh_temporaries(self, n):
-        # 181 * 181 cells are one block; 300 and 1000 end on a short block
+    def test_blocks_are_the_loop_with_fresh_temporaries(self, monkeypatch, n):
+        # 181 * 181 cells are one block; 300 and 1000 end on a short block.  These
+        # tables are dense: the two past the gate read the sparse view, find none and
+        # take the block loop, and the one below it never reads the view
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
-        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
-        row_shares = rows / counts.sum()
-        row_div, col_div = np.where(rows > 0, rows, 1.0), np.where(cols > 0, cols, 1.0)
-        step = max(1, multiclass._PHI_BLOCK_CELLS // n)
-        chi2_share = 0.0
-        for lo in range(0, n, step):
-            hi = lo + step
-            t = counts[lo:hi] / col_div - row_shares[lo:hi, None]
-            u = t * np.sqrt(cols) * (1.0 / np.sqrt(row_div[lo:hi]))[:, None]
-            chi2_share += float(np.vdot(u, u))
-        assert cramers_phi(cm_of(counts)) == min(1.0, math.sqrt(chi2_share / (n - 1)))
+        cm = cm_of(counts)
+        assert phi_and_path(monkeypatch, cm) == (_phi_block_loop(counts), False)
+        past_the_gate = n >= multiclass._PHI_SPARSE_MIN_N
+        assert vars(cm).get("_nonzero_cells", "unread") == (None if past_the_gate else "unread")
 
     @pytest.mark.parametrize("kind", ["row_1e-160", "times_2^-1070"])
     def test_tiny_marginals_keep_relative_accuracy(self, kind):
@@ -738,6 +778,20 @@ class TestCramersPhi:
             exact = math.sqrt(oracles.phi_squared_exact(cm.counts.tolist()))
             assert abs(cramers_phi(cm) - exact) <= 2 * math.ulp(exact), index
 
+    def test_within_2_ulps_of_exact_on_wide_benchmark_tables(self, monkeypatch):
+        # every table of `wide_tables` seeds 1-3, at n = 300 and 1000, takes the sum
+        # over its nonzero cells; the block loop reads up to 4 ulps off on them
+        workloads = _load_script("perfbench", "workloads.py")
+        sparse = 0
+        for seed in (1, 2, 3):
+            for counts in workloads.wide_tables(seed)[0]:
+                value, took = phi_and_path(monkeypatch, cm_of(counts))
+                if took:
+                    exact = math.sqrt(oracles.phi_squared_exact(counts))
+                    assert abs(value - exact) <= 2 * math.ulp(exact), (seed, len(counts))
+                    sparse += 1
+        assert sparse == 48
+
     def test_many_blocks_at_1000(self, monkeypatch):
         counts = random_counts_with_empty_classes(np.random.default_rng(1001), 1000, 5)
         cm = cm_of(counts)
@@ -810,6 +864,104 @@ class TestCramersPhi:
         # column 1 never predicted: expected counts there are zero
         cm = cm_of([[3, 0, 1], [2, 0, 2], [1, 0, 5]])
         assert 0.0 <= cramers_phi(cm) <= 1.0
+
+
+class TestSparsePhi:
+    """`multiclass._sparse_chi2_share`, chi2 / N from the nonzero cells, called with no
+    gate, and the one scan of a wide table that it shares with the determinant."""
+
+    # phi within C (ceil(log2 n) + 8) eps relative of the exact value: C is the stated
+    # bound, 0.14 of it the largest error seen over 9,000 such tables at three scales
+    C = 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 60),
+        seed=st.integers(0, 2**32 - 1),
+        empty=st.booleans(),
+        side=st.sampled_from(["free", "at the guard", "one past"]),
+    )
+    def test_matches_exact_phi(self, n, seed, empty, side):
+        counts = sparse_phi_table(np.random.default_rng(seed), n, empty)
+        if side != "free":  # row 0's column then holds half of all predictions, or one more
+            counts[0, 0] = counts.sum() - counts[0, 0] + (side == "one past")
+            assert 2 * counts[0, 0] - counts.sum() == (side == "one past")
+        cols = counts.sum(axis=0)
+        # the guard in integers: no row's nonzero columns hold more than half
+        past = 2 * max(cols[np.flatnonzero(row)].sum() for row in counts) > counts.sum()
+        exact = math.sqrt(oracles.phi_squared_exact(counts))
+        bound = self.C * (math.ceil(math.log2(n)) + 8) * 2.0**-52 * exact
+        shares = {}
+        # integer counts, times 2^-1000 and 2^1000, then near the ends of the doubles:
+        # each count an exact subnormal, and the total just below 2^1023
+        top = 2.0 ** (1023 - int(counts.sum()).bit_length())
+        for scale in (1.0, 2.0**-1000, 2.0**1000, 2.0**-1074, top):
+            grid = counts * scale
+            share = multiclass._sparse_chi2_share(cm_of(grid), np.flatnonzero(grid))
+            assert (share is None) == past, scale
+            if share is not None:
+                assert abs(math.sqrt(share / (n - 1)) - exact) <= bound, scale
+                shares[scale] = share
+        if not past:
+            assert shares[2.0**-1000] == shares[1.0] == shares[2.0**1000]
+
+    @pytest.mark.parametrize("past", [False, True], ids=["at the guard", "one count past"])
+    def test_a_table_past_the_guard_takes_the_block_loop(self, monkeypatch, past):
+        # row 0's nonzero columns hold exactly half of all predictions, or one more
+        counts = sparse_phi_table(np.random.default_rng(256), 300).astype(float)
+        counts[0, 0] = counts.sum() - counts[0, 0] + past
+        cm = cm_of(counts)
+        value, took = phi_and_path(monkeypatch, cm)
+        assert cm._nonzero_cells is not None and took is not past
+        if past:
+            assert value == _phi_block_loop(counts)
+        else:
+            exact = math.sqrt(oracles.phi_squared_exact(counts))
+            assert abs(value - exact) <= 2 * math.ulp(exact)
+
+    def test_one_scan_serves_both_kernels_of_a_wide_table(self, monkeypatch):
+        # the five scores of the benchmark's wide workload on an n = 1000 table: one
+        # count and one index of its nonzero cells, read by the elimination and by phi
+        workloads = _load_script("perfbench", "workloads.py")
+        tables, kinds = workloads.wide_tables(1)
+        counts = next(
+            c for c, kind in zip(tables, kinds) if len(c) == 1000 and kind == "all_predicted"
+        )
+        scans, kernels = [], []
+
+        def spy(module, name, calls):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append((name, args)) or f(*args))
+
+        for name in ("count_nonzero", "flatnonzero"):
+            spy(np, name, scans)
+        for name in ("_eliminated_slogdet", "_sparse_chi2_share"):
+            spy(multiclass, name, kernels)
+        cm = cm_of(counts)
+        for name in ("generalized_mcc", "generalized_f1", "generalized_fm", "cramers_phi"):
+            evaluate_metric(cm, name)
+        evaluate_metric(cm, "lp_multiclass", p=-1.0)
+        view = cm._nonzero_cells
+        # the elimination's own calls read vectors of n classes
+        whole = [name for name, args in scans if args[0].size == counts.size]
+        assert whole == ["count_nonzero", "flatnonzero"]
+        assert [name for name, _ in kernels] == ["_eliminated_slogdet", "_sparse_chi2_share"]
+        assert all(args[1] is view for _, args in kernels)
+        assert view.tolist() == np.flatnonzero(counts).tolist()
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 1
+
+    def test_no_table_below_the_gate_reads_the_view(self):
+        # the whole panel on small tables and on a sparse one just below the gate: the
+        # first read of a cached property takes a lock before Python 3.12, so none is made
+        tables = CACHE_TABLES[:30]
+        tables.append(sparse_phi_table(np.random.default_rng(1), multiclass._PHI_SPARSE_MIN_N - 1))
+        for grid in tables:
+            cm = cm_of(grid)
+            for name, info in METRICS.items():
+                evaluate_metric(cm, name, p=-1.0 if info.needs_p else None)
+            assert "_nonzero_cells" not in vars(cm), cm.n
 
 
 def _one_vs_one_tables():

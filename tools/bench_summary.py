@@ -24,8 +24,10 @@ With `--claim WORKLOAD/METRIC` the output also holds a top-level `claim`
 object for that metric, judged by the rule a claimed gain must meet: the
 change won at least nine tenths of at least ten pairs, ties counting for
 neither, and its median beats the parent's, in the metric's better
-direction, by more than the parent's interquartile range.  One line says
-whether it is met; a workload or metric with no row exits 2.
+direction, by more than the parent's interquartile range, and no run of a
+seed both sides ran, on either side, is incorrect or has a failed operation.
+One line says whether it is met and names each such run; a workload or
+metric with no row exits 2.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import re
 import statistics
 import sys
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_NAME = re.compile(r"run-(?P<workload>\w+)-seed(?P<seed>\d+)-trace0\.json")
@@ -129,8 +132,23 @@ def compare(
     return sides, stats
 
 
-def judge_claim(workload: str, metric: str, row: dict) -> dict:
-    """The claim that `metric` on `workload` improved, judged from its summary row."""
+def faulted_runs(summary: dict) -> list[str]:
+    """The runs of a workload's summary, on either side, whose seed both sides ran and
+    which are not `correct` or have failed operations, each as a short phrase."""
+    paired, faulted = set(summary["seeds"]["paired"]), []
+    for side, runs in summary["runs"].items():
+        for run in runs:
+            why = [] if run["correct"] else ["not correct"]
+            if run["failed"]:
+                why.append(f"{run['failed']} of {run['attempted']} failed")
+            if why and run["seed"] in paired:
+                faulted.append(f"{side} seed {run['seed']} {' and '.join(why)}")
+    return faulted
+
+
+def judge_claim(workload: str, metric: str, row: dict, faulted: Sequence[str] = ()) -> dict:
+    """The claim that `metric` on `workload` improved, judged from its summary row and
+    the workload's `faulted_runs`: a gain read from a run at fault is no gain."""
     parent, change = row["parent"], row["change"]
     gap = change["median"] - parent["median"]
     if row["better"] == "lower":
@@ -144,7 +162,8 @@ def judge_claim(workload: str, metric: str, row: dict) -> dict:
         "wins": wins,
         "parent_iqr": iqr,
         "median_gap": gap,  # positive where the change's median is better
-        "met": pairs >= 10 and 10 * wins >= 9 * pairs and gap > iqr,
+        "faulted_runs": list(faulted),
+        "met": pairs >= 10 and 10 * wins >= 9 * pairs and gap > iqr and not faulted,
     }
 
 
@@ -181,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
         if row is None:
             print(f"error: no metric {metric!r} on workload {workload!r}", file=sys.stderr)
             return 2
-        summary["claim"] = judge_claim(workload, metric, row)
+        faulted = faulted_runs(summary["workloads"][workload])
+        summary["claim"] = judge_claim(workload, metric, row, faulted)
     args.output.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for w in workloads:
         for name, row in summary["workloads"][w]["metrics"].items():
@@ -199,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             f"claim {claim['workload']}/{claim['metric']}: wins {claim['wins']}/{claim['pairs']},"
             f" median gap {claim['median_gap']:.4g} against parent IQR {claim['parent_iqr']:.4g}:"
             + (" met" if claim["met"] else " not met")
+            + (", at fault: " + "; ".join(claim["faulted_runs"]) if claim["faulted_runs"] else "")
         )
     return 0
 
