@@ -54,9 +54,10 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 # cells per row block of cramers_phi's temporaries, small enough for cache
 _PHI_BLOCK_CELLS = 1 << 15
 # from these class counts on, on a table that keeps its nonzero cells
-# (`ConfusionMatrix._nonzero_cells`), cramers_phi sums over those cells alone and
-# `_eliminated_slogdet` runs, where each was measured to cost less than the whole
-# table's block loop or LU; the elimination picks its pivots in `_LUBY_ROUNDS` rounds
+# (`ConfusionMatrix._nonzero_cells`), cramers_phi hands `_phi_cells` those cells alone
+# and `_log_det` factors the Schur complement `_eliminate` leaves, where each was
+# measured to cost less than the whole table's block loop or LU; the elimination
+# picks its pivots in `_LUBY_ROUNDS` rounds
 _PHI_SPARSE_MIN_N = 256
 _ELIMINATE_MIN_N = 500
 _LUBY_ROUNDS = 3
@@ -114,11 +115,12 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
 
         log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
 
-    and only that smaller Schur complement takes the LU.  Every multiplier
-    C_ts / C_ss is at most 1, as with partial pivoting; the sign, the witness
-    rule, the |det| check and the rounding allowance, which also covers the
-    pivots' logs, are kept.  Every other table, every table of at most 499
-    classes among them, keeps the one LU's bits.
+    and the one LU factors that smaller Schur complement in place of the
+    table.  Every multiplier C_ts / C_ss is at most 1, as with partial
+    pivoting; the sign, the witness rule, the |det| check and the rounding
+    allowance, which also covers the pivots' logs, are kept.  Every other
+    table, every table of at most 499 classes among them, keeps the LU of the
+    whole table and its bits.
     """
     if not (cm.row_sums.all() and cm.col_sums.all()):
         return 0.0
@@ -145,26 +147,26 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
 
 def _log_det(cm: ConfusionMatrix) -> tuple[float, float, float]:
     # (sign, log|det N|, rounding) of a table of n >= 3 classes whose every row and
-    # column sum is positive.  A wide sparse table eliminates its independent dominant
-    # pivots first (`_eliminated_slogdet`); any other takes one LU of the whole table
+    # column sum is positive, by the one LU: of the whole table, or of the Schur
+    # complement left when a wide sparse table eliminates its pivots (`_eliminate`)
     counts, n = cm.counts, cm.n
+    pivots = np.empty(0)
     flat = cm._nonzero_cells if n >= _ELIMINATE_MIN_N else None
     if flat is not None:
-        sign, logdet, pivot_logs = _eliminated_slogdet(counts, flat)
-    else:
-        with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
-            sign, logdet = np.linalg.slogdet(counts.T)
-        pivot_logs = 0.0
+        counts, pivots = _eliminate(counts, flat)
+    with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
+        sign, logdet = np.linalg.slogdet(counts.T)
+    pivot_logs = np.log(pivots)
     logs = np.log(np.concatenate((cm.row_sums, cm.col_sums)))
-    logdet -= 0.5 * float(logs.sum())
+    logdet = logdet + float(pivot_logs.sum()) - 0.5 * float(logs.sum())
     # the sums of logs round apart by up to ~ n * eps * sum |log|
-    rounding = n * _EPS * (float(np.abs(logs).sum()) + pivot_logs)
+    rounding = n * _EPS * (float(np.abs(logs).sum()) + float(np.abs(pivot_logs).sum()))
     return float(sign), float(logdet), rounding
 
 
-def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, float, float]:
-    # (sign, log|det C|, sum of |log C_ss| over S) by exact elimination of a set S of
-    # diagonal pivots before one LU of the rest, T:
+def _eliminate(counts: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (the Schur complement C_TT - C_TS diag(C_SS)^-1 C_ST, the pivots C_ss) of the exact
+    # elimination of a set S of diagonal pivots, so that
     #     log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
     # Class s may join S where C_ss > 0 is the largest cell of its column, so every
     # multiplier C_is / C_ss is at most 1, as partial pivoting would give, and no two
@@ -207,10 +209,7 @@ def _eliminated_slogdet(counts: np.ndarray, flat: np.ndarray) -> tuple[float, fl
     k = np.repeat(row_ends[s] - ends, repeats) + np.arange(repeats.sum())
     targets = np.repeat(place[i[column]] * keep.size, repeats) + place[j[row][k]]
     np.subtract.at(schur.reshape(-1), targets, np.repeat(multipliers, repeats) * cells[row][k])
-    with np.errstate(divide="ignore"):
-        sign, logdet = np.linalg.slogdet(schur.T)
-    pivot_logs = np.log(diagonal[chosen])
-    return sign, logdet + float(pivot_logs.sum()), float(np.abs(pivot_logs).sum())
+    return schur, diagonal[chosen]
 
 
 def _check_outer(outer: AveragingSpec, signed: bool) -> None:
@@ -271,9 +270,10 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     divides by 1, and sqrt(0) zeroes the column's t = -r_i / N.
     At n = 2 this equals |two_class_score(cm, "mcc")|.
 
-    A wide sparse table, n >= 256 with at most 8n nonzero cells (the bound of
-    `generalized_mcc`'s elimination, from the same one scan of the table), sums u^2 over
-    its nonzero cells alone, each by the arithmetic above.  A zero cell's u is
+    The marginal factors are built once per table, and one kernel takes every cell's u:
+    the blocks of rows of the whole table, or, on a wide sparse table, n >= 256 with at
+    most 8n nonzero cells (the bound of `generalized_mcc`'s elimination, from the same
+    one scan of the table), its nonzero cells alone, gathered.  A zero cell's u is
     -(r_i / N) sqrt(c_j) / sqrt(r_i), so row i's zero cells add (z_i sqrt(m_i))^2 in
     closed form, with z_i = (r_i / N) (1 / sqrt(r_i)) and m_i = N - (the sum of c_j over
     the row's nonzero cells), the predictions outside those columns; scaled before the
@@ -281,51 +281,42 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     more than half of all predictions, m_i would cancel, and the table takes the sum
     over every cell, as does every other table.
     """
-    n = cm.n
+    n, total, counts = cm.n, cm.total, cm.counts
+    rows, cols = cm.row_sums, cm.col_sums
+    # each cell's marginal factors, once per table; a zero sum divides by 1
+    shares, row_scales = rows / total, 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
+    col_div, col_roots = np.where(cols > 0, cols, 1.0), np.sqrt(cols)
     flat = cm._nonzero_cells if n >= _PHI_SPARSE_MIN_N else None
-    chi2_share = None if flat is None else _sparse_chi2_share(cm, flat)
-    if chi2_share is None:
-        counts, rows = cm.counts, cm.row_sums
-        col_div, col_roots, row_scales = _phi_scales(cm)
-        # chi2 / N by blocks of rows in one buffer, reused by every block so it stays in cache
-        step = max(1, _PHI_BLOCK_CELLS // n)
-        buffer, chi2_share = np.empty((min(step, n), n)), 0.0
-        for lo in range(0, n, step):
-            u = buffer[: min(step, n - lo)]
-            np.divide(counts[lo : lo + step], col_div, out=u)
-            np.subtract(u, rows[lo : lo + step, None] / cm.total, out=u)  # (O - E) / c
-            np.multiply(u, col_roots, out=u)
-            np.multiply(u, row_scales[lo : lo + step, None], out=u)  # (O - E) / sqrt(r c)
-            chi2_share += float(np.vdot(u, u))
+    if flat is not None:
+        i, j = np.divmod(flat, n)
+        held = np.bincount(i, weights=cols[j], minlength=n)  # N - m_i
+        if 2 * held.max() <= total:  # so that m_i, the predictions outside them, cannot cancel
+            cells = counts.take(flat)
+            share = _phi_cells(cells, col_div[j], shares[i], col_roots[j], row_scales[i], cells)
+            zeros = shares * row_scales * np.sqrt(total - held)
+            return min(1.0, math.sqrt((share + float(np.vdot(zeros, zeros))) / (n - 1)))
+    # chi2 / N by blocks of rows in one buffer, reused by every block so it stays in cache
+    step = max(1, _PHI_BLOCK_CELLS // n)
+    buffer, chi2_share = np.empty((min(step, n), n)), 0.0
+    shares, row_scales = shares[:, None], row_scales[:, None]  # a column for each block
+    for lo in range(0, n, step):
+        rows_in = slice(lo, lo + step)
+        u = buffer[: min(step, n - lo)]
+        chi2_share += _phi_cells(
+            counts[rows_in], col_div, shares[rows_in], col_roots, row_scales[rows_in], u
+        )
     return min(1.0, math.sqrt(chi2_share / (n - 1)))
 
 
-def _phi_scales(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # cramers_phi's divisor c_j and factor sqrt(c_j) a column and 1 / sqrt(r_i) a row,
-    # a zero sum dividing by 1
-    rows, cols = cm.row_sums, cm.col_sums
-    row_scales = 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
-    return np.where(cols > 0, cols, 1.0), np.sqrt(cols), row_scales
-
-
-def _sparse_chi2_share(cm: ConfusionMatrix, flat: np.ndarray) -> float | None:
-    # chi2 / N from the nonzero cells, `flat` their row-major indices, each u by the block
-    # loop's arithmetic, and each row's zero cells as (z_i sqrt(m_i))^2; None where a
-    # row's nonzero columns hold more than half of all predictions, so that m_i, the
-    # predictions outside them, cannot cancel
-    n, total = cm.n, cm.total
-    i, j = np.divmod(flat, n)
-    held = np.bincount(i, weights=cm.col_sums[j], minlength=n)  # N - m_i
-    if 2 * held.max() > total:
-        return None
-    col_div, col_roots, row_scales = _phi_scales(cm)
-    shares = cm.row_sums / total
-    u = cm.counts.take(flat) / col_div[j]
-    u -= shares[i]  # (O - E) / c
-    u *= col_roots[j]
-    u *= row_scales[i]  # (O - E) / sqrt(r c)
-    zeros = shares * row_scales * np.sqrt(total - held)
-    return float(np.vdot(u, u)) + float(np.vdot(zeros, zeros))
+def _phi_cells(cells, col_div, shares, col_roots, row_scales, out) -> float:
+    # the sum of u^2 over cells, each u = (O / c - r / N) * sqrt(c) * (1 / sqrt(r)) taken in
+    # `out`, the marginal factors given per cell or broadcast over a block of rows: the one
+    # copy of `cramers_phi`'s cell arithmetic
+    np.divide(cells, col_div, out=out)
+    np.subtract(out, shares, out=out)  # (O - E) / c
+    np.multiply(out, col_roots, out=out)
+    np.multiply(out, row_scales, out=out)  # (O - E) / sqrt(r c)
+    return float(np.vdot(out, out))
 
 
 def lp_multiclass(cm: ConfusionMatrix, p: float) -> float:

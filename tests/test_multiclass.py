@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -395,12 +395,17 @@ def pivot_table(rng, n, fixed, tie):
 
 
 def _eliminated(counts):
-    # the pivot elimination of `multiclass._log_det`, called with no gate
-    return multiclass._eliminated_slogdet(counts, np.flatnonzero(counts))
+    # (sign, log|det C|, sum of the pivots' |log|) through the pivot elimination of
+    # `multiclass._log_det`, called with no gate: the LU of the Schur complement
+    # `_eliminate` leaves, and the logs of its pivots, added in `_log_det`'s order
+    schur, pivots = multiclass._eliminate(counts, np.flatnonzero(counts))
+    sign, logdet = np.linalg.slogdet(schur.T)
+    logs = np.log(pivots)
+    return sign, logdet + float(logs.sum()), float(np.abs(logs).sum())
 
 
 class TestPivotElimination:
-    """`_eliminated_slogdet` against one LU of the whole table."""
+    """`_eliminate` against one LU of the whole table."""
 
     # the elimination and the LU round apart by c n eps nats per unit of the log of
     # the largest cell, as each pivot's log rounds relative to its size: c is the
@@ -437,6 +442,8 @@ class TestPivotElimination:
         # every class joins S and the complement is 0 x 0, which numpy's slogdet
         # reads as (1, 0): log|det C| is the sum of the pivots' logs
         counts = np.diag(np.floor(10.0 ** np.random.default_rng(n).uniform(0, 9, n)))
+        schur, pivots = multiclass._eliminate(counts, np.flatnonzero(counts))
+        assert schur.shape == (0, 0) and pivots.tolist() == counts.diagonal().tolist()
         sign, logdet, pivot_logs = _eliminated(counts)
         logs = np.log(counts.diagonal())
         assert (sign, logdet, pivot_logs) == (1.0, float(logs.sum()), float(np.abs(logs).sum()))
@@ -603,18 +610,38 @@ def _phi_block_loop(counts):
     return min(1.0, math.sqrt(chi2_share / (n - 1)))
 
 
-def phi_and_path(monkeypatch, cm):
-    """cramers_phi of cm, and whether it took the sum over the nonzero cells."""
-    shares, kernel = [], multiclass._sparse_chi2_share
+def _phi_nonzero_cells(counts):
+    # cramers_phi's chi2 / N over the nonzero cells, and each row's zero cells in closed
+    # form, with fresh temporaries; None where a row's nonzero columns hold more than
+    # half of all predictions
+    n, total = len(counts), counts.sum()
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    i, j = np.nonzero(counts)
+    held = np.bincount(i, weights=cols[j], minlength=n)
+    if 2 * held.max() > total:
+        return None
+    row_shares, row_scales = rows / total, 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
+    t = counts[i, j] / np.where(cols > 0, cols, 1.0)[j] - row_shares[i]
+    u = t * np.sqrt(cols)[j] * row_scales[i]
+    zeros = row_shares * row_scales * np.sqrt(total - held)
+    return float(np.vdot(u, u)) + float(np.vdot(zeros, zeros))
 
-    def spy(*args):
-        shares.append(kernel(*args))
-        return shares[-1]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(multiclass, "_sparse_chi2_share", spy)
+def phi_and_path(cm, gate=None):
+    """cramers_phi of cm, and whether it took the sum over the nonzero cells, with
+    that sum's class-count gate at `gate` where one is given."""
+    kinds, kernel = [], multiclass._phi_cells
+
+    def spy(cells, *args):
+        kinds.append(cells.ndim)  # 2 for a block of rows, 1 for the gathered cells
+        return kernel(cells, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multiclass, "_phi_cells", spy)
+        if gate is not None:
+            patch.setattr(multiclass, "_PHI_SPARSE_MIN_N", gate)
         value = cramers_phi(cm)
-    return value, bool(shares) and shares[0] is not None
+    return value, kinds == [1]
 
 
 def sparse_phi_table(rng, n, empty=False):
@@ -696,13 +723,13 @@ class TestCramersPhi:
         assert cramers_phi(cm_of(counts)) == whole
 
     @pytest.mark.parametrize("n", [181, 300, 1000])
-    def test_blocks_are_the_loop_with_fresh_temporaries(self, monkeypatch, n):
+    def test_blocks_are_the_loop_with_fresh_temporaries(self, n):
         # 181 * 181 cells are one block; 300 and 1000 end on a short block.  These
         # tables are dense: the two past the gate read the sparse view, find none and
         # take the block loop, and the one below it never reads the view
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
         cm = cm_of(counts)
-        assert phi_and_path(monkeypatch, cm) == (_phi_block_loop(counts), False)
+        assert phi_and_path(cm) == (_phi_block_loop(counts), False)
         past_the_gate = n >= multiclass._PHI_SPARSE_MIN_N
         assert vars(cm).get("_nonzero_cells", "unread") == (None if past_the_gate else "unread")
 
@@ -778,15 +805,18 @@ class TestCramersPhi:
             exact = math.sqrt(oracles.phi_squared_exact(cm.counts.tolist()))
             assert abs(cramers_phi(cm) - exact) <= 2 * math.ulp(exact), index
 
-    def test_within_2_ulps_of_exact_on_wide_benchmark_tables(self, monkeypatch):
+    def test_within_2_ulps_of_exact_on_wide_benchmark_tables(self):
         # every table of `wide_tables` seeds 1-3, at n = 300 and 1000, takes the sum
-        # over its nonzero cells; the block loop reads up to 4 ulps off on them
+        # over its nonzero cells, bit for bit its restatement with fresh temporaries;
+        # the block loop reads up to 4 ulps off on them
         workloads = _load_script("perfbench", "workloads.py")
         sparse = 0
         for seed in (1, 2, 3):
             for counts in workloads.wide_tables(seed)[0]:
-                value, took = phi_and_path(monkeypatch, cm_of(counts))
+                value, took = phi_and_path(cm_of(counts))
                 if took:
+                    share = _phi_nonzero_cells(counts)
+                    assert value == min(1.0, math.sqrt(share / (len(counts) - 1)))
                     exact = math.sqrt(oracles.phi_squared_exact(counts))
                     assert abs(value - exact) <= 2 * math.ulp(exact), (seed, len(counts))
                     sparse += 1
@@ -867,8 +897,8 @@ class TestCramersPhi:
 
 
 class TestSparsePhi:
-    """`multiclass._sparse_chi2_share`, chi2 / N from the nonzero cells, called with no
-    gate, and the one scan of a wide table that it shares with the determinant."""
+    """`cramers_phi`'s chi2 / N from the nonzero cells, reached with no class-count gate,
+    and the one scan of a wide table that it shares with the determinant."""
 
     # phi within C (ceil(log2 n) + 8) eps relative of the exact value: C is the stated
     # bound, 0.14 of it the largest error seen over 9,000 such tables at three scales
@@ -886,6 +916,8 @@ class TestSparsePhi:
         if side != "free":  # row 0's column then holds half of all predictions, or one more
             counts[0, 0] = counts.sum() - counts[0, 0] + (side == "one past")
             assert 2 * counts[0, 0] - counts.sum() == (side == "one past")
+        # where (0, 0) was the only nonzero cell, its half is 0: no table is left
+        assume(counts.any())
         cols = counts.sum(axis=0)
         # the guard in integers: no row's nonzero columns hold more than half
         past = 2 * max(cols[np.flatnonzero(row)].sum() for row in counts) > counts.sum()
@@ -897,21 +929,25 @@ class TestSparsePhi:
         top = 2.0 ** (1023 - int(counts.sum()).bit_length())
         for scale in (1.0, 2.0**-1000, 2.0**1000, 2.0**-1074, top):
             grid = counts * scale
-            share = multiclass._sparse_chi2_share(cm_of(grid), np.flatnonzero(grid))
-            assert (share is None) == past, scale
-            if share is not None:
+            value, took = phi_and_path(cm_of(grid), gate=0)
+            share = _phi_nonzero_cells(grid)
+            assert (share is None) == past and took is not past, scale
+            if share is None:
+                assert value == _phi_block_loop(grid), scale
+            else:
+                assert value == min(1.0, math.sqrt(share / (n - 1))), scale
                 assert abs(math.sqrt(share / (n - 1)) - exact) <= bound, scale
                 shares[scale] = share
         if not past:
             assert shares[2.0**-1000] == shares[1.0] == shares[2.0**1000]
 
     @pytest.mark.parametrize("past", [False, True], ids=["at the guard", "one count past"])
-    def test_a_table_past_the_guard_takes_the_block_loop(self, monkeypatch, past):
+    def test_a_table_past_the_guard_takes_the_block_loop(self, past):
         # row 0's nonzero columns hold exactly half of all predictions, or one more
         counts = sparse_phi_table(np.random.default_rng(256), 300).astype(float)
         counts[0, 0] = counts.sum() - counts[0, 0] + past
         cm = cm_of(counts)
-        value, took = phi_and_path(monkeypatch, cm)
+        value, took = phi_and_path(cm)
         assert cm._nonzero_cells is not None and took is not past
         if past:
             assert value == _phi_block_loop(counts)
@@ -921,7 +957,8 @@ class TestSparsePhi:
 
     def test_one_scan_serves_both_kernels_of_a_wide_table(self, monkeypatch):
         # the five scores of the benchmark's wide workload on an n = 1000 table: one
-        # count and one index of its nonzero cells, read by the elimination and by phi
+        # count and one index of its nonzero cells, split into rows and columns by the
+        # elimination and by phi's sum over those cells
         workloads = _load_script("perfbench", "workloads.py")
         tables, kinds = workloads.wide_tables(1)
         counts = next(
@@ -933,9 +970,9 @@ class TestSparsePhi:
             f = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args: calls.append((name, args)) or f(*args))
 
-        for name in ("count_nonzero", "flatnonzero"):
+        for name in ("count_nonzero", "flatnonzero", "divmod"):
             spy(np, name, scans)
-        for name in ("_eliminated_slogdet", "_sparse_chi2_share"):
+        for name in ("_eliminate", "_phi_cells"):
             spy(multiclass, name, kernels)
         cm = cm_of(counts)
         for name in ("generalized_mcc", "generalized_f1", "generalized_fm", "cramers_phi"):
@@ -945,8 +982,10 @@ class TestSparsePhi:
         # the elimination's own calls read vectors of n classes
         whole = [name for name, args in scans if args[0].size == counts.size]
         assert whole == ["count_nonzero", "flatnonzero"]
-        assert [name for name, _ in kernels] == ["_eliminated_slogdet", "_sparse_chi2_share"]
-        assert all(args[1] is view for _, args in kernels)
+        assert [name for name, args in scans if args[0] is view] == ["divmod", "divmod"]
+        assert [name for name, _ in kernels] == ["_eliminate", "_phi_cells"]
+        (_, eliminated), (_, (cells, *_)) = kernels
+        assert eliminated[1] is view and cells.shape == view.shape
         assert view.tolist() == np.flatnonzero(counts).tolist()
         assert not view.flags.writeable
         with pytest.raises(ValueError):
@@ -1593,7 +1632,7 @@ def assert_matches_one_lu(monkeypatch, cm):
     table to the pivot elimination, the kernel's sign is the same, the score is
     within 1e-9 relative where both are normal doubles, and 0.0 where the one
     LU's underflows.  Returns whether the table took the elimination."""
-    calls, eliminate = [], multiclass._eliminated_slogdet
+    calls, eliminate = [], multiclass._eliminate
 
     def spy(*args):
         calls.append(args)
@@ -1601,7 +1640,7 @@ def assert_matches_one_lu(monkeypatch, cm):
 
     positive = cm.row_sums.all() and cm.col_sums.all()
     with monkeypatch.context() as patch:
-        patch.setattr(multiclass, "_eliminated_slogdet", spy)
+        patch.setattr(multiclass, "_eliminate", spy)
         value, kernel = generalized_mcc(cm), positive and multiclass._log_det(cm)
         patch.setattr(multiclass, "_ELIMINATE_MIN_N", math.inf)
         plain, plain_kernel = generalized_mcc(cm), positive and multiclass._log_det(cm)

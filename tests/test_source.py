@@ -179,6 +179,22 @@ def test_only_read_only_marks_an_array():
     assert len(calls) == 1 and owners == ["confusion._read_only"], (calls, owners)
 
 
+def test_one_lu_call():
+    # `multiclass._log_det` is the one place a matrix is factored, the whole table or
+    # the Schur complement of the pivot elimination, so a change to its scaling, its
+    # `errstate` or its pivots' logs lands once
+    calls, owners = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.Attribute) and inner.attr == "slogdet":
+                        calls.append(f"{path.name}:{inner.lineno}")
+                        owners.append(f"{path.stem}.{node.name}")
+    assert len(calls) == 1 and owners == ["multiclass._log_det"], (calls, owners)
+
+
 def _imports(tree):
     # (line, name) for each name an import binds, bar __future__ and star imports
     for node in ast.walk(tree):
