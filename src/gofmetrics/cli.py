@@ -77,12 +77,12 @@ class RunConfig:
 # ---------------------------------------------------------------- ingestion
 
 def _read(path: str, consume, newline: str | None = None):
-    """Return consume(file) for path opened as UTF-8 text.
+    """Return consume(file) for path opened as UTF-8 text, less a leading BOM.
 
     Read and decode errors become InputError.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
             return consume(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None

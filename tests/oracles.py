@@ -94,7 +94,7 @@ def pairs_csv_loop(path):
     Same cell rules and messages as `gofmetrics.cli.parse_pairs_csv`; the
     tally is one dict lookup per row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     truths, preds = [], []
     first_row = True

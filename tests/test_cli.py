@@ -295,7 +295,7 @@ class TestPairsCsvAgainstOracle:
     @given(
         st.lists(
             st.one_of(
-                st.text(alphabet='ab,"  \r\n', max_size=12),
+                st.text(alphabet='ab,"  \r\n\ufeff', max_size=12),
                 st.sampled_from(["true,predicted", "TRUE, Predicted", "a,b", '"a,b",a', "b,a"]),
             ),
             max_size=12,
@@ -312,6 +312,36 @@ class TestPairsCsvAgainstOracle:
             assert re.search(r"at line \d+", new[1]), new
         else:
             assert new == old
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_pairs_csv, "true,predicted\na,a\na,b\nb,b\n"),
+            (parse_pairs_csv, "a,b,c\na,a\n"),
+            (parse_matrix_csv, ",a,b\na,3,1\nb,0,2\n"),
+            (parse_matrix_csv, "a,b\n3,1\n0,2\n"),
+            (parse_matrix_csv, "3,1\n0,2\n"),
+            (parse_matrix_csv, "3,1\n0,x\n"),
+            (parse_json_input, '{"labels": ["a", "b"], "counts": [[3, 1], [0, 2]]}'),
+        ],
+        ids=[
+            "pairs with header", "pairs refused", "matrix with label column",
+            "matrix with header", "plain matrix", "matrix refused", "json",
+        ],
+    )
+    def test_a_leading_bom_reads_as_without_it(self, tmp_path, parse, text):
+        # a file saved with a UTF-8 byte-order mark gives the same table, or the same
+        # message, as the file without it
+        path = tmp_path / "input"
+        outcomes = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text(text, encoding=encoding)
+            outcomes.append(pairs_outcome(parse, str(path)))
+        assert path.read_bytes().startswith("\ufeff".encode())
+        assert outcomes[1] == outcomes[0]
+        assert "\ufeff" not in str(outcomes[1])
 
 
 class TestParseJsonInput:
