@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .means import _column_means, _no_number, _past_doubles, _quiet
+from .means import _check_list, _column_means, _no_list, _no_number, _past_doubles, _quiet
 
 __all__ = [
     "ConfusionMatrix",
@@ -35,9 +35,7 @@ __all__ = [
     "relabel",
 ]
 
-# read item by item, these give characters, byte values or keys, not names or rows
-_NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping)
-# a table keeps the indices of its nonzero cells where it has at most this many a row
+# a table keeps the rows and columns of its nonzero cells where it has at most this many a row
 _SPARSE_CELLS_PER_ROW = 8
 
 
@@ -130,15 +128,16 @@ class ConfusionMatrix:
         return _read_only(table).reshape(4, n, n)
 
     @cached_property
-    def _nonzero_cells(self) -> np.ndarray | None:
-        # the read-only row-major indices of the nonzero cells of a table with at most
-        # `_SPARSE_CELLS_PER_ROW` of them a row, else None: one scan per table for every
-        # score that reads it.  A scorer reads it only from the class count where it
-        # pays, so no small table takes the scan or the first read's lock
+    def _nonzero_cells(self) -> tuple[np.ndarray, np.ndarray] | None:
+        # the read-only (rows, cols) of the nonzero cells, in row-major order, of a table
+        # with at most `_SPARSE_CELLS_PER_ROW` of them a row, else None: one scan and one
+        # split per table for every score that reads it.  A scorer reads it only from the
+        # class count where it pays, so no small table takes the scan or the first read's lock
         nonzero = self.counts != 0
         if np.count_nonzero(nonzero) > _SPARSE_CELLS_PER_ROW * self.n:
             return None
-        return _read_only(np.flatnonzero(nonzero))
+        rows, cols = np.divmod(np.flatnonzero(nonzero), self.n)
+        return _read_only(rows), _read_only(cols)
 
     @cached_property
     def _upper(self) -> np.ndarray:
@@ -229,9 +228,10 @@ class ConfusionMatrix:
         """Tally paired (true, predicted) label sequences.
 
         Each argument is refused by name where `from_counts` refuses its
-        `labels`: a str, byte buffer, mapping or non-iterable.  The pairs are
-        counted with `Counter` and the counts go through `from_pair_counts`,
-        whose label rules apply.
+        `labels`: a str, byte buffer, mapping or non-iterable, and so is the
+        first label that cannot be counted, such as a list, by its argument and
+        index.  The pairs are counted with `Counter` and the counts go through
+        `from_pair_counts`, whose label rules apply.
         """
         _check_list(true_labels, "true_labels must be a list of labels")
         _check_list(predicted_labels, "predicted_labels must be a list of labels")
@@ -244,7 +244,12 @@ class ConfusionMatrix:
             )
         if not truths:
             raise ValueError("empty label sequences")
-        return cls.from_pair_counts(Counter(zip(truths, preds)))
+        try:
+            tally = Counter(zip(truths, preds))
+        except TypeError:
+            _check_hashable(truths, preds)
+            raise
+        return cls.from_pair_counts(tally)
 
     @classmethod
     def from_pair_counts(
@@ -310,17 +315,15 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"class_{i}" for i in range(n))
 
 
-def _no_list(items: object) -> bool:
-    # read item by item, a str, byte buffer or mapping gives characters, byte
-    # values or keys rather than names, rows or cells, and a non-iterable (a 0-d
-    # array among them) nothing
-    no_items = not isinstance(items, Iterable) or getattr(items, "ndim", 1) == 0
-    return isinstance(items, _NOT_A_LIST) or no_items
-
-
-def _check_list(items: object, refusal: str) -> None:
-    if _no_list(items):
-        raise ValueError(f"{refusal}, not the {type(items).__name__} {items!r}")
+def _check_hashable(truths: list, preds: list) -> None:
+    # the first label the tally cannot count, in its order, named by argument and index
+    for k, pair in enumerate(zip(truths, preds)):
+        for name, label in zip(("true_labels", "predicted_labels"), pair):
+            try:
+                hash(label)
+            except TypeError:
+                refused = f"{name}[{k}] is the {type(label).__name__} {label!r}"
+                raise ValueError(f"{refused}, not a hashable label") from None
 
 
 def _check_cells(grid: object) -> object:

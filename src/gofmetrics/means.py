@@ -22,7 +22,9 @@ columns the scalar must redo.
 `_no_number` is the package's one rule for what counts as a number, applied
 once where a caller's number comes in: an exponent (`_exponent`), a mean's
 value, a table cell, a pair count, an alpha.  A signalling NaN is read there
-as NaN (`_quiet`).  The kernel sees only floats.
+as NaN (`_quiet`).  `_no_list` is its one rule for what counts as a list: a
+mean's values, a table's rows and cells, labels, label sequences and a
+permutation.  The kernel sees only floats.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,6 +116,23 @@ def _no_number(kind: type) -> bool:
     return not number or issubclass(kind, _NON_NUMBERS)
 
 
+# read item by item, these give characters, byte values or keys, not names, rows or numbers
+_NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping)
+
+
+def _no_list(items: object) -> bool:
+    # read item by item, a str, byte buffer or mapping gives characters, byte
+    # values or keys rather than names, rows or numbers, and a non-iterable (a
+    # 0-d array among them) nothing
+    no_items = not isinstance(items, Iterable) or getattr(items, "ndim", 1) == 0
+    return isinstance(items, _NOT_A_LIST) or no_items
+
+
+def _check_list(items: object, refusal: str) -> None:
+    if _no_list(items):
+        raise ValueError(f"{refusal}, not the {type(items).__name__} {items!r}")
+
+
 def _quiet(number: object) -> object:
     # a signalling NaN (a Decimal's) as NaN, which float() and comparisons accept
     is_snan = getattr(number, "is_snan", None)
@@ -143,9 +162,13 @@ def _exponent(p: object) -> float:
 
 
 def _validate(values: Sequence[float]) -> Sequence[float]:
-    # shared domain checks: the means are defined on non-empty tuples of non-negative
-    # numbers (`_no_number`) only.  They compute on Python floats, since numpy
-    # scalars warn where an intermediate leaves the double range
+    # shared domain checks: the means are defined on non-empty lists (`_no_list`) of
+    # non-negative numbers (`_no_number`) only; an iterable that is no sequence, an
+    # iterator among them, is read once, into a list.  They compute on Python floats,
+    # since numpy scalars warn where an intermediate leaves the double range
+    _check_list(values, "values must be a list of numbers")
+    if not isinstance(values, Sequence):
+        values = list(values)
     if len(values) == 0:
         raise ValueError("empty tuple")
     floats = True
@@ -175,6 +198,8 @@ def _validate(values: Sequence[float]) -> Sequence[float]:
 def power_mean(values: Sequence[float], p: float) -> float:
     """Power mean with exponent p; accepts +-inf for the max / min limits.
 
+    values follow the package's list rule: a str, byte buffer, mapping, 0-d
+    array or non-iterable is refused by name, and an iterator is read once.
     A zero entry annihilates the mean for p <= 0, and an infinite one gives
     +inf for p >= 0 and, for p < 0, only where every entry is: the limits of
     the formula.  Where an intermediate leaves the double range, the harmonic

@@ -109,9 +109,11 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     witness (`perfect_fit_permutation`), signed by its parity.
 
     A wide sparse table, n >= 500 with at most 8n nonzero cells, first
-    eliminates a set S of diagonal pivots exactly: class s may join S where
-    C_ss > 0 is the largest cell of its column, and no two classes of S share
-    an off-diagonal nonzero cell.  With T the other classes,
+    eliminates a set S of diagonal pivots exactly, over the rows and columns
+    of those cells, which the table splits once from its one scan for this
+    and for `cramers_phi` (`ConfusionMatrix._nonzero_cells`).  Class s may
+    join S where C_ss > 0 is the largest cell of its column, and no two
+    classes of S share an off-diagonal nonzero cell.  With T the other classes,
 
         log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
 
@@ -151,9 +153,9 @@ def _log_det(cm: ConfusionMatrix) -> tuple[float, float, float]:
     # complement left when a wide sparse table eliminates its pivots (`_eliminate`)
     counts, n = cm.counts, cm.n
     pivots = np.empty(0)
-    flat = cm._nonzero_cells if n >= _ELIMINATE_MIN_N else None
-    if flat is not None:
-        counts, pivots = _eliminate(counts, flat)
+    nonzero = cm._nonzero_cells if n >= _ELIMINATE_MIN_N else None
+    if nonzero is not None:
+        counts, pivots = _eliminate(counts, *nonzero)
     with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
         sign, logdet = np.linalg.slogdet(counts.T)
     pivot_logs = np.log(pivots)
@@ -164,7 +166,9 @@ def _log_det(cm: ConfusionMatrix) -> tuple[float, float, float]:
     return float(sign), float(logdet), rounding
 
 
-def _eliminate(counts: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eliminate(
+    counts: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     # (the Schur complement C_TT - C_TS diag(C_SS)^-1 C_ST, the pivots C_ss) of the exact
     # elimination of a set S of diagonal pivots, so that
     #     log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
@@ -172,12 +176,11 @@ def _eliminate(counts: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.nda
     # multiplier C_is / C_ss is at most 1, as partial pivoting would give, and no two
     # classes of S share an off-diagonal nonzero cell, so C_SS is diagonal and every
     # neighbour of S is in T.  S is chosen in a few Luby rounds over the nonzero
-    # cells: a free class joins where it ranks below every free neighbour, by fewest
-    # nonzero cells shared with free classes in its row and column, then by index
+    # cells (rows, cols): a free class joins where it ranks below every free neighbour, by
+    # fewest nonzero cells shared with free classes in its row and column, then by index
     n = counts.shape[0]
-    i, j = np.divmod(flat, n)  # flat: the row-major indices of the nonzero cells
-    off = i != j
-    i, j = i[off], j[off]
+    off = rows != cols
+    i, j = rows[off], cols[off]
     cells, diagonal = counts[i, j], counts.diagonal()
     column_max = np.zeros(n)
     np.maximum.at(column_max, j, cells)
@@ -194,7 +197,7 @@ def _eliminate(counts: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.nda
         chosen |= joins
         free &= ~joins
         free[j[joins[i]]] = free[i[joins[j]]] = False
-    keep = np.flatnonzero(~chosen)
+    (keep,) = np.nonzero(~chosen)
     schur = counts.take(keep, 0).take(keep, 1)
     place = np.cumsum(~chosen) - 1  # each class of T's index in the complement
     # the update scattered from the nonzero cells: each cell (a, s) of a column of S,
@@ -207,8 +210,8 @@ def _eliminate(counts: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.nda
     ends = np.cumsum(repeats)
     # the row cell each update reads
     k = np.repeat(row_ends[s] - ends, repeats) + np.arange(repeats.sum())
-    targets = np.repeat(place[i[column]] * keep.size, repeats) + place[j[row][k]]
-    np.subtract.at(schur.reshape(-1), targets, np.repeat(multipliers, repeats) * cells[row][k])
+    targets = np.repeat(place[i[column]], repeats), place[j[row][k]]  # in the complement
+    np.subtract.at(schur, targets, np.repeat(multipliers, repeats) * cells[row][k])
     return schur, diagonal[chosen]
 
 
@@ -272,26 +275,27 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
 
     The marginal factors are built once per table, and one kernel takes every cell's u:
     the blocks of rows of the whole table, or, on a wide sparse table, n >= 256 with at
-    most 8n nonzero cells (the bound of `generalized_mcc`'s elimination, from the same
-    one scan of the table), its nonzero cells alone, gathered.  A zero cell's u is
-    -(r_i / N) sqrt(c_j) / sqrt(r_i), so row i's zero cells add (z_i sqrt(m_i))^2 in
-    closed form, with z_i = (r_i / N) (1 / sqrt(r_i)) and m_i = N - (the sum of c_j over
-    the row's nonzero cells), the predictions outside those columns; scaled before the
-    square, so the even-power-of-two rule holds.  Where some row's nonzero columns hold
-    more than half of all predictions, m_i would cancel, and the table takes the sum
-    over every cell, as does every other table.
+    most 8n nonzero cells (the bound of `generalized_mcc`'s elimination), its nonzero
+    cells alone, gathered at the rows and columns the table splits once from its one
+    scan (`ConfusionMatrix._nonzero_cells`), which the elimination reads too.  A zero
+    cell's u is -(r_i / N) sqrt(c_j) / sqrt(r_i), so row i's zero cells add
+    (z_i sqrt(m_i))^2 in closed form, with z_i = (r_i / N) (1 / sqrt(r_i)) and
+    m_i = N - (the sum of c_j over the row's nonzero cells), the predictions outside those
+    columns; scaled before the square, so the even-power-of-two rule holds.  Where some
+    row's nonzero columns hold more than half of all predictions, m_i would cancel, and
+    the table takes the sum over every cell, as does every other table.
     """
     n, total, counts = cm.n, cm.total, cm.counts
     rows, cols = cm.row_sums, cm.col_sums
     # each cell's marginal factors, once per table; a zero sum divides by 1
     shares, row_scales = rows / total, 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
     col_div, col_roots = np.where(cols > 0, cols, 1.0), np.sqrt(cols)
-    flat = cm._nonzero_cells if n >= _PHI_SPARSE_MIN_N else None
-    if flat is not None:
-        i, j = np.divmod(flat, n)
+    nonzero = cm._nonzero_cells if n >= _PHI_SPARSE_MIN_N else None
+    if nonzero is not None:
+        i, j = nonzero
         held = np.bincount(i, weights=cols[j], minlength=n)  # N - m_i
         if 2 * held.max() <= total:  # so that m_i, the predictions outside them, cannot cancel
-            cells = counts.take(flat)
+            cells = counts[i, j]
             share = _phi_cells(cells, col_div[j], shares[i], col_roots[j], row_scales[i], cells)
             zeros = shares * row_scales * np.sqrt(total - held)
             return min(1.0, math.sqrt((share + float(np.vdot(zeros, zeros))) / (n - 1)))

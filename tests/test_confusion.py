@@ -383,6 +383,24 @@ class TestFromLabelPairs:
         assert str(info.value) == message
 
     @pytest.mark.parametrize(
+        "true_labels, predicted_labels, message",
+        [
+            (np.array([[1, 2], [3, 4]]), [1, 2],
+             "true_labels[0] is the ndarray array([1, 2]), not a hashable label"),
+            ([[1], [2]], [1, 2], "true_labels[0] is the list [1], not a hashable label"),
+            ([{1}, {2}], [1, 2], "true_labels[0] is the set {1}, not a hashable label"),
+            (["a", "b"], ["a", ["b"]], "predicted_labels[1] is the list ['b'], not a hashable label"),
+        ],
+    )
+    def test_label_that_cannot_be_counted_rejected_by_place(
+        self, true_labels, predicted_labels, message
+    ):
+        # the tally's dict would end in "TypeError: unhashable type"
+        with pytest.raises(ValueError) as info:
+            ConfusionMatrix.from_label_pairs(true_labels, predicted_labels)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "key",
         # a frozenset's repr orders its items by the str hash seed, so its id is fixed
         [

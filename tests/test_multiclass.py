@@ -398,7 +398,7 @@ def _eliminated(counts):
     # (sign, log|det C|, sum of the pivots' |log|) through the pivot elimination of
     # `multiclass._log_det`, called with no gate: the LU of the Schur complement
     # `_eliminate` leaves, and the logs of its pivots, added in `_log_det`'s order
-    schur, pivots = multiclass._eliminate(counts, np.flatnonzero(counts))
+    schur, pivots = multiclass._eliminate(counts, *np.nonzero(counts))
     sign, logdet = np.linalg.slogdet(schur.T)
     logs = np.log(pivots)
     return sign, logdet + float(logs.sum()), float(np.abs(logs).sum())
@@ -442,7 +442,7 @@ class TestPivotElimination:
         # every class joins S and the complement is 0 x 0, which numpy's slogdet
         # reads as (1, 0): log|det C| is the sum of the pivots' logs
         counts = np.diag(np.floor(10.0 ** np.random.default_rng(n).uniform(0, 9, n)))
-        schur, pivots = multiclass._eliminate(counts, np.flatnonzero(counts))
+        schur, pivots = multiclass._eliminate(counts, *np.nonzero(counts))
         assert schur.shape == (0, 0) and pivots.tolist() == counts.diagonal().tolist()
         sign, logdet, pivot_logs = _eliminated(counts)
         logs = np.log(counts.diagonal())
@@ -957,39 +957,47 @@ class TestSparsePhi:
 
     def test_one_scan_serves_both_kernels_of_a_wide_table(self, monkeypatch):
         # the five scores of the benchmark's wide workload on an n = 1000 table: one
-        # count and one index of its nonzero cells, split into rows and columns by the
-        # elimination and by phi's sum over those cells
+        # count, one index and one split of its nonzero cells, in the table, whose rows
+        # and columns both the elimination and phi's sum over those cells read
         workloads = _load_script("perfbench", "workloads.py")
         tables, kinds = workloads.wide_tables(1)
         counts = next(
             c for c, kind in zip(tables, kinds) if len(c) == 1000 and kind == "all_predicted"
         )
-        scans, kernels = [], []
+        scans, kernels, tallies = [], [], []
 
         def spy(module, name, calls):
             f = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args: calls.append((name, args)) or f(*args))
+
+            def record(*args, **kwargs):
+                calls.append((name, args))
+                return f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
 
         for name in ("count_nonzero", "flatnonzero", "divmod"):
             spy(np, name, scans)
+        spy(np, "bincount", tallies)
         for name in ("_eliminate", "_phi_cells"):
             spy(multiclass, name, kernels)
         cm = cm_of(counts)
         for name in ("generalized_mcc", "generalized_f1", "generalized_fm", "cramers_phi"):
             evaluate_metric(cm, name)
         evaluate_metric(cm, "lp_multiclass", p=-1.0)
-        view = cm._nonzero_cells
-        # the elimination's own calls read vectors of n classes
-        whole = [name for name, args in scans if args[0].size == counts.size]
-        assert whole == ["count_nonzero", "flatnonzero"]
-        assert [name for name, args in scans if args[0] is view] == ["divmod", "divmod"]
+        rows, cols = cm._nonzero_cells
+        assert [name for name, _ in scans] == ["count_nonzero", "flatnonzero", "divmod"]
         assert [name for name, _ in kernels] == ["_eliminate", "_phi_cells"]
         (_, eliminated), (_, (cells, *_)) = kernels
-        assert eliminated[1] is view and cells.shape == view.shape
-        assert view.tolist() == np.flatnonzero(counts).tolist()
-        assert not view.flags.writeable
-        with pytest.raises(ValueError):
-            view[0] = 1
+        assert eliminated[1] is rows and eliminated[2] is cols
+        # phi's sum tallies each row's nonzero columns over the very same rows
+        assert [args[0] is rows for _, args in tallies].count(True) == 1
+        assert cells.shape == rows.shape  # gathered, then turned into u in place
+        nonzero_rows, nonzero_cols = np.nonzero(counts)
+        assert rows.tolist() == nonzero_rows.tolist() and cols.tolist() == nonzero_cols.tolist()
+        for view in (rows, cols):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 1
 
     def test_no_table_below_the_gate_reads_the_view(self):
         # the whole panel on small tables and on a sparse one just below the gate: the

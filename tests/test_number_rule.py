@@ -145,6 +145,29 @@ def test_numbers_that_are_not_floats_still_read():
     assert AveragingSpec.power(np.int64(2)) == AveragingSpec.power(2.0)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [b"\x01\x02", bytearray(b"\x01\x03"), memoryview(b"\x02\x04"), {1.0: 0, 3.0: 0}, 5.0,
+     np.array(5.0)],
+    ids=lambda values: type(values).__name__,
+)
+def test_mean_values_that_are_no_list_refused_by_name(values):
+    # the package's list rule: read item by item, a byte buffer gives byte values and a
+    # mapping its keys, and a number or a 0-d array gives no values at all
+    kind = type(values).__name__
+    with pytest.raises(ValueError) as info:
+        power_mean(values, 1.0)
+    assert str(info.value) == f"values must be a list of numbers, not the {kind} {values!r}"
+
+
+def test_mean_values_of_an_iterable_read_once():
+    assert power_mean(iter([1.0, 2.0]), 1.0) == 1.5
+    assert power_mean((v for v in (1, 4)), 0.0) == 2.0
+    assert power_mean({2.0}, 1.0) == 2.0  # no sequence, so no values[0]
+    with pytest.raises(ValueError, match="empty tuple"):
+        power_mean(iter([]), 1.0)
+
+
 def test_nan_exponent_refused_by_every_spelling():
     for p in (math.nan, np.float32("nan"), Decimal("NaN"), Decimal("sNaN"), Decimal("-sNaN")):
         for entry in EXPONENT_ENTRIES.values():

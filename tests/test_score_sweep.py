@@ -1,4 +1,4 @@
-"""The bit-identity sweep of `tools/score_sweep.py`, on its first five tables."""
+"""The bit-identity sweeps of `tools/score_sweep.py`, on their first tables."""
 
 import importlib.util
 from itertools import combinations
@@ -29,3 +29,17 @@ def test_two_runs_hash_alike():
     # and every pair value of a table of at most five classes (table 0 has four)
     pairs = {request.split()[1] for _, request, _ in records if request.startswith("two_class")}
     assert pairs == {f"pair={i},{j}" for i, j in combinations(range(4), 2)}
+
+
+def test_two_wide_runs_hash_alike():
+    # the first three wide tables: a sparse table of 256 classes, it smoothed, and another
+    count, sha = score_sweep.wide_digest(3)
+    assert (count, sha) == score_sweep.wide_digest(3)
+    records = list(score_sweep.wide_records(3))
+    assert count == len(records) == 9
+    assert {request.split()[-1] for _, request, _ in records} == {
+        "generalized_mcc", "cramers_phi", "_log_det"
+    }
+    # each record a value, and the determinant's a (sign, log|det N|, rounding) triple
+    assert all(result.startswith(("0x", "-0x")) for _, _, result in records)
+    assert all(len(result.split()) == 3 for _, request, result in records if "_log_det" in request)

@@ -107,10 +107,10 @@ def test_no_builtin_sum():
 
 
 def test_number_rule_and_public_means_stay_in_means():
-    # the number rule is bound once, in `means`, and the package calls the
+    # the number and list rules are bound once, in `means`, and the package calls the
     # public means only from there: every other module has checked its floats
     # and hands them to `means._power_mean`
-    public_means = {"power_mean"}
+    public_means, rules = {"power_mean"}, {"_NON_NUMBERS", "_NOT_A_LIST"}
     calls, bindings = [], []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.name == "means.py":
@@ -123,9 +123,9 @@ def test_number_rule_and_public_means_stay_in_means():
                 if name in public_means:
                     calls.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                if node.id == "_NON_NUMBERS":
+                if node.id in rules:
                     bindings.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.alias) and (node.asname or node.name) == "_NON_NUMBERS":
+            elif isinstance(node, ast.alias) and (node.asname or node.name) in rules:
                 bindings.append(f"{path.name}: import")
     assert not calls, calls
     assert not bindings, bindings
@@ -193,6 +193,21 @@ def test_one_lu_call():
                         calls.append(f"{path.name}:{inner.lineno}")
                         owners.append(f"{path.stem}.{node.name}")
     assert len(calls) == 1 and owners == ["multiclass._log_det"], (calls, owners)
+
+
+def test_only_the_table_splits_its_nonzero_cells():
+    # `ConfusionMatrix._nonzero_cells` indexes a wide table's nonzero cells and splits
+    # them into rows and columns once, so no scorer knows a flat index's layout
+    calls = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [
+            f"{path.stem}.{node.func.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("flatnonzero", "divmod")
+        ]
+    assert sorted(calls) == ["confusion.divmod", "confusion.flatnonzero"], calls
 
 
 def _imports(tree):

@@ -5,7 +5,9 @@
 It scores 600 seeded tables of 2 to 20 classes with whichever `gofmetrics`
 is on PYTHONPATH and prints the number of records and the sha256 of their
 lines, so running it with each checkout's `src` tells whether a change kept
-every value's bits.  The tables are integer tables with zeros, permutation
+every value's bits.  A second line, `wide: ...`, does the same for the wide
+sweep (`wide_records`), which takes the wide-table paths the first never
+reaches.  The tables are integer tables with zeros, permutation
 tables, tables of the edge cells 0, 5e-324, 1e-310, 2^-511 and 1e300 (alone
 and mixed with integers), integers times 1e298, and smoothed integer tables.
 Each table is built once and scored in one sequence: every `METRICS` row
@@ -17,12 +19,24 @@ their own), and the cells of `normalized_matrix`.
 A value is recorded as `float.hex`; a `ValueError`, an `ArithmeticError` or
 a `RuntimeWarning` by its type and message.
 
-`records()` yields the records, so a diff between checkouts is
+`records()` and `wide_records()` yield the records, so a diff between checkouts is
 
     PYTHONPATH=src:tools python3 -c \\
         'import score_sweep as s; print(*map(s.line, s.records()), sep="\\n")' > a.txt
 
 run in each checkout, then `diff a.txt b.txt`.
+
+The wide sweep holds seeded tables of `WIDE_SIZES` classes, at and past
+`cramers_phi`'s sparse gate (n >= 256), which every table above stays below,
+and on both sides of the determinant's elimination gate (n >= 500).  Per
+size: three sparse tables with a diagonal of hits and 2 to 7 other nonzero
+cells a row, the last of them with its last class never predicted, each
+also smoothed by 0.5, which makes it dense; a sparse table with a row whose
+nonzero columns hold more than half of all predictions (phi's guard); and a
+diagonal table, whose elimination leaves a 0 x 0 complement.  Each table
+records `generalized_mcc`, `cramers_phi` and, where the score reaches it,
+`multiclass._log_det`'s (sign, log|det N|, rounding), whose bits show where
+the score itself underflows to 0.0.
 """
 
 from __future__ import annotations
@@ -30,13 +44,14 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterator
 
 import numpy as np
 
 from gofmetrics.confusion import ConfusionMatrix, normalized_matrix, smooth
 from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, MAX, MIN, AveragingSpec
+from gofmetrics import multiclass
 from gofmetrics.multiclass import METRICS, BINARY_METRIC_NAMES, evaluate_metric, two_class_score
 
 TABLES = 600
@@ -46,6 +61,8 @@ OUTERS = (None, HARMONIC, GEOMETRIC, ARITHMETIC, MIN, MAX,
           AveragingSpec.power(0.5), AveragingSpec.power(-2.0))
 EXPONENTS = (None, -math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 PAIR_CLASSES = 5  # up to this many classes, every pair's 2x2 sub-table is scored too
+WIDE_SIZES = (256, 300, 499, 500, 1000)
+WIDE_SEED = 39
 
 
 def tables(count: int = TABLES) -> Iterator[np.ndarray]:
@@ -116,6 +133,43 @@ def _pair_records(
                 yield index, request, _record(lambda: two_class_score(sub, metric, positive, p))
 
 
+def wide_tables() -> Iterator[tuple[str, np.ndarray]]:
+    """(name, grid) of each table of the wide sweep, seeded, the sizes in turn."""
+    rng = np.random.default_rng(WIDE_SEED)
+    for n in WIDE_SIZES:
+        sparse = [_diagonal_heavy(rng, n) for _ in range(3)]
+        never = sparse[2]  # its last class's predictions go to class 0
+        never[:, 0] += never[:, -1]
+        never[:, -1] = 0
+        for name, grid in zip(("sparse 0", "sparse 1", "never_predicted"), sparse):
+            yield f"n={n} {name}", grid
+            yield f"n={n} {name} smoothed", grid + 0.5
+        guard = _diagonal_heavy(rng, n)  # column 0 then holds one more than half
+        guard[0, 0] += guard.sum() - 2 * guard[:, 0].sum() + 1
+        yield f"n={n} past_the_guard", guard
+        yield f"n={n} diagonal", np.diag(rng.integers(1, 1000, n).astype(float))
+
+
+def _diagonal_heavy(rng: np.random.Generator, n: int) -> np.ndarray:
+    # integer counts: a diagonal of hits, most of them their column's largest cell, and
+    # 2 to 7 other nonzero cells a row
+    counts = np.diag(rng.integers(1, 500, n).astype(float))
+    for i in range(n):
+        others = rng.choice(n - 1, size=rng.integers(2, 8), replace=False)
+        counts[i, others + (others >= i)] = rng.integers(1, 50, others.size)
+    return counts
+
+
+def wide_records(count: int | None = None) -> Iterator[tuple[int, str, str]]:
+    """(table index, request, record) for the first `count` wide tables, or all."""
+    for index, (name, grid) in enumerate(islice(wide_tables(), count)):
+        cm = ConfusionMatrix.from_counts(grid)
+        for metric in ("generalized_mcc", "cramers_phi"):
+            yield index, f"{name} {metric}", _record(lambda: evaluate_metric(cm, metric).value)
+        if cm.row_sums.all() and cm.col_sums.all():  # where the score reaches it
+            yield index, f"{name} _log_det", _record(lambda: list(multiclass._log_det(cm)))
+
+
 def line(record: tuple[int, str, str]) -> str:
     """One record as the tab-separated line that is hashed."""
     return "\t".join(map(str, record))
@@ -123,9 +177,18 @@ def line(record: tuple[int, str, str]) -> str:
 
 def digest(count: int = TABLES) -> tuple[int, str]:
     """The number of records and the sha256 of their lines."""
+    return _hash(records(count))
+
+
+def wide_digest(count: int | None = None) -> tuple[int, str]:
+    """`digest` of the first `count` wide tables, or of all."""
+    return _hash(wide_records(count))
+
+
+def _hash(sweep: Iterator[tuple[int, str, str]]) -> tuple[int, str]:
     sha = hashlib.sha256()
     total = 0
-    for record in records(count):
+    for record in sweep:
         sha.update(line(record).encode() + b"\n")
         total += 1
     return total, sha.hexdigest()
@@ -134,6 +197,8 @@ def digest(count: int = TABLES) -> tuple[int, str]:
 def main() -> None:
     total, sha = digest()
     print(f"{total} records sha256 {sha}")
+    total, sha = wide_digest()
+    print(f"wide: {total} records sha256 {sha}")
 
 
 if __name__ == "__main__":
