@@ -35,8 +35,11 @@ __all__ = [
     "relabel",
 ]
 
-# a table keeps the rows and columns of its nonzero cells where it has at most this many a row
+# a table keeps the rows and columns of its nonzero cells where it has at most this many a
+# row, and hands them to the sparse kernels of `generalized_mcc` and `cramers_phi` from this
+# many classes on, where each kernel, sharing the one scan, was measured to pay
 _SPARSE_CELLS_PER_ROW = 8
+_SPARSE_MIN_N = 256
 
 
 class _CellError(ValueError):
@@ -127,14 +130,24 @@ class ConfusionMatrix:
         np.divide(table, sums, out=table, where=sums > 0)  # a zero sum's terms are 0
         return _read_only(table).reshape(4, n, n)
 
+    @property
+    def _sparse_cells(self) -> tuple[np.ndarray, np.ndarray] | None:
+        # `_nonzero_cells` from `_SPARSE_MIN_N` classes on, else None: the one gate of both
+        # sparse kernels.  Uncached, so no smaller table takes the scan, nor the lock that
+        # a cached property's first read takes before Python 3.12
+        return self._nonzero_cells if self.n >= _SPARSE_MIN_N else None
+
     @cached_property
     def _nonzero_cells(self) -> tuple[np.ndarray, np.ndarray] | None:
         # the read-only (rows, cols) of the nonzero cells, in row-major order, of a table
         # with at most `_SPARSE_CELLS_PER_ROW` of them a row, else None: one scan and one
-        # split per table for every score that reads it.  A scorer reads it only from the
-        # class count where it pays, so no small table takes the scan or the first read's lock
+        # split per table for both sparse kernels, read through `_sparse_cells`.  A table
+        # dense in its first rows, such as a smoothed one, leaves before the full scan
+        bound = _SPARSE_CELLS_PER_ROW * self.n
+        if np.count_nonzero(self.counts[: _SPARSE_CELLS_PER_ROW + 1]) > bound:
+            return None
         nonzero = self.counts != 0
-        if np.count_nonzero(nonzero) > _SPARSE_CELLS_PER_ROW * self.n:
+        if np.count_nonzero(nonzero) > bound:
             return None
         rows, cols = np.divmod(np.flatnonzero(nonzero), self.n)
         return _read_only(rows), _read_only(cols)

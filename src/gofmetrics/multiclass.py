@@ -53,13 +53,7 @@ _EPS = 2.0**-52  # the double-precision machine epsilon
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 # cells per row block of cramers_phi's temporaries, small enough for cache
 _PHI_BLOCK_CELLS = 1 << 15
-# from these class counts on, on a table that keeps its nonzero cells
-# (`ConfusionMatrix._nonzero_cells`), cramers_phi hands `_phi_cells` those cells alone
-# and `_log_det` factors the Schur complement `_eliminate` leaves, where each was
-# measured to cost less than the whole table's block loop or LU; the elimination
-# picks its pivots in `_LUBY_ROUNDS` rounds
-_PHI_SPARSE_MIN_N = 256
-_ELIMINATE_MIN_N = 500
+# rounds in which `_eliminate` picks its pivots
 _LUBY_ROUNDS = 3
 
 
@@ -108,12 +102,13 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     ~ -745 whatever the sign.  It is exactly +-1 only with a permutation
     witness (`perfect_fit_permutation`), signed by its parity.
 
-    A wide sparse table, n >= 500 with at most 8n nonzero cells, first
-    eliminates a set S of diagonal pivots exactly, over the rows and columns
-    of those cells, which the table splits once from its one scan for this
-    and for `cramers_phi` (`ConfusionMatrix._nonzero_cells`).  Class s may
-    join S where C_ss > 0 is the largest cell of its column, and no two
-    classes of S share an off-diagonal nonzero cell.  With T the other classes,
+    A wide sparse table, n >= 256 with at most 8n nonzero cells (the one gate
+    of this and of `cramers_phi`'s sparse sum, `ConfusionMatrix._sparse_cells`),
+    first eliminates a set S of diagonal pivots exactly, over the rows and
+    columns of those cells, which the table splits once from its one scan for
+    both scores.  Class s may join S where C_ss > 0 is the largest cell of its
+    column, and no two classes of S share an off-diagonal nonzero cell.  With T
+    the other classes,
 
         log|det C| = sum_S log C_ss + log|det(C_TT - C_TS diag(C_SS)^-1 C_ST)|
 
@@ -121,7 +116,7 @@ def generalized_mcc(cm: ConfusionMatrix) -> float:
     table.  Every multiplier C_ts / C_ss is at most 1, as with partial
     pivoting; the sign, the witness rule, the |det| check and the rounding
     allowance, which also covers the pivots' logs, are kept.  Every other
-    table, every table of at most 499 classes among them, keeps the LU of the
+    table, every table of at most 255 classes among them, keeps the LU of the
     whole table and its bits.
     """
     if not (cm.row_sums.all() and cm.col_sums.all()):
@@ -153,7 +148,7 @@ def _log_det(cm: ConfusionMatrix) -> tuple[float, float, float]:
     # complement left when a wide sparse table eliminates its pivots (`_eliminate`)
     counts, n = cm.counts, cm.n
     pivots = np.empty(0)
-    nonzero = cm._nonzero_cells if n >= _ELIMINATE_MIN_N else None
+    nonzero = cm._sparse_cells
     if nonzero is not None:
         counts, pivots = _eliminate(counts, *nonzero)
     with np.errstate(divide="ignore"):  # an LU pivot that flushes to 0 gives log 0
@@ -275,10 +270,10 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
 
     The marginal factors are built once per table, and one kernel takes every cell's u:
     the blocks of rows of the whole table, or, on a wide sparse table, n >= 256 with at
-    most 8n nonzero cells (the bound of `generalized_mcc`'s elimination), its nonzero
-    cells alone, gathered at the rows and columns the table splits once from its one
-    scan (`ConfusionMatrix._nonzero_cells`), which the elimination reads too.  A zero
-    cell's u is -(r_i / N) sqrt(c_j) / sqrt(r_i), so row i's zero cells add
+    most 8n nonzero cells (the one gate of this sum and of `generalized_mcc`'s
+    elimination, `ConfusionMatrix._sparse_cells`), its nonzero cells alone, gathered at
+    the rows and columns the table splits once from its one scan, which the elimination
+    reads too.  A zero cell's u is -(r_i / N) sqrt(c_j) / sqrt(r_i), so row i's zero cells add
     (z_i sqrt(m_i))^2 in closed form, with z_i = (r_i / N) (1 / sqrt(r_i)) and
     m_i = N - (the sum of c_j over the row's nonzero cells), the predictions outside those
     columns; scaled before the square, so the even-power-of-two rule holds.  Where some
@@ -290,7 +285,7 @@ def cramers_phi(cm: ConfusionMatrix) -> float:
     # each cell's marginal factors, once per table; a zero sum divides by 1
     shares, row_scales = rows / total, 1.0 / np.sqrt(np.where(rows > 0, rows, 1.0))
     col_div, col_roots = np.where(cols > 0, cols, 1.0), np.sqrt(cols)
-    nonzero = cm._nonzero_cells if n >= _PHI_SPARSE_MIN_N else None
+    nonzero = cm._sparse_cells
     if nonzero is not None:
         i, j = nonzero
         held = np.bincount(i, weights=cols[j], minlength=n)  # N - m_i

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gofmetrics import means, multiclass
+from gofmetrics import confusion, means, multiclass
 from gofmetrics.confusion import (
     ConfusionMatrix,
     normalized_matrix,
@@ -437,7 +437,7 @@ class TestPivotElimination:
         bound = self.C * n * 2.0**-52 * math.log(counts.max())
         assert abs(logdet - expected) <= bound, (logdet, expected)
 
-    @pytest.mark.parametrize("n", [multiclass._ELIMINATE_MIN_N, 1000])
+    @pytest.mark.parametrize("n", [confusion._SPARSE_MIN_N, 1000])
     def test_diagonal_table_past_the_gate_reads_one_through_its_witness(self, n):
         # every class joins S and the complement is 0 x 0, which numpy's slogdet
         # reads as (1, 0): log|det C| is the sum of the pivots' logs
@@ -629,7 +629,7 @@ def _phi_nonzero_cells(counts):
 
 def phi_and_path(cm, gate=None):
     """cramers_phi of cm, and whether it took the sum over the nonzero cells, with
-    that sum's class-count gate at `gate` where one is given."""
+    the table's class-count gate of the sparse kernels at `gate` where one is given."""
     kinds, kernel = [], multiclass._phi_cells
 
     def spy(cells, *args):
@@ -639,7 +639,7 @@ def phi_and_path(cm, gate=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(multiclass, "_phi_cells", spy)
         if gate is not None:
-            patch.setattr(multiclass, "_PHI_SPARSE_MIN_N", gate)
+            patch.setattr(confusion, "_SPARSE_MIN_N", gate)
         value = cramers_phi(cm)
     return value, kinds == [1]
 
@@ -730,7 +730,7 @@ class TestCramersPhi:
         counts = random_counts_with_empty_classes(np.random.default_rng(n), n)
         cm = cm_of(counts)
         assert phi_and_path(cm) == (_phi_block_loop(counts), False)
-        past_the_gate = n >= multiclass._PHI_SPARSE_MIN_N
+        past_the_gate = n >= confusion._SPARSE_MIN_N
         assert vars(cm).get("_nonzero_cells", "unread") == (None if past_the_gate else "unread")
 
     @pytest.mark.parametrize("kind", ["row_1e-160", "times_2^-1070"])
@@ -957,8 +957,9 @@ class TestSparsePhi:
 
     def test_one_scan_serves_both_kernels_of_a_wide_table(self, monkeypatch):
         # the five scores of the benchmark's wide workload on an n = 1000 table: one
-        # count, one index and one split of its nonzero cells, in the table, whose rows
-        # and columns both the elimination and phi's sum over those cells read
+        # count of its first rows' nonzero cells, then one count, one index and one
+        # split of them all, in the table, whose rows and columns both the elimination
+        # and phi's sum over those cells read
         workloads = _load_script("perfbench", "workloads.py")
         tables, kinds = workloads.wide_tables(1)
         counts = next(
@@ -985,7 +986,11 @@ class TestSparsePhi:
             evaluate_metric(cm, name)
         evaluate_metric(cm, "lp_multiclass", p=-1.0)
         rows, cols = cm._nonzero_cells
-        assert [name for name, _ in scans] == ["count_nonzero", "flatnonzero", "divmod"]
+        assert [name for name, _ in scans] == [
+            "count_nonzero", "count_nonzero", "flatnonzero", "divmod"
+        ]
+        head = confusion._SPARSE_CELLS_PER_ROW + 1
+        assert [args[0].shape for name, args in scans[:2]] == [(head, 1000), (1000, 1000)]
         assert [name for name, _ in kernels] == ["_eliminate", "_phi_cells"]
         (_, eliminated), (_, (cells, *_)) = kernels
         assert eliminated[1] is rows and eliminated[2] is cols
@@ -1003,12 +1008,34 @@ class TestSparsePhi:
         # the whole panel on small tables and on a sparse one just below the gate: the
         # first read of a cached property takes a lock before Python 3.12, so none is made
         tables = CACHE_TABLES[:30]
-        tables.append(sparse_phi_table(np.random.default_rng(1), multiclass._PHI_SPARSE_MIN_N - 1))
+        tables.append(sparse_phi_table(np.random.default_rng(1), confusion._SPARSE_MIN_N - 1))
         for grid in tables:
             cm = cm_of(grid)
             for name, info in METRICS.items():
                 evaluate_metric(cm, name, p=-1.0 if info.needs_p else None)
             assert "_nonzero_cells" not in vars(cm), cm.n
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["8n cells", "8n + 1 cells"])
+    @pytest.mark.parametrize("below", [1, 0], ids=["gate - 1 classes", "gate classes"])
+    def test_both_kernels_run_exactly_where_the_table_hands_over_cells(
+        self, monkeypatch, below, past
+    ):
+        # every class present and predicted, a diagonal of hits and other nonzero cells
+        # to 8n, or one more, in all: at the table's one gate and one class below it
+        n = confusion._SPARSE_MIN_N - below
+        rng = np.random.default_rng(n + past)
+        counts = np.diag(rng.integers(50, 100, n).astype(float))
+        others = confusion._SPARSE_CELLS_PER_ROW * n + past - n
+        off = np.flatnonzero(counts == 0)
+        counts.flat[rng.choice(off, others, replace=False)] = rng.integers(1, 50, others)
+        cols = counts.sum(axis=0)
+        # no row's nonzero columns hold half of all predictions: phi's guard is not tripped
+        assert 2 * max(cols[np.flatnonzero(row)].sum() for row in counts) <= counts.sum()
+        cm = cm_of(counts)
+        took = assert_matches_one_lu(monkeypatch, cm)
+        _, gathered = phi_and_path(cm)
+        assert took == gathered == (not below and not past)
+        assert ("_nonzero_cells" in vars(cm)) == (not below)
 
 
 def _one_vs_one_tables():
@@ -1634,7 +1661,8 @@ def _load_script(*parts):
 
 
 def assert_matches_one_lu(monkeypatch, cm):
-    """generalized_mcc as the gate decides, against one LU of the whole table.
+    """generalized_mcc as the table's gate decides, against one LU of the whole table,
+    taken on a fresh table that hands over no nonzero cells.
 
     Where the gate keeps that LU, the bits are the same.  Where it sends the
     table to the pivot elimination, the kernel's sign is the same, the score is
@@ -1647,11 +1675,12 @@ def assert_matches_one_lu(monkeypatch, cm):
         return eliminate(*args)
 
     positive = cm.row_sums.all() and cm.col_sums.all()
+    whole = cm_of(cm.counts, cm.labels)
+    vars(whole)["_nonzero_cells"] = None
     with monkeypatch.context() as patch:
         patch.setattr(multiclass, "_eliminate", spy)
         value, kernel = generalized_mcc(cm), positive and multiclass._log_det(cm)
-        patch.setattr(multiclass, "_ELIMINATE_MIN_N", math.inf)
-        plain, plain_kernel = generalized_mcc(cm), positive and multiclass._log_det(cm)
+    plain, plain_kernel = generalized_mcc(whole), positive and multiclass._log_det(whole)
     if not calls:
         assert value.hex() == plain.hex(), cm.n
         return False
@@ -1689,7 +1718,7 @@ class TestScoreBounds:
                 cm = cm_of(workloads._small_table(rng, n, kind))
                 value = generalized_mcc(cm)
                 took = assert_matches_one_lu(monkeypatch, cm)
-                assert not (took and (kind == "smoothed" or n < multiclass._ELIMINATE_MIN_N))
+                assert not (took and (kind == "smoothed" or n < confusion._SPARSE_MIN_N))
                 eliminated += took
                 assert -1.0 <= value <= 1.0, (n, kind)
                 if (cm.row_sums == 0).any() or (cm.col_sums == 0).any():
@@ -1703,7 +1732,7 @@ class TestScoreBounds:
                     witnessed += 1
         # each branch ran: on the four permutation tables, and on the four
         # never_predicted ones and any other with an empty class; and the
-        # elimination ran on the sparse tables at n = 1000
+        # elimination ran on the sparse tables
         assert empty >= 4 and witnessed == 4 and eliminated >= 4
 
 
@@ -1759,7 +1788,7 @@ class TestCanonicalCorrelations:
         # n = 300 and 1000, where the score underflows to 0.0: log|det N| is finite
         # on every table that predicts each class, and held below (n - 1) log phi;
         # generalized_mcc agrees with one LU of the whole table, through the pivot
-        # elimination on every n = 1000 table that predicts each class
+        # elimination on every table that predicts each class
         workloads = _load_script("perfbench", "workloads.py")
         for seed in (1, 2, 3):
             tables, kinds = workloads.wide_tables(seed)
@@ -1767,7 +1796,7 @@ class TestCanonicalCorrelations:
                 sign, logdet = self.check(counts)
                 assert (sign != 0) == (kind == "all_predicted"), kind
                 took = assert_matches_one_lu(monkeypatch, cm_of(counts))
-                assert took == (len(counts) == 1000 and kind == "all_predicted"), kind
+                assert took == (kind == "all_predicted"), (len(counts), kind)
 
 
 # every entry that looks a metric up by name in METRICS

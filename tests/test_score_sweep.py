@@ -4,6 +4,8 @@ import importlib.util
 from itertools import combinations
 from pathlib import Path
 
+from gofmetrics import confusion
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "score_sweep.py"
 
 
@@ -15,6 +17,12 @@ def _load():
 
 
 score_sweep = _load()
+
+
+def test_wide_sizes_hold_both_sides_of_the_sparse_gate():
+    # a table just below the sparse kernels' one gate and one at it, wherever it moves
+    gate = confusion._SPARSE_MIN_N
+    assert {gate - 1, gate} <= set(score_sweep.WIDE_SIZES)
 
 
 def test_two_runs_hash_alike():

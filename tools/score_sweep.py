@@ -19,6 +19,12 @@ their own), and the cells of `normalized_matrix`.
 A value is recorded as `float.hex`; a `ValueError`, an `ArithmeticError` or
 a `RuntimeWarning` by its type and message.
 
+The tool sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
+before numpy loads, as `perfbench/run.py` does, since an LU or a `vdot` of a
+wide table rounds by the BLAS thread count: two checkouts then differ only
+where their bits do.  Where numpy was loaded first, as in a test run, the
+thread count is the one it loaded with.
+
 `records()` and `wide_records()` yield the records, so a diff between checkouts is
 
     PYTHONPATH=src:tools python3 -c \\
@@ -26,12 +32,13 @@ a `RuntimeWarning` by its type and message.
 
 run in each checkout, then `diff a.txt b.txt`.
 
-The wide sweep holds seeded tables of `WIDE_SIZES` classes, at and past
-`cramers_phi`'s sparse gate (n >= 256), which every table above stays below,
-and on both sides of the determinant's elimination gate (n >= 500).  Per
-size: three sparse tables with a diagonal of hits and 2 to 7 other nonzero
-cells a row, the last of them with its last class never predicted, each
-also smoothed by 0.5, which makes it dense; a sparse table with a row whose
+The wide sweep holds seeded tables of `WIDE_SIZES` classes, on both sides of
+the one gate of the sparse kernels of `generalized_mcc` and `cramers_phi`
+(n >= 256, `confusion._SPARSE_MIN_N`), which every table above stays below;
+255 comes last, so the tables before it keep their draws.  Per size: three
+sparse tables with a diagonal of hits and 2 to 7 other nonzero cells a row,
+the last of them with its last class never predicted, each also smoothed by
+0.5, which makes it dense; a sparse table with a row whose
 nonzero columns hold more than half of all predictions (phi's guard); and a
 diagonal table, whose elimination leaves a 0 x 0 complement.  Each table
 records `generalized_mcc`, `cramers_phi` and, where the score reaches it,
@@ -41,18 +48,26 @@ the score itself underflows to 0.0.
 
 from __future__ import annotations
 
-import hashlib
-import math
-import warnings
-from itertools import combinations, islice
-from typing import Callable, Iterator
+import os
 
-import numpy as np
+# Fixed before numpy loads, for this process and every child it starts.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from gofmetrics.confusion import ConfusionMatrix, normalized_matrix, smooth
-from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, MAX, MIN, AveragingSpec
-from gofmetrics import multiclass
-from gofmetrics.multiclass import METRICS, BINARY_METRIC_NAMES, evaluate_metric, two_class_score
+import hashlib  # noqa: E402
+import math  # noqa: E402
+import warnings  # noqa: E402
+from itertools import combinations, islice  # noqa: E402
+from typing import Callable, Iterator  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from gofmetrics.confusion import ConfusionMatrix, normalized_matrix, smooth  # noqa: E402
+from gofmetrics.means import ARITHMETIC, GEOMETRIC, HARMONIC, MAX, MIN, AveragingSpec  # noqa: E402
+from gofmetrics import multiclass  # noqa: E402
+from gofmetrics.multiclass import (  # noqa: E402
+    METRICS, BINARY_METRIC_NAMES, evaluate_metric, two_class_score
+)
 
 TABLES = 600
 SEED = 30
@@ -61,7 +76,7 @@ OUTERS = (None, HARMONIC, GEOMETRIC, ARITHMETIC, MIN, MAX,
           AveragingSpec.power(0.5), AveragingSpec.power(-2.0))
 EXPONENTS = (None, -math.inf, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 PAIR_CLASSES = 5  # up to this many classes, every pair's 2x2 sub-table is scored too
-WIDE_SIZES = (256, 300, 499, 500, 1000)
+WIDE_SIZES = (256, 300, 499, 500, 1000, 255)
 WIDE_SEED = 39
 
 
